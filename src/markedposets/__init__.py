@@ -40,7 +40,6 @@ from .posets import (
     linear_extensions,
     maximal_marked_chains,
     restrict_marked,
-    transitive_relation,
     validate_marked,
 )
 from .polytopes import (
@@ -71,5 +70,3 @@ from .ehrhart import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -172,11 +172,12 @@ def _family_hrep(mp, partition, family: str) -> HRepresentation:
     return build_chain_order_hrep(mp, partition)
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: dict, text) -> None:
+    """Print the JSON payload, or the text report; a callable ``text`` is rendered only then."""
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(text)
+        print(text() if callable(text) else text)
 
 
 def cmd_validate(args) -> int:
@@ -204,20 +205,18 @@ def cmd_polytope(args) -> int:
     name, mp, partition = _load(args)
     h = _family_hrep(mp, partition, args.family)
     cap = _work_cap()
-    if args.emit == "hrep":
-        text = format_hrep(h)
-        result = _hrep_payload(h)
-    elif args.emit == "facets":
-        reduced = irredundant(h, cap)
-        text = format_hrep(reduced)
-        result = _hrep_payload(reduced)
-    else:
+    if args.emit == "vertices":
         v = enumerate_vertices(h, cap)
-        text = "\n".join(" ".join(str(x) for x in vert) for vert in v.vertices)
+        text = lambda: "\n".join(" ".join(str(x) for x in vert) for vert in v.vertices)
         result = {
             "coordinates": list(v.coordinates),
             "vertices": [[str(x) for x in vert] for vert in v.vertices],
         }
+    else:
+        if args.emit == "facets":
+            h = irredundant(h, cap)
+        text = lambda: format_hrep(h)
+        result = _hrep_payload(h)
     payload = {"command": "polytope", "input": name,
                "family": args.family, "emit": args.emit, "result": result}
     _emit(args, payload, text)

@@ -16,97 +16,60 @@ from .geometry import HRepresentation, LinearInequality, VRepresentation, contai
 from .posets import (
     ChainOrderPartition,
     MarkedPoset,
-    maximal_marked_chains,
+    _components,
+    _saturated_chains,
+    _transitive_closure,
     require_strict_regular,
 )
 
 DEFAULT_ASSIGNMENT_CAP = 10**7
 
 
+def _hrep(mp: MarkedPoset, chain: frozenset[str]) -> HRepresentation:
+    """Chain conditions on the unmarked elements in ``chain``, order conditions on the rest.
+
+    Nonnegativity on ``chain``, plus one inequality per saturated chain whose
+    interior (r >= 0 elements) lies in ``chain`` and whose ends are marked or
+    outside ``chain``, with marked ends substituted.  A chain between two
+    marked ends with r = 0 degenerates to a marking consistency check.
+    """
+    inequalities = [LinearInequality({p: -1}, 0) for p in sorted(chain)]
+    for a, interior, b in _saturated_chains(mp.poset, frozenset(mp.poset.elements) - chain):
+        coeffs = dict.fromkeys(interior, 1)
+        rhs = Fraction(0)
+        if a in mp.marked:
+            rhs -= mp.value(a)
+        else:
+            coeffs[a] = 1
+        if b in mp.marked:
+            rhs += mp.value(b)
+        else:
+            coeffs[b] = -1
+        if coeffs:
+            inequalities.append(LinearInequality(coeffs, rhs))
+        elif rhs < 0:
+            raise InfeasibleMarking(f"chain {a!r} < ... < {b!r} has negative slack {rhs}")
+    return HRepresentation(mp.unmarked, inequalities)
+
+
 def build_order_hrep(mp: MarkedPoset) -> HRepresentation:
     """Inequalities x_p <= x_q per cover, with marked endpoints substituted."""
-    poset = mp.poset
-    inequalities = []
-    for p, q in poset.covers:
-        p_marked, q_marked = p in mp.marked, q in mp.marked
-        if p_marked and q_marked:
-            if mp.value(p) > mp.value(q):
-                raise InfeasibleMarking(f"cover ({p!r}, {q!r}) has decreasing marks")
-            continue
-        if p_marked:
-            inequalities.append(LinearInequality({q: -1}, -mp.value(p)))
-        elif q_marked:
-            inequalities.append(LinearInequality({p: 1}, mp.value(q)))
-        else:
-            inequalities.append(LinearInequality({p: 1, q: -1}, 0))
-    return HRepresentation(mp.unmarked, inequalities)
+    return _hrep(mp, frozenset())
 
 
 def build_chain_hrep(mp: MarkedPoset) -> HRepresentation:
     """Nonnegative coordinates with chain sums bounded by marking differences."""
-    inequalities = [LinearInequality({p: -1}, 0) for p in mp.unmarked]
-    for a, interior, b in maximal_marked_chains(mp):
-        slack = mp.value(b) - mp.value(a)
-        if slack < 0:
-            raise InfeasibleMarking(
-                f"chain {a!r} < ... < {b!r} has negative slack {slack}")
-        if interior:
-            counts: dict[str, int] = {}
-            for p in interior:
-                counts[p] = counts.get(p, 0) + 1
-            inequalities.append(LinearInequality(counts, slack))
-    return HRepresentation(mp.unmarked, inequalities)
-
-
-def _saturated_chains_through(
-    mp: MarkedPoset, endpoints: frozenset[str], interior: frozenset[str]
-) -> list[tuple[str, tuple[str, ...], str]]:
-    poset = mp.poset
-    chains: list[tuple[str, tuple[str, ...], str]] = []
-
-    def walk(start: str, path: list[str], current: str) -> None:
-        for q in poset.upper_covers(current):
-            if q in endpoints:
-                chains.append((start, tuple(path), q))
-            elif q in interior:
-                walk(start, path + [q], q)
-
-    for a in sorted(endpoints):
-        walk(a, [], a)
-    return sorted(chains)
+    return _hrep(mp, frozenset(mp.unmarked))
 
 
 def build_chain_order_hrep(mp: MarkedPoset, part: ChainOrderPartition) -> HRepresentation:
     """The hybrid family: chain conditions on C, order conditions on O.
 
-    One inequality per saturated chain whose endpoints lie in P* or O and
-    whose interior lies in C (r >= 0 interior elements); chains between two
-    marked endpoints with r = 0 degenerate to marking consistency checks.
+    With C empty this is the order polytope, with C all unmarked elements the
+    chain polytope.
     """
     part.validate(mp)
-    endpoints = frozenset(mp.marked) | part.order
-    inequalities = [LinearInequality({p: -1}, 0) for p in sorted(part.chain)]
-    for a, interior, b in _saturated_chains_through(mp, endpoints, part.chain):
-        coeffs: dict[str, Fraction | int] = {}
-        rhs = Fraction(0)
-        for p in interior:
-            coeffs[p] = coeffs.get(p, 0) + 1
-        if a in mp.marked:
-            rhs -= mp.value(a)
-        else:
-            coeffs[a] = coeffs.get(a, 0) + 1
-        if b in mp.marked:
-            rhs += mp.value(b)
-        else:
-            coeffs[b] = coeffs.get(b, 0) - 1
-        coeffs = {c: v for c, v in coeffs.items() if v != 0}
-        if not coeffs:
-            if rhs < 0:
-                raise InfeasibleMarking(
-                    f"chain {a!r} < ... < {b!r} has negative slack {rhs}")
-            continue
-        inequalities.append(LinearInequality(coeffs, rhs))
-    return HRepresentation(mp.unmarked, inequalities)
+    return _hrep(mp, part.chain)
 
 
 @dataclass(frozen=True)
@@ -142,24 +105,8 @@ def face_partition_of_point(mp: MarkedPoset, x: Mapping[str, Fraction]) -> FaceP
     if not contains(order_hrep, point):
         raise PointOutsidePolytope("point violates the order constraints")
     values = _full_point(mp, point)
-    poset = mp.poset
-    parent = {e: e for e in poset.elements}
-
-    def find(e: str) -> str:
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    for p, q in poset.covers:
-        if values[p] == values[q]:
-            rp, rq = find(p), find(q)
-            if rp != rq:
-                parent[rp] = rq
-    groups: dict[str, set[str]] = {}
-    for e in poset.elements:
-        groups.setdefault(find(e), set()).add(e)
-    return FacePartition.of(mp, groups.values())
+    glued = [(p, q) for p, q in mp.poset.covers if values[p] == values[q]]
+    return FacePartition.of(mp, _components(mp.poset.elements, glued))
 
 
 def is_face_partition(mp: MarkedPoset, fp: FacePartition) -> bool:
@@ -183,18 +130,10 @@ def is_face_partition(mp: MarkedPoset, fp: FacePartition) -> bool:
     if len(block_of) != len(poset.elements):
         raise ValueError("blocks do not cover the poset")
 
-    for block in fp.blocks:
-        members = sorted(block)
-        seen = {members[0]}
-        frontier = [members[0]]
-        while frontier:
-            e = frontier.pop()
-            for f in block:
-                if f not in seen and poset.comparable(e, f):
-                    seen.add(f)
-                    frontier.append(f)
-        if len(seen) != len(block):
-            return False
+    comparable_within_blocks = [(e, f) for block in fp.blocks for e in block for f in block
+                                if e < f and poset.comparable(e, f)]
+    if len(_components(poset.elements, comparable_within_blocks)) != len(fp.blocks):
+        return False
 
     k = len(fp.blocks)
     succ: dict[int, set[int]] = {i: set() for i in range(k)}
@@ -202,18 +141,7 @@ def is_face_partition(mp: MarkedPoset, fp: FacePartition) -> bool:
         bp, bq = block_of[p], block_of[q]
         if bp != bq:
             succ[bp].add(bq)
-    reach: dict[int, set[int]] = {i: set() for i in range(k)}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k):
-            extra = set()
-            for j in succ[i] | reach[i]:
-                extra |= succ[j] | reach[j]
-            new = (succ[i] | reach[i] | extra)
-            if new != reach[i]:
-                reach[i] = new
-                changed = True
+    reach = _transitive_closure(range(k), succ)
     if any(i in reach[i] for i in range(k)):
         return False
 
@@ -289,16 +217,4 @@ def order_facets_combinatorial(mp: MarkedPoset) -> list[LinearInequality]:
     regular marked poset this equals the irredundant geometric description.
     """
     require_strict_regular(mp, "order_facets_combinatorial")
-    facets: set[LinearInequality] = set()
-    for p, q in mp.poset.covers:
-        p_marked, q_marked = p in mp.marked, q in mp.marked
-        if p_marked and q_marked:
-            continue
-        if p_marked:
-            facets.add(LinearInequality({q: -1}, -mp.value(p)))
-        elif q_marked:
-            facets.add(LinearInequality({p: 1}, mp.value(q)))
-        else:
-            facets.add(LinearInequality({p: 1, q: -1}, 0))
-    coords = mp.unmarked
-    return sorted(facets, key=lambda f: f.key(coords))
+    return list(build_order_hrep(mp).inequalities)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import PreconditionViolated
 
@@ -142,13 +142,13 @@ class Poset:
         return f"Poset(elements={list(self.elements)!r}, covers={list(self.covers)!r})"
 
 
-def _transitive_closure(elements: tuple[str, ...], succ: Mapping[str, set[str]]) -> dict[str, set[str]]:
-    closure: dict[str, set[str]] = {e: set(succ[e]) for e in elements}
+def _transitive_closure(elements: Sequence[Hashable], succ: Mapping) -> dict:
+    closure: dict = {e: set(succ[e]) for e in elements}
     changed = True
     while changed:
         changed = False
         for e in elements:
-            extra: set[str] = set()
+            extra: set = set()
             for q in closure[e]:
                 extra |= closure[q] - closure[e] - {q}
             if extra - closure[e]:
@@ -157,9 +157,51 @@ def _transitive_closure(elements: tuple[str, ...], succ: Mapping[str, set[str]])
     return closure
 
 
-def transitive_relation(poset: Poset, p: str, q: str) -> bool:
-    """Decide p <= q in the poset's order (reachability in the cover digraph)."""
-    return poset.leq(p, q)
+def _components(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[tuple[str, ...]]:
+    """Connected components of an undirected graph, each sorted, listed by least node."""
+    neighbours: dict[str, list[str]] = {v: [] for v in nodes}
+    for p, q in edges:
+        neighbours[p].append(q)
+        neighbours[q].append(p)
+    seen: set[str] = set()
+    components: list[tuple[str, ...]] = []
+    for start in sorted(neighbours):
+        if start in seen:
+            continue
+        seen.add(start)
+        component, stack = [start], [start]
+        while stack:
+            for f in neighbours[stack.pop()]:
+                if f not in seen:
+                    seen.add(f)
+                    component.append(f)
+                    stack.append(f)
+        components.append(tuple(sorted(component)))
+    return components
+
+
+def _saturated_chains(poset: Poset, endpoints: frozenset[str]) -> list[tuple[str, tuple[str, ...], str]]:
+    """Saturated chains whose two ends lie in ``endpoints`` and whose interior avoids it.
+
+    Each chain a < p_1 < ... < p_k < b (k >= 0) is one (a, (p_1, ..., p_k), b)
+    triple, in lexicographic order.  The walk keeps an explicit stack of cover
+    iterators, so a deep poset does not hit Python's recursion limit.
+    """
+    chains: list[tuple[str, tuple[str, ...], str]] = []
+    for a in sorted(endpoints):
+        path: list[str] = []
+        stack = [iter(poset.upper_covers(a))]
+        while stack:
+            q = next(stack[-1], None)
+            if q is None:
+                stack.pop()
+                del path[-1:]
+            elif q in endpoints:
+                chains.append((a, tuple(path), q))
+            else:
+                path.append(q)
+                stack.append(iter(poset.upper_covers(q)))
+    return sorted(chains)
 
 
 class MarkedPoset:
@@ -277,27 +319,7 @@ def require_strict(mp: MarkedPoset, operation: str) -> None:
 
 def hasse_components(mp: MarkedPoset) -> list[tuple[str, ...]]:
     """Connected components of the undirected Hasse diagram, sorted by least id."""
-    poset = mp.poset
-    neighbours: dict[str, set[str]] = {e: set() for e in poset.elements}
-    for p, q in poset.covers:
-        neighbours[p].add(q)
-        neighbours[q].add(p)
-    seen: set[str] = set()
-    components: list[tuple[str, ...]] = []
-    for start in sorted(poset.elements):
-        if start in seen:
-            continue
-        stack = [start]
-        comp: set[str] = set()
-        while stack:
-            e = stack.pop()
-            if e in comp:
-                continue
-            comp.add(e)
-            stack.extend(neighbours[e] - comp)
-        seen |= comp
-        components.append(tuple(sorted(comp)))
-    return sorted(components, key=lambda c: c[0])
+    return _components(mp.poset.elements, mp.poset.covers)
 
 
 def maximal_marked_chains(mp: MarkedPoset) -> list[tuple[str, tuple[str, ...], str]]:
@@ -306,19 +328,7 @@ def maximal_marked_chains(mp: MarkedPoset) -> list[tuple[str, tuple[str, ...], s
     Each chain is reported once as (a, interior, b) with k >= 0 interior
     elements, in lexicographic order.
     """
-    poset = mp.poset
-    chains: list[tuple[str, tuple[str, ...], str]] = []
-
-    def walk(start: str, path: list[str], current: str) -> None:
-        for q in poset.upper_covers(current):
-            if q in mp.marked:
-                chains.append((start, tuple(path), q))
-            else:
-                walk(start, path + [q], q)
-
-    for a in sorted(mp.marked):
-        walk(a, [], a)
-    return sorted(chains)
+    return _saturated_chains(mp.poset, mp.marked)
 
 
 def augment_marked_order(mp: MarkedPoset) -> Poset:

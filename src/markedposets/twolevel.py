@@ -25,6 +25,7 @@ from .polytopes import build_chain_hrep, build_chain_order_hrep, build_order_hre
 from .posets import (
     ChainOrderPartition,
     MarkedPoset,
+    _components,
     is_strict_regular,
     require_strict,
     require_strict_regular,
@@ -58,35 +59,6 @@ def is_two_level_direct(h: HRepresentation, work_cap: int | None = None) -> TwoL
     return TwoLevelResult(True, None)
 
 
-def _coupled_pieces(mp: MarkedPoset) -> list[frozenset[str]]:
-    """Unmarked elements grouped by covers between unmarked elements.
-
-    Marked coordinates are constants, so two unmarked coordinates interact
-    only along a cover joining them directly; the polytope is the product of
-    its pieces' polytopes.
-    """
-    neighbours: dict[str, set[str]] = {p: set() for p in mp.unmarked}
-    for p, q in mp.poset.covers:
-        if p not in mp.marked and q not in mp.marked:
-            neighbours[p].add(q)
-            neighbours[q].add(p)
-    pieces = []
-    seen: set[str] = set()
-    for start in mp.unmarked:
-        if start in seen:
-            continue
-        stack, piece = [start], set()
-        while stack:
-            e = stack.pop()
-            if e in piece:
-                continue
-            piece.add(e)
-            stack.extend(neighbours[e] - piece)
-        seen |= piece
-        pieces.append(frozenset(piece))
-    return pieces
-
-
 def order_two_level_criterion(mp: MarkedPoset) -> bool:
     """2-levelness of the marked order polytope from the cover structure.
 
@@ -101,7 +73,8 @@ def order_two_level_criterion(mp: MarkedPoset) -> bool:
     """
     require_strict_regular(mp, "order_two_level_criterion")
     poset = mp.poset
-    for piece in _coupled_pieces(mp):
+    coupling = [(p, q) for p, q in poset.covers if p not in mp.marked and q not in mp.marked]
+    for piece in map(frozenset, _components(mp.unmarked, coupling)):
         below: set = set()
         above: set = set()
         for p, q in poset.covers:

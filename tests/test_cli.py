@@ -1,8 +1,9 @@
 """CLI surface: exit codes, canonical output, determinism, round-trips."""
 
 import json
+import sys
 
-from markedposets import enumerate_vertices
+from markedposets import MarkedPoset, Poset, enumerate_vertices
 from markedposets.cli import format_hrep, main, parse_hrep_text
 from markedposets.polytopes import build_chain_hrep, build_order_hrep
 
@@ -104,8 +105,6 @@ class TestPolytope:
         code, out, _ = run_cli(capsys, "polytope", write_doc(tmp_path, SEGMENT_DOC),
                                "--family", "chain", "--emit", "hrep")
         assert code == 0
-        from markedposets import MarkedPoset, Poset
-
         mp = MarkedPoset(Poset(["a", "b", "x"], [("a", "x"), ("x", "b")]), {"a": 0, "b": 1})
         reparsed = parse_hrep_text(out)
         assert enumerate_vertices(reparsed) == enumerate_vertices(build_chain_hrep(mp))
@@ -113,6 +112,22 @@ class TestPolytope:
     def test_format_parse_identity(self, figure_one):
         for h in (build_chain_hrep(figure_one), build_order_hrep(figure_one)):
             assert parse_hrep_text(format_hrep(h)) == h
+
+    def test_chain_longer_than_recursion_limit(self, capsys, tmp_path):
+        # the chain polytope of a long chain is a simplex: nonnegativity on the
+        # n - 2 unmarked elements plus one chain-sum row
+        n = 1500
+        assert n > sys.getrecursionlimit()
+        elements = [f"e{i:04d}" for i in range(n)]
+        covers = [[p, q] for p, q in zip(elements, elements[1:])]
+        marked = {elements[0]: 0, elements[-1]: 1}
+        mp = MarkedPoset(Poset(elements, covers), marked)
+        assert len(build_chain_hrep(mp).inequalities) == n - 1
+        doc = {"name": "long", "elements": elements, "covers": covers, "marked": marked}
+        code, out, _ = run_cli(capsys, "polytope", write_doc(tmp_path, doc),
+                               "--family", "chain", "--emit", "hrep", "--json")
+        assert code == 0
+        assert len(json.loads(out)["result"]["inequalities"]) == n - 1
 
 
 class TestTwoLevel:

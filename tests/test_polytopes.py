@@ -8,6 +8,7 @@ import pytest
 from markedposets import (
     ChainOrderPartition,
     FacePartition,
+    HRepresentation,
     LinearInequality,
     MarkedPoset,
     PointOutsidePolytope,
@@ -20,10 +21,16 @@ from markedposets import (
     face_partition_of_point,
     irredundant,
     is_face_partition,
+    maximal_marked_chains,
     order_facets_combinatorial,
     order_vertices_combinatorial,
 )
-from markedposets.corpus import all_chain_order_partitions, random_marked_poset, random_convex_points
+from markedposets.corpus import (
+    all_chain_order_partitions,
+    corpus,
+    random_convex_points,
+    random_marked_poset,
+)
 from markedposets.ehrhart import pm_family
 
 
@@ -83,15 +90,42 @@ class TestBuildChain:
         }
 
 
+def order_hrep_by_rule(mp):
+    """One row per cover with an unmarked end, marked ends substituted."""
+    rows = []
+    for p, q in mp.poset.covers:
+        if p in mp.marked and q in mp.marked:
+            continue
+        if p in mp.marked:
+            rows.append(ineq({q: -1}, -mp.value(p)))
+        elif q in mp.marked:
+            rows.append(ineq({p: 1}, mp.value(q)))
+        else:
+            rows.append(ineq({p: 1, q: -1}, 0))
+    return HRepresentation(mp.unmarked, rows)
+
+
+def chain_hrep_by_rule(mp):
+    """Nonnegativity, plus one chain-sum row per maximal marked chain with an interior."""
+    rows = [ineq({p: -1}, 0) for p in mp.unmarked]
+    rows += [ineq(dict.fromkeys(interior, 1), mp.value(b) - mp.value(a))
+             for a, interior, b in maximal_marked_chains(mp) if interior]
+    return HRepresentation(mp.unmarked, rows)
+
+
+class TestBuildersAgainstRules:
+    """The one builder, at both ends of the chain/order split, against the plain row rules."""
+
+    def test_seeded_corpus(self):
+        for mp in corpus(20250808, trials=200, max_unmarked=7):
+            order, chain = order_hrep_by_rule(mp), chain_hrep_by_rule(mp)
+            assert build_order_hrep(mp) == order
+            assert build_chain_order_hrep(mp, ChainOrderPartition.of(mp, ())) == order
+            assert build_chain_hrep(mp) == chain
+            assert build_chain_order_hrep(mp, ChainOrderPartition.of(mp, mp.unmarked)) == chain
+
+
 class TestBuildChainOrder:
-    def test_all_chain_matches_chain_builder(self, figure_one):
-        part = ChainOrderPartition.of(figure_one, figure_one.unmarked)
-        assert build_chain_order_hrep(figure_one, part) == build_chain_hrep(figure_one)
-
-    def test_all_order_matches_order_builder(self, figure_one):
-        part = ChainOrderPartition.of(figure_one, ())
-        assert build_chain_order_hrep(figure_one, part) == build_order_hrep(figure_one)
-
     def test_mixed_example(self):
         p = Poset(["a", "c", "p", "b"], [("a", "c"), ("c", "p"), ("p", "b")])
         mp = MarkedPoset(p, {"a": 0, "b": 2})

@@ -15,7 +15,6 @@ from markedposets import (
     hasse_components,
     linear_extensions,
     maximal_marked_chains,
-    transitive_relation,
     validate_marked,
 )
 
@@ -63,20 +62,20 @@ class TestPoset:
         p = Poset.from_relations(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
         assert sorted(p.covers) == [("a", "b"), ("b", "c")]
 
-    def test_transitive_relation_chain(self):
+    def test_leq_chain(self):
         p = Poset(["a", "x", "b"], [("a", "x"), ("x", "b")])
-        assert transitive_relation(p, "a", "b")
-        assert not transitive_relation(p, "b", "a")
+        assert p.leq("a", "b")
+        assert not p.leq("b", "a")
 
-    def test_transitive_relation_antichain(self):
+    def test_leq_antichain(self):
         p = Poset(["x", "y"], [])
-        assert not transitive_relation(p, "x", "y")
-        assert transitive_relation(p, "x", "x")
+        assert not p.leq("x", "y")
+        assert p.leq("x", "x")
 
     def test_unknown_element(self):
         p = Poset(["x"], [])
         with pytest.raises(KeyError):
-            transitive_relation(p, "x", "zz")
+            p.leq("x", "zz")
 
     @settings(max_examples=60, deadline=None)
     @given(small_posets())
