@@ -126,6 +126,18 @@ class TestBuildersAgainstRules:
 
 
 class TestBuildChainOrder:
+    def test_all_chain_matches_chain_builder(self, figure_one):
+        part = ChainOrderPartition.of(figure_one, figure_one.unmarked)
+        h = build_chain_order_hrep(figure_one, part)
+        assert h == build_chain_hrep(figure_one)
+        assert h == chain_hrep_by_rule(figure_one)
+
+    def test_all_order_matches_order_builder(self, figure_one):
+        part = ChainOrderPartition.of(figure_one, ())
+        h = build_chain_order_hrep(figure_one, part)
+        assert h == build_order_hrep(figure_one)
+        assert h == order_hrep_by_rule(figure_one)
+
     def test_mixed_example(self):
         p = Poset(["a", "c", "p", "b"], [("a", "c"), ("c", "p"), ("p", "b")])
         mp = MarkedPoset(p, {"a": 0, "b": 2})
