@@ -13,17 +13,17 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import gallery
 from .corpus import random_marked_poset
 from .ehrhart import (
+    DEFAULT_EXTENSION_CAP,
     ehrhart_by_counting,
     ehrhart_formula_marked_order,
     pm_family,
 )
 from .errors import MarkedPosetError
-from .geometry import HRepresentation, LinearInequality, enumerate_vertices, irredundant
+from .geometry import HRepresentation, enumerate_vertices, irredundant
 from .polytopes import build_chain_hrep, build_chain_order_hrep, build_order_hrep
 from .posets import ChainOrderPartition, MarkedPoset, Poset, validate_marked
 from .twolevel import (
@@ -126,26 +126,6 @@ def format_hrep(h: HRepresentation) -> str:
         row = " ".join(str(eq.coeffs.get(c, 0)) for c in h.coordinates)
         lines.append(f"eq {row} == {eq.rhs}")
     return "\n".join(lines)
-
-
-def parse_hrep_text(text: str) -> HRepresentation:
-    lines = [line for line in text.strip().splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("coords"):
-        raise DocumentError("hrep text must start with a coords line")
-    coords = lines[0].split()[1:]
-    ineqs, eqs = [], []
-    for line in lines[1:]:
-        parts = line.split()
-        kind = parts[0]
-        if kind == "ineq":
-            values, rhs = parts[1:-2], Fraction(parts[-1])
-            ineqs.append(LinearInequality(dict(zip(coords, map(Fraction, values))), rhs))
-        elif kind == "eq":
-            values, rhs = parts[1:-2], Fraction(parts[-1])
-            eqs.append(LinearInequality(dict(zip(coords, map(Fraction, values))), rhs))
-        else:
-            raise DocumentError(f"unexpected hrep line {line!r}")
-    return HRepresentation(coords, ineqs, eqs)
 
 
 def _hrep_payload(h: HRepresentation) -> dict:
@@ -279,10 +259,8 @@ def cmd_ehrhart(args) -> int:
     result: dict = {}
     formula_poly = count_poly = None
     if args.method in ("formula", "both"):
-        if cap is not None:
-            formula_poly = ehrhart_formula_marked_order(mp, extension_cap=cap)
-        else:
-            formula_poly = ehrhart_formula_marked_order(mp)
+        formula_poly = ehrhart_formula_marked_order(
+            mp, extension_cap=DEFAULT_EXTENSION_CAP if cap is None else cap)
         if args.family != "order":
             lines.append("note: formula computed on the order member; "
                          "the families share one Ehrhart polynomial")

@@ -34,7 +34,6 @@ from .posets import (
     ExtensionWord,
     MarkedPoset,
     Poset,
-    augment_marked_order,
     canonical_labeling,
     check_natural_labeling,
     linear_extensions,
@@ -61,28 +60,17 @@ def ehrhart_by_counting(h: HRepresentation, work_cap: int | None = None) -> Univ
 
 
 def _tie_break_poset(mp: MarkedPoset, labeling: Mapping[str, int] | None) -> tuple[Poset, dict[str, int]]:
-    """The augmented poset with equal-mark marked elements totally ordered.
+    """The poset with every marked element in one chain, ordered by mark.
 
     Ties are broken by the reference labeling (by id for the canonical one),
     so the extension stream counts each family of order-preserving maps once.
     """
-    augmented = augment_marked_order(mp)
-    marked_sorted = sorted(mp.marked)
+    if labeling is not None:
+        check_natural_labeling(mp.poset, labeling)
+    marked = sorted(mp.marked, key=lambda a: (mp.value(a), a if labeling is None else labeling[a]))
+    tie_poset = Poset.from_relations(mp.poset.elements, [*mp.poset.covers, *zip(marked, marked[1:])])
     if labeling is None:
-        relations = list(augmented.covers)
-        for a in marked_sorted:
-            for b in marked_sorted:
-                if a < b and mp.value(a) == mp.value(b):
-                    relations.append((a, b))
-        tie_poset = Poset.from_relations(augmented.elements, relations)
         return tie_poset, canonical_labeling(tie_poset)
-    check_natural_labeling(augmented, labeling)
-    relations = list(augmented.covers)
-    for a in marked_sorted:
-        for b in marked_sorted:
-            if a != b and mp.value(a) == mp.value(b) and labeling[a] < labeling[b]:
-                relations.append((a, b))
-    tie_poset = Poset.from_relations(augmented.elements, relations)
     check_natural_labeling(tie_poset, labeling)
     return tie_poset, dict(labeling)
 

@@ -18,7 +18,7 @@ from .posets import (
     MarkedPoset,
     _components,
     _saturated_chains,
-    _transitive_closure,
+    _up_sets,
     require_strict_regular,
 )
 
@@ -141,8 +141,9 @@ def is_face_partition(mp: MarkedPoset, fp: FacePartition) -> bool:
         bp, bq = block_of[p], block_of[q]
         if bp != bq:
             succ[bp].add(bq)
-    reach = _transitive_closure(range(k), succ)
-    if any(i in reach[i] for i in range(k)):
+    try:
+        reach = _up_sets(range(k), succ)
+    except ValueError:  # the block relation has a cycle: not antisymmetric
         return False
 
     block_marks: list[set[Fraction]] = [set() for _ in range(k)]
@@ -155,7 +156,7 @@ def is_face_partition(mp: MarkedPoset, fp: FacePartition) -> bool:
         if not block_marks[i]:
             continue
         for j in reach[i]:
-            if block_marks[j] and min(block_marks[i]) >= min(block_marks[j]):
+            if j != i and block_marks[j] and min(block_marks[i]) >= min(block_marks[j]):
                 return False
     return True
 

@@ -10,9 +10,9 @@ of elements that must contain all minimal and maximal elements.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .errors import PreconditionViolated
 
@@ -41,45 +41,14 @@ class Poset:
         for e in self.elements:
             self._up_covers[e] = tuple(sorted(up[e]))
             self._down_covers[e] = tuple(sorted(down[e]))
-        self._above = self._reachability()
+        self._above = _up_sets(self.elements, self._up_covers)
         for p, q in self.covers:
-            if p in self._above[q]:
-                raise ValueError("cover relation contains a cycle")
-        self._check_irredundant()
-
-    def _reachability(self) -> dict[str, frozenset[str]]:
-        # up-sets including the element itself, computed bottom-up in reverse
-        # topological order; raises on cycles via the topological sort.
-        order = self.topological_order()
-        above: dict[str, frozenset[str]] = {}
-        for e in reversed(order):
-            acc: set[str] = {e}
-            for q in self._up_covers[e]:
-                acc |= above[q]
-            above[e] = frozenset(acc)
-        return above
+            if _implied(self._above, self._up_covers, p, q):
+                raise ValueError(f"cover ({p!r}, {q!r}) is implied by other covers")
 
     def topological_order(self) -> list[str]:
         """Elements in a topological order (smallest id first among available)."""
-        indeg = {e: len(self._down_covers[e]) for e in self.elements}
-        avail = sorted(e for e in self.elements if indeg[e] == 0)
-        out: list[str] = []
-        while avail:
-            e = avail.pop(0)
-            out.append(e)
-            for q in self._up_covers[e]:
-                indeg[q] -= 1
-                if indeg[q] == 0:
-                    insort(avail, q)
-        if len(out) != len(self.elements):
-            raise ValueError("cover relation contains a cycle")
-        return out
-
-    def _check_irredundant(self) -> None:
-        for p, q in self.covers:
-            for r in self._up_covers[p]:
-                if r != q and q in self._above[r]:
-                    raise ValueError(f"cover ({p!r}, {q!r}) is implied by other covers")
+        return _topological_order(self.elements, self._up_covers)
 
     @classmethod
     def from_relations(cls, elements: Iterable[str], relations: Iterable[tuple[str, str]]) -> "Poset":
@@ -93,15 +62,8 @@ class Poset:
             if p == q:
                 raise ValueError(f"relation ({p!r}, {q!r}) is a loop")
             succ[p].add(q)
-        closure = _transitive_closure(elements, succ)
-        for e in elements:
-            if e in closure[e]:
-                raise ValueError("relations contain a cycle")
-        covers = []
-        for p in elements:
-            for q in sorted(closure[p]):
-                if not any(q in closure[r] for r in closure[p] if r != q):
-                    covers.append((p, q))
+        above = _up_sets(elements, succ)
+        covers = [(p, q) for p in elements for q in sorted(succ[p]) if not _implied(above, succ, p, q)]
         return cls(elements, covers)
 
     def leq(self, p: str, q: str) -> bool:
@@ -142,19 +104,43 @@ class Poset:
         return f"Poset(elements={list(self.elements)!r}, covers={list(self.covers)!r})"
 
 
-def _transitive_closure(elements: Sequence[Hashable], succ: Mapping) -> dict:
-    closure: dict = {e: set(succ[e]) for e in elements}
-    changed = True
-    while changed:
-        changed = False
-        for e in elements:
-            extra: set = set()
-            for q in closure[e]:
-                extra |= closure[q] - closure[e] - {q}
-            if extra - closure[e]:
-                closure[e] |= extra
-                changed = True
-    return closure
+def _topological_order(nodes: Iterable[Hashable], succ: Mapping) -> list:
+    """The nodes of the graph ``succ`` in a topological order, smallest first among available."""
+    indeg = {v: 0 for v in nodes}
+    for v in indeg:
+        for w in succ[v]:
+            indeg[w] += 1
+    avail = sorted(v for v in indeg if indeg[v] == 0)
+    out: list = []
+    while avail:
+        v = avail.pop(0)
+        out.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                insort(avail, w)
+    if len(out) != len(indeg):
+        raise ValueError("cover relation contains a cycle")
+    return out
+
+
+def _up_sets(nodes: Iterable[Hashable], succ: Mapping) -> dict:
+    """Each node's up-set in the graph ``succ``, the node included; raises on a cycle."""
+    above: dict = {}
+    for v in reversed(_topological_order(nodes, succ)):
+        acc = {v}
+        for w in succ[v]:
+            acc |= above[w]
+        above[v] = frozenset(acc)
+    return above
+
+
+def _implied(above: Mapping, succ: Mapping, p: Hashable, q: Hashable) -> bool:
+    """Whether the edge p -> q is implied through another successor of p."""
+    for r in succ[p]:  # a plain loop: any() over a generator is slower on wide posets
+        if r != q and q in above[r]:
+            return True
+    return False
 
 
 def _components(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[tuple[str, ...]]:
@@ -354,7 +340,6 @@ class ExtensionWord:
 
     word: tuple[str, ...]
     descent_prefix: tuple[int, ...]
-    labeling: Mapping[str, int] = field(compare=False)
 
     @property
     def descents(self) -> int:
@@ -395,12 +380,9 @@ def linear_extensions(poset: Poset, labeling: Mapping[str, int] | None = None) -
     word: list[str] = []
     prefix: list[int] = []
 
-    def emit() -> ExtensionWord:
-        return ExtensionWord(tuple(word), tuple(prefix), dict(labeling))
-
     def rec() -> Iterator[ExtensionWord]:
         if len(word) == len(poset.elements):
-            yield emit()
+            yield ExtensionWord(tuple(word), tuple(prefix))
             return
         # iterate over a snapshot: `available` mutates during recursion
         for e in list(available):

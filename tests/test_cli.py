@@ -2,9 +2,11 @@
 
 import json
 import sys
+from fractions import Fraction
 
 from markedposets import MarkedPoset, Poset, enumerate_vertices
-from markedposets.cli import format_hrep, main, parse_hrep_text
+from markedposets.cli import DocumentError, format_hrep, main
+from markedposets.geometry import HRepresentation, LinearInequality
 from markedposets.polytopes import build_chain_hrep, build_order_hrep
 
 
@@ -15,6 +17,27 @@ def run_cli(capsys, *argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def parse_hrep_text(text: str) -> HRepresentation:
+    """Read back the text that ``format_hrep`` writes."""
+    lines = [line for line in text.strip().splitlines() if line.strip()]
+    if not lines or not lines[0].startswith("coords"):
+        raise DocumentError("hrep text must start with a coords line")
+    coords = lines[0].split()[1:]
+    ineqs, eqs = [], []
+    for line in lines[1:]:
+        parts = line.split()
+        kind = parts[0]
+        if kind == "ineq":
+            values, rhs = parts[1:-2], Fraction(parts[-1])
+            ineqs.append(LinearInequality(dict(zip(coords, map(Fraction, values))), rhs))
+        elif kind == "eq":
+            values, rhs = parts[1:-2], Fraction(parts[-1])
+            eqs.append(LinearInequality(dict(zip(coords, map(Fraction, values))), rhs))
+        else:
+            raise DocumentError(f"unexpected hrep line {line!r}")
+    return HRepresentation(coords, ineqs, eqs)
 
 
 def write_doc(tmp_path, payload, name="poset.json"):

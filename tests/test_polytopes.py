@@ -223,6 +223,13 @@ class TestIsFacePartition:
         fp = FacePartition.of(diamond_02, [{"x", "y"}, {"bot"}, {"top"}])
         assert not is_face_partition(diamond_02, fp)
 
+    def test_blocks_in_a_cycle_rejected(self):
+        # a < x < y < b: {a, y} lies both below and above {x}
+        mp = MarkedPoset(Poset(["a", "x", "y", "b"], [("a", "x"), ("x", "y"), ("y", "b")]),
+                         {"a": 0, "b": 3})
+        fp = FacePartition.of(mp, [{"a", "y"}, {"x"}, {"b"}])
+        assert not is_face_partition(mp, fp)
+
     def test_not_a_partition_raises(self, segment):
         with pytest.raises(ValueError):
             is_face_partition(segment, FacePartition.of(segment, [{"a", "x"}]))

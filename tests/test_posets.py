@@ -42,7 +42,7 @@ def small_posets(draw):
         for j in range(i + 1, n):
             if draw(st.booleans()):
                 edges.append((perm[i], perm[j]))
-    return Poset.from_relations(names, edges)
+    return Poset.from_relations(names, edges), edges
 
 
 class TestPoset:
@@ -62,6 +62,14 @@ class TestPoset:
         p = Poset.from_relations(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
         assert sorted(p.covers) == [("a", "b"), ("b", "c")]
 
+    @pytest.mark.parametrize("relations", [
+        [("a", "b"), ("b", "a")],
+        [("a", "b"), ("b", "c"), ("c", "a")],
+    ])
+    def test_from_relations_rejects_cycle(self, relations):
+        with pytest.raises(ValueError, match="cycle"):
+            Poset.from_relations(["a", "b", "c"], relations)
+
     def test_leq_chain(self):
         p = Poset(["a", "x", "b"], [("a", "x"), ("x", "b")])
         assert p.leq("a", "b")
@@ -79,8 +87,9 @@ class TestPoset:
 
     @settings(max_examples=60, deadline=None)
     @given(small_posets())
-    def test_partial_order_laws(self, poset):
-        oracle = brute_closure(poset.elements, poset.covers)
+    def test_partial_order_laws(self, poset_and_edges):
+        poset, edges = poset_and_edges
+        oracle = brute_closure(poset.elements, edges)
         for p in poset.elements:
             assert poset.leq(p, p)
             for q in poset.elements:
@@ -201,7 +210,8 @@ class TestLinearExtensions:
 
     @settings(max_examples=30, deadline=None)
     @given(small_posets())
-    def test_matches_brute_force(self, poset):
+    def test_matches_brute_force(self, poset_and_edges):
+        poset, _ = poset_and_edges
         words = {w.word for w in linear_extensions(poset)}
         brute = {
             perm
