@@ -120,11 +120,9 @@ def _work_cap() -> int | None:
 def format_hrep(h: HRepresentation) -> str:
     lines = ["coords " + " ".join(h.coordinates)]
     for ineq in h.inequalities:
-        row = " ".join(str(ineq.coeffs.get(c, 0)) for c in h.coordinates)
-        lines.append(f"ineq {row} <= {ineq.rhs}")
+        lines.append(f"ineq {' '.join(map(str, h._dense(ineq)))} <= {ineq.rhs}")
     for eq in h.equalities:
-        row = " ".join(str(eq.coeffs.get(c, 0)) for c in h.coordinates)
-        lines.append(f"eq {row} == {eq.rhs}")
+        lines.append(f"eq {' '.join(map(str, h._dense(eq)))} == {eq.rhs}")
     return "\n".join(lines)
 
 

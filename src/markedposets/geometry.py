@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     DimensionTooLarge,
@@ -53,9 +53,6 @@ class LinearInequality:
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         return sum((point[c] * a for c, a in self.coeffs.items()), Fraction(0))
 
-    def key(self, coordinates: Sequence[str]) -> tuple:
-        return tuple(self.coeffs.get(c, 0) for c in coordinates) + (self.rhs,)
-
     def negated(self) -> "LinearInequality":
         """The same hyperplane with flipped orientation (for equality rows only)."""
         return LinearInequality({c: -a for c, a in self.coeffs.items()}, -self.rhs)
@@ -88,29 +85,34 @@ class HRepresentation:
         equalities: Iterable[LinearInequality] = (),
     ):
         self.coordinates: tuple[str, ...] = tuple(coordinates)
-        if len(set(self.coordinates)) != len(self.coordinates):
+        self._column = {c: j for j, c in enumerate(self.coordinates)}
+        if len(self._column) != len(self.coordinates):
             raise ValueError("duplicate coordinate ids")
-        known = set(self.coordinates)
         ineqs = list(inequalities)
-        eqs = [self._sign_normalized(e) for e in equalities]
+        eqs = list(equalities)
         for row in ineqs + eqs:
-            unknown = set(row.coeffs) - known
+            unknown = row.coeffs.keys() - self._column.keys()
             if unknown:
                 raise ValueError(f"constraint references undeclared coordinates {sorted(unknown)}")
         self.inequalities: tuple[LinearInequality, ...] = self._canonical(ineqs)
-        self.equalities: tuple[LinearInequality, ...] = self._canonical(eqs)
+        self.equalities: tuple[LinearInequality, ...] = self._canonical(
+            [self._sign_normalized(e) for e in eqs])
         self._vertex_cache: VRepresentation | None = None
 
+    def _dense(self, row: LinearInequality) -> list[int]:
+        """The row's coefficients in declared coordinate order."""
+        dense = [0] * len(self.coordinates)
+        for c, a in row.coeffs.items():
+            dense[self._column[c]] = a
+        return dense
+
     def _canonical(self, rows: list[LinearInequality]) -> tuple[LinearInequality, ...]:
-        unique = {row.key(self.coordinates): row for row in rows}
+        unique = {(*self._dense(row), row.rhs): row for row in rows}
         return tuple(unique[k] for k in sorted(unique))
 
     def _sign_normalized(self, row: LinearInequality) -> LinearInequality:
-        for c in self.coordinates:
-            a = row.coeffs.get(c, 0)
-            if a:
-                return row.negated() if a < 0 else row
-        return row
+        lead = next(a for a in self._dense(row) if a)
+        return row.negated() if lead < 0 else row
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HRepresentation):
@@ -197,39 +199,35 @@ class _IntEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def solve(self) -> Point:
-        """Unique solution of the stacked equations; requires rank == width."""
-        sol: list[Fraction] = [Fraction(0)] * self.width
+    def _back_substitute(self, x: list[Fraction]) -> list[Fraction]:
+        """Overwrite the pivot entries of ``x`` so every stacked equation holds."""
         for pivot, row in sorted(self.rows, key=lambda t: -t[0]):
             acc = Fraction(row[self.width])
             for j in range(pivot + 1, self.width):
                 if row[j]:
-                    acc -= row[j] * sol[j]
-            sol[pivot] = acc / row[pivot]
-        return tuple(sol)
+                    acc -= row[j] * x[j]
+            x[pivot] = acc / row[pivot]
+        return x
 
-    def null_direction(self) -> list[Fraction] | None:
-        """A nonzero kernel vector of the coefficient part; requires rank == width - 1."""
+    def solve(self) -> Point:
+        """Unique solution of the stacked equations; requires rank == width."""
+        return tuple(self._back_substitute([Fraction(0)] * self.width))
+
+    def null_direction(self) -> list[Fraction]:
+        """The kernel vector that is 1 at the one free column.
+
+        Requires rank == width - 1 and homogeneous stacked rows (rhs 0).  The
+        pivots are distinct because a residual is zero at every stacked pivot.
+        """
         pivots = {p for p, _ in self.rows}
-        free = [j for j in range(self.width) if j not in pivots]
-        if len(free) != 1:
-            return None
-        v: list[Fraction] = [Fraction(0)] * self.width
-        v[free[0]] = Fraction(1)
-        for pivot, row in sorted(self.rows, key=lambda t: -t[0]):
-            acc = Fraction(0)
-            for j in range(pivot + 1, self.width):
-                if row[j]:
-                    acc -= row[j] * v[j]
-            v[pivot] = acc / row[pivot]
-        return v
+        return self._back_substitute([Fraction(0 if j in pivots else 1) for j in range(self.width)])
 
 
-def _int_row(ineq: LinearInequality, coordinates: Sequence[str]) -> list[int]:
-    """The constraint as an all-integer augmented row (same solution set)."""
-    den = ineq.rhs.denominator
-    row = [ineq.coeffs.get(c, 0) * den for c in coordinates]
-    row.append(ineq.rhs.numerator)
+def _int_row(h: HRepresentation, ineq: LinearInequality, dilation: int = 1) -> list[int]:
+    """The constraint with its rhs times ``dilation``, as an all-integer augmented row."""
+    rhs = ineq.rhs * dilation
+    row = [a * rhs.denominator for a in h._dense(ineq)]
+    row.append(rhs.numerator)
     return row
 
 
@@ -295,6 +293,32 @@ def _interval_bound_certificate(h: HRepresentation) -> bool:
     return False
 
 
+def _walk_subsets(
+    ech: _IntEchelon, rows: list[list[int]], target: int, cap: int, visit: Callable[[], bool | None]
+) -> bool:
+    """Call ``visit`` once per subset of ``rows`` that raises ``ech`` to rank ``target``.
+
+    Depth-first over independent subsets in index order.  A truthy ``visit``
+    stops the walk, leaving its subset stacked on ``ech``, and the walk
+    returns True.
+    """
+    need = target - ech.rank
+    if math.comb(len(rows), need) > cap:
+        raise DimensionTooLarge(f"C({len(rows)}, {need}) candidate subsets exceed the work cap {cap}")
+
+    def dfs(start: int) -> bool:
+        if ech.rank == target:
+            return bool(visit())
+        for idx in range(start, len(rows) - (target - ech.rank) + 1):
+            if ech.push_residual(ech.residual(rows[idx])):
+                if dfs(idx + 1):
+                    return True
+                ech.pop()
+        return False
+
+    return dfs(0)
+
+
 def _reject_unbounded_by_rays(h: HRepresentation, cap: int) -> None:
     """Complete boundedness check for inputs the interval pass cannot certify.
 
@@ -306,46 +330,27 @@ def _reject_unbounded_by_rays(h: HRepresentation, cap: int) -> None:
     d = len(h.coordinates)
     if d == 0:
         return
-    ineq_vecs = [_int_row(i, h.coordinates)[:d] for i in h.inequalities]
-    eq_vecs = [_int_row(e, h.coordinates)[:d] for e in h.equalities]
+    ineq_vecs = [h._dense(i) + [0] for i in h.inequalities]
+    eq_vecs = [h._dense(e) + [0] for e in h.equalities]
     probe = _IntEchelon(d)
     for vec in ineq_vecs + eq_vecs:
-        probe.push_residual(probe.residual(vec + [0]))
+        probe.push_residual(probe.residual(vec))
     if probe.rank < d:
         raise UnboundedPolytope("constraints do not span the space; unbounded if feasible")
 
     def is_ray(v: list[Fraction]) -> bool:
-        if all(x == 0 for x in v):
-            return False
         if any(sum(a * x for a, x in zip(vec, v)) != 0 for vec in eq_vecs):
             return False
         return all(sum(a * x for a, x in zip(vec, v)) <= 0 for vec in ineq_vecs)
 
     ech = _IntEchelon(d)
-    for vec in eq_vecs:
-        ech.push_residual(ech.residual(vec + [0]))
-    if ech.rank >= d - 1:
-        if ech.rank == d - 1:
-            v = ech.null_direction()
-            if v is not None and (is_ray(v) or is_ray([-x for x in v])):
-                raise UnboundedPolytope("recession direction found")
-        return
-    if math.comb(len(ineq_vecs), d - 1 - ech.rank) > cap:
-        raise DimensionTooLarge("ray-check subset count exceeds the work cap")
+    _seed_equalities(ech, eq_vecs)
 
-    def dfs(start: int) -> bool:
-        if ech.rank == d - 1:
-            v = ech.null_direction()
-            return v is not None and (is_ray(v) or is_ray([-x for x in v]))
-        for idx in range(start, len(ineq_vecs) - (d - 1 - ech.rank) + 1):
-            r = ech.residual(ineq_vecs[idx] + [0])
-            if ech.push_residual(r):
-                if dfs(idx + 1):
-                    return True
-                ech.pop()
-        return False
+    def found() -> bool:
+        v = ech.null_direction()
+        return is_ray(v) or is_ray([-x for x in v])
 
-    if dfs(0):
+    if ech.rank < d and _walk_subsets(ech, ineq_vecs, d - 1, cap, found):
         raise UnboundedPolytope("recession direction found")
 
 
@@ -362,29 +367,12 @@ def enumerate_vertices(h: HRepresentation, work_cap: int | None = None) -> VRepr
     if not _interval_bound_certificate(h):
         _reject_unbounded_by_rays(h, cap)
 
-    ineq_rows = [_int_row(i, h.coordinates) for i in h.inequalities]
-    eq_rows = [_int_row(e, h.coordinates) for e in h.equalities]
+    ineq_rows = [_int_row(h, i) for i in h.inequalities]
+    eq_rows = [_int_row(h, e) for e in h.equalities]
     ech = _IntEchelon(d)
     _seed_equalities(ech, eq_rows)
-    need = d - ech.rank
-    if math.comb(len(ineq_rows), need) > cap:
-        raise DimensionTooLarge(
-            f"C({len(ineq_rows)}, {need}) candidate subsets exceed the work cap {cap}")
-
     candidates: set[Point] = set()
-
-    def dfs(start: int) -> None:
-        if ech.rank == d:
-            candidates.add(ech.solve())
-            return
-        remaining = d - ech.rank
-        for idx in range(start, len(ineq_rows) - remaining + 1):
-            r = ech.residual(ineq_rows[idx])
-            if ech.push_residual(r):
-                dfs(idx + 1)
-                ech.pop()
-
-    dfs(0)
+    _walk_subsets(ech, ineq_rows, d, cap, lambda: candidates.add(ech.solve()))
 
     def satisfies(x: Point) -> bool:
         for row in ineq_rows:
@@ -425,13 +413,15 @@ def affine_dimension(v: VRepresentation | Iterable[Point]) -> int:
     return ech.rank
 
 
+def _vertex_values(v: VRepresentation, ineq: LinearInequality) -> list[Fraction]:
+    """The functional's value at each vertex, in vertex order."""
+    terms = [(v.coordinates.index(c), a) for c, a in ineq.coeffs.items()]
+    return [sum((p[j] * a for j, a in terms), Fraction(0)) for p in v.vertices]
+
+
 def evaluate_affine_values(v: VRepresentation, ineq: LinearInequality) -> tuple[Fraction, ...]:
     """The multiset (as a sorted tuple) of the functional's values on the vertices."""
-    idx = {c: j for j, c in enumerate(v.coordinates)}
-    values = []
-    for p in v.vertices:
-        values.append(sum((p[idx[c]] * a for c, a in ineq.coeffs.items()), Fraction(0)))
-    return tuple(sorted(values))
+    return tuple(sorted(_vertex_values(v, ineq)))
 
 
 def classify_inequalities(
@@ -444,15 +434,10 @@ def classify_inequalities(
     """
     v = enumerate_vertices(h, work_cap)
     dim = affine_dimension(v)
-    idx = {c: j for j, c in enumerate(v.coordinates)}
     facets: list[LinearInequality] = []
     implicit: list[LinearInequality] = []
     for ineq in h.inequalities:
-        tight = []
-        for p in v.vertices:
-            value = sum((p[idx[c]] * a for c, a in ineq.coeffs.items()), Fraction(0))
-            if value == ineq.rhs:
-                tight.append(p)
+        tight = [p for p, value in zip(v.vertices, _vertex_values(v, ineq)) if value == ineq.rhs]
         tight_dim = affine_dimension(tight)
         if tight_dim == dim:
             implicit.append(ineq)
@@ -498,21 +483,10 @@ def count_lattice_points(h: HRepresentation, dilation: int, work_cap: int | None
         return 1
 
     n = dilation
-    rows: list[tuple[tuple[int, ...], int]] = []
-    idx = {c: j for j, c in enumerate(h.coordinates)}
-
-    def add_row(ineq: LinearInequality) -> None:
-        rhs = ineq.rhs * n
-        coeffs = [0] * d
-        for c, a in ineq.coeffs.items():
-            coeffs[idx[c]] = a * rhs.denominator
-        rows.append((tuple(coeffs), rhs.numerator))
-
-    for ineq in h.inequalities:
-        add_row(ineq)
+    rows = [_int_row(h, i, n) for i in h.inequalities]
     for eq in h.equalities:
-        add_row(eq)
-        add_row(eq.negated())
+        row = _int_row(h, eq, n)
+        rows += [row, [-a for a in row]]
 
     box_lo = []
     box_hi = []
@@ -527,18 +501,18 @@ def count_lattice_points(h: HRepresentation, dilation: int, work_cap: int | None
     # suffix[r][i]: minimal contribution of coordinates >= i to row r, by box
     suffix: list[list[int]] = []
     touch: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for r, (coeffs, _) in enumerate(rows):
+    for r, row in enumerate(rows):
         acc = [0] * (d + 1)
         for j in range(d - 1, -1, -1):
-            a = coeffs[j]
+            a = row[j]
             contrib = min(a * box_lo[j], a * box_hi[j]) if a else 0
             acc[j] = acc[j + 1] + contrib
         suffix.append(acc)
         for j in range(d):
-            if coeffs[j]:
-                touch[j].append((r, coeffs[j]))
+            if row[j]:
+                touch[j].append((r, row[j]))
 
-    slack = [rhs for _, rhs in rows]
+    slack = [row[d] for row in rows]
 
     def rec(i: int) -> int:
         lo, hi = box_lo[i], box_hi[i]
@@ -683,7 +657,7 @@ def affine_image(
     t = [Fraction(s) for s in shift]
 
     def transform(row: LinearInequality) -> LinearInequality:
-        a = [Fraction(row.coeffs.get(c, 0)) for c in h.coordinates]
+        a = h._dense(row)
         new_a = [sum(a[i] * inv[i][j] for i in range(d)) for j in range(d)]
         offset = sum(new_a[j] * t[j] for j in range(d))
         return LinearInequality(dict(zip(h.coordinates, new_a)), row.rhs + offset)

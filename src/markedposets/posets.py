@@ -357,8 +357,7 @@ def canonical_labeling(poset: Poset) -> dict[str, int]:
 
 def check_natural_labeling(poset: Poset, labeling: Mapping[str, int]) -> None:
     n = len(poset.elements)
-    values = sorted(labeling.get(e) for e in poset.elements)
-    if len(labeling) != n or values != list(range(1, n + 1)):
+    if labeling.keys() != set(poset.elements) or sorted(labeling.values()) != list(range(1, n + 1)):
         raise ValueError("labeling is not a bijection onto 1..n")
     for p, q in poset.covers:
         if labeling[p] > labeling[q]:

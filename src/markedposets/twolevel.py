@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .geometry import (
     HRepresentation,
@@ -19,7 +20,6 @@ from .geometry import (
     classify_inequalities,
     enumerate_vertices,
     evaluate_affine_values,
-    irredundant,
 )
 from .polytopes import build_chain_hrep, build_chain_order_hrep, build_order_hrep
 from .posets import (
@@ -93,9 +93,16 @@ class ChainTwoLevelResult:
     scaling: dict[str, Fraction] | None = None
 
 
-def _column_values(v: VRepresentation, coordinate: str) -> tuple[Fraction, ...]:
-    j = v.coordinates.index(coordinate)
-    return tuple(sorted({p[j] for p in v.vertices}))
+def _column_spans(v: VRepresentation, coordinates: Iterable[str]) -> dict[str, Fraction] | None:
+    """``{coordinate: c}`` when each coordinate takes exactly the values {0, c} on the vertices, else None."""
+    span: dict[str, Fraction] = {}
+    for c in coordinates:
+        j = v.coordinates.index(c)
+        values = sorted({p[j] for p in v.vertices})
+        if len(values) != 2 or values[0] != 0:
+            return None
+        span[c] = values[1]
+    return span
 
 
 def chain_two_level_criterion(
@@ -115,30 +122,22 @@ def chain_two_level_criterion(
     h = build_chain_hrep(mp)
     if not h.coordinates:
         return ChainTwoLevelResult(True, {})
-    v = enumerate_vertices(h, work_cap)
-    scale: dict[str, Fraction] = {}
-    for p in h.coordinates:
-        values = _column_values(v, p)
-        if len(values) != 2 or values[0] != 0 or values[1] <= 0:
-            return ChainTwoLevelResult(False, None)
-        scale[p] = Fraction(1) / values[1]
+    span = _column_spans(enumerate_vertices(h, work_cap), h.coordinates)
+    if span is None:
+        return ChainTwoLevelResult(False, None)
 
-    scaled = HRepresentation(
-        h.coordinates,
-        [LinearInequality({c: Fraction(a) / scale[c] for c, a in i.coeffs.items()}, i.rhs)
-         for i in h.inequalities],
-    )
-    reduced = irredundant(scaled, work_cap)
-    if reduced.equalities:
+    _, _, facets, implicit = classify_inequalities(h, work_cap)
+    if implicit:
         return ChainTwoLevelResult(False, None)
-    for facet in reduced.inequalities:
-        coeffs = list(facet.coeffs.values())
-        if len(coeffs) == 1 and coeffs[0] == -1 and facet.rhs == 0:
+    for facet in facets:
+        scaled = LinearInequality({c: a * span[c] for c, a in facet.coeffs.items()}, facet.rhs)
+        coeffs = list(scaled.coeffs.values())
+        if len(coeffs) == 1 and coeffs[0] == -1 and scaled.rhs == 0:
             continue
-        if all(a == 1 for a in coeffs) and facet.rhs == 1:
+        if all(a == 1 for a in coeffs) and scaled.rhs == 1:
             continue
         return ChainTwoLevelResult(False, None)
-    return ChainTwoLevelResult(True, scale)
+    return ChainTwoLevelResult(True, {p: 1 / c for p, c in span.items()})
 
 
 def chain_order_two_level_criterion(
@@ -173,12 +172,9 @@ def chain_order_two_level_criterion(
 
     h = build_chain_order_hrep(mp, part)
     v = enumerate_vertices(h, work_cap)
-    span: dict[str, Fraction] = {}
-    for c in sorted(part.chain):
-        values = _column_values(v, c)
-        if len(values) != 2 or values[0] != 0 or values[1] <= 0:
-            return False
-        span[c] = values[1]
+    span = _column_spans(v, sorted(part.chain))
+    if span is None:
+        return False
 
     _, _, facets, _ = classify_inequalities(h, work_cap)
     for facet in facets:

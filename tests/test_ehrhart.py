@@ -109,6 +109,13 @@ class TestFormula:
                 labeling = random_natural_labeling(rng, augmented)
                 assert ehrhart_formula_marked_order(mp, labeling=labeling) == base
 
+    def test_labeling_missing_key_rejected(self):
+        mp = pm_family(3, 1)
+        labeling = random_natural_labeling(random.Random(54), augment_marked_order(mp))
+        del labeling[mp.unmarked[0]]
+        with pytest.raises(ValueError, match="bijection"):
+            ehrhart_formula_marked_order(mp, labeling=labeling)
+
     def test_degree_and_constant_term(self):
         rng = random.Random(53)
         for _ in range(15):

@@ -101,6 +101,20 @@ class TestEnumerateVertices:
         with pytest.raises(DimensionTooLarge):
             enumerate_vertices(hrep2(TRAPEZOID), work_cap=2)
 
+    def test_ray_walk_bounds_tetrahedron(self):
+        # no single row bounds a coordinate, so the interval pass certifies nothing
+        h = HRepresentation(["x", "y", "z"], [
+            LinearInequality({"x": 1, "y": 1, "z": 1}, 2),
+            LinearInequality({"x": 1, "y": -1, "z": -1}, 0),
+            LinearInequality({"x": -1, "y": 1, "z": -1}, 0),
+            LinearInequality({"x": -1, "y": -1, "z": 1}, 0),
+        ])
+        # the ray walk tries C(4, 2) = 6 subsets, the vertex walk only C(4, 3) = 4
+        with pytest.raises(DimensionTooLarge, match=r"C\(4, 2\)"):
+            enumerate_vertices(h, work_cap=5)
+        assert enumerate_vertices(h, work_cap=6).vertices == (
+            (0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+
     def test_equalities(self):
         h = HRepresentation(
             ["x", "y"],
@@ -279,6 +293,23 @@ class TestNormalization:
     def test_unknown_coordinate_rejected(self):
         with pytest.raises(ValueError):
             HRepresentation(["x"], [LinearInequality({"z": 1}, 1)])
+        with pytest.raises(ValueError):
+            HRepresentation(["x"], [], [LinearInequality({"x": 1, "z": -1}, 0)])
+
+    def test_rows_sorted_in_declared_coordinate_order(self):
+        h = HRepresentation(
+            ["y", "x"],
+            [LinearInequality({"x": 1}, 2), LinearInequality({"x": 1}, 1),
+             LinearInequality({"y": 1}, Fraction(1, 2)), LinearInequality({"x": -1}, 0),
+             LinearInequality({"y": -1}, 0)],
+            [LinearInequality({"x": 1, "y": -1}, 0)])
+        # dense rows over (y, x) with the rhs last: (-1,0|0) (0,-1|0) (0,1|1) (0,1|2) (2,0|1)
+        assert h.inequalities == (
+            LinearInequality({"y": -1}, 0), LinearInequality({"x": -1}, 0),
+            LinearInequality({"x": 1}, 1), LinearInequality({"x": 1}, 2),
+            LinearInequality({"y": 2}, 1))
+        # an equality's sign follows its first declared coordinate, y
+        assert h.equalities == (LinearInequality({"x": -1, "y": 1}, 0),)
 
 
 class TestAffineImage:

@@ -207,6 +207,8 @@ class TestLinearExtensions:
         p = Poset(["a", "b"], [("a", "b")])
         with pytest.raises(ValueError, match="order-preserving"):
             list(linear_extensions(p, {"a": 2, "b": 1}))
+        with pytest.raises(ValueError, match="bijection"):
+            list(linear_extensions(p, {"a": 1}))
 
     @settings(max_examples=30, deadline=None)
     @given(small_posets())
