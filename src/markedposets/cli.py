@@ -79,7 +79,8 @@ def parse_document(data: object, fallback_name: str = "poset"):
             raise DocumentError("partition must be an object with keys chain, order")
         chain = raw.get("chain", [])
         order = raw.get("order", [])
-        if not all(isinstance(e, str) for e in chain + order):
+        if not all(isinstance(part, list) and all(isinstance(e, str) for e in part)
+                   for part in (chain, order)):
             raise DocumentError("partition parts must list element ids")
         partition = ChainOrderPartition(frozenset(chain), frozenset(order))
         try:

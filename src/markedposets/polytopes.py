@@ -142,7 +142,7 @@ def is_face_partition(mp: MarkedPoset, fp: FacePartition) -> bool:
         if bp != bq:
             succ[bp].add(bq)
     try:
-        reach = _up_sets(range(k), succ)
+        reach, _ = _up_sets(range(k), succ)
     except ValueError:  # the block relation has a cycle: not antisymmetric
         return False
 
@@ -156,7 +156,7 @@ def is_face_partition(mp: MarkedPoset, fp: FacePartition) -> bool:
         if not block_marks[i]:
             continue
         for j in reach[i]:
-            if j != i and block_marks[j] and min(block_marks[i]) >= min(block_marks[j]):
+            if block_marks[j] and min(block_marks[i]) >= min(block_marks[j]):
                 return False
     return True
 

@@ -26,11 +26,15 @@ class Poset:
         seen = set(self.elements)
         if len(seen) != len(self.elements):
             raise ValueError("duplicate element ids")
+        distinct: set[tuple[str, str]] = set()
         for p, q in self.covers:
             if p not in seen or q not in seen:
                 raise ValueError(f"cover ({p!r}, {q!r}) references unknown element")
             if p == q:
                 raise ValueError(f"cover ({p!r}, {q!r}) is a loop")
+            if (p, q) in distinct:
+                raise ValueError(f"cover ({p!r}, {q!r}) is repeated")
+            distinct.add((p, q))
         self._up_covers: dict[str, tuple[str, ...]] = {e: () for e in self.elements}
         self._down_covers: dict[str, tuple[str, ...]] = {e: () for e in self.elements}
         up: dict[str, list[str]] = {e: [] for e in self.elements}
@@ -41,9 +45,9 @@ class Poset:
         for e in self.elements:
             self._up_covers[e] = tuple(sorted(up[e]))
             self._down_covers[e] = tuple(sorted(down[e]))
-        self._above = _up_sets(self.elements, self._up_covers)
+        self._above, implied = _up_sets(self.elements, self._up_covers)
         for p, q in self.covers:
-            if _implied(self._above, self._up_covers, p, q):
+            if (p, q) in implied:
                 raise ValueError(f"cover ({p!r}, {q!r}) is implied by other covers")
 
     def topological_order(self) -> list[str]:
@@ -62,25 +66,21 @@ class Poset:
             if p == q:
                 raise ValueError(f"relation ({p!r}, {q!r}) is a loop")
             succ[p].add(q)
-        above = _up_sets(elements, succ)
-        covers = [(p, q) for p in elements for q in sorted(succ[p]) if not _implied(above, succ, p, q)]
+        _, implied = _up_sets(elements, succ)
+        covers = [(p, q) for p in elements for q in sorted(succ[p]) if (p, q) not in implied]
         return cls(elements, covers)
 
     def leq(self, p: str, q: str) -> bool:
         """p <= q in the transitive closure of the covers."""
         if p not in self._above or q not in self._above:
             raise KeyError(f"unknown element id {p if p not in self._above else q!r}")
-        return q in self._above[p]
+        return p == q or q in self._above[p]
 
     def less(self, p: str, q: str) -> bool:
         return p != q and self.leq(p, q)
 
     def comparable(self, p: str, q: str) -> bool:
         return self.leq(p, q) or self.leq(q, p)
-
-    def up_set(self, p: str) -> frozenset[str]:
-        """All q with p <= q, including p."""
-        return self._above[p]
 
     def upper_covers(self, p: str) -> tuple[str, ...]:
         return self._up_covers[p]
@@ -124,23 +124,24 @@ def _topological_order(nodes: Iterable[Hashable], succ: Mapping) -> list:
     return out
 
 
-def _up_sets(nodes: Iterable[Hashable], succ: Mapping) -> dict:
-    """Each node's up-set in the graph ``succ``, the node included; raises on a cycle."""
+def _up_sets(nodes: Iterable[Hashable], succ: Mapping) -> tuple[dict, set]:
+    """Each node's strict up-set in the graph ``succ``, and the edges implied by the others.
+
+    An edge v -> w is implied when w lies above another successor of v.  One
+    pass in reverse topological order finds both; raises on a cycle.
+    """
     above: dict = {}
+    implied: set = set()
     for v in reversed(_topological_order(nodes, succ)):
-        acc = {v}
+        acc: set = set()
         for w in succ[v]:
             acc |= above[w]
+        for w in succ[v]:
+            if w in acc:
+                implied.add((v, w))
+        acc.update(succ[v])
         above[v] = frozenset(acc)
-    return above
-
-
-def _implied(above: Mapping, succ: Mapping, p: Hashable, q: Hashable) -> bool:
-    """Whether the edge p -> q is implied through another successor of p."""
-    for r in succ[p]:  # a plain loop: any() over a generator is slower on wide posets
-        if r != q and q in above[r]:
-            return True
-    return False
+    return above, implied
 
 
 def _components(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[tuple[str, ...]]:
@@ -214,7 +215,7 @@ class MarkedPoset:
         marked_sorted = sorted(self.marked)
         for a in marked_sorted:
             for b in marked_sorted:
-                if a != b and poset.less(a, b) and self.marking[a] > self.marking[b]:
+                if poset.less(a, b) and self.marking[a] > self.marking[b]:
                     raise ValueError(
                         f"marking is not order-preserving on {a!r} < {b!r}")
         self.unmarked: tuple[str, ...] = tuple(
@@ -271,7 +272,7 @@ def validate_marked(mp: MarkedPoset) -> MarkingReport:
     marked_sorted = sorted(mp.marked)
     for a in marked_sorted:
         for b in marked_sorted:
-            if a != b and poset.less(a, b) and mp.value(a) >= mp.value(b):
+            if poset.less(a, b) and mp.value(a) >= mp.value(b):
                 strict = False
                 violations.append(("strict", a, b))
     regular = True
@@ -417,7 +418,7 @@ def induced_subposet(poset: Poset, keep: Iterable[str]) -> Poset:
         if e not in poset._above:
             raise KeyError(f"unknown element id {e!r}")
     elements = tuple(e for e in poset.elements if e in keep_set)
-    relations = [(p, q) for p in elements for q in elements if p != q and poset.leq(p, q)]
+    relations = [(p, q) for p in elements for q in poset._above[p] if q in keep_set]
     return Poset.from_relations(elements, relations)
 
 

@@ -16,7 +16,6 @@ from typing import Iterable
 from .geometry import (
     HRepresentation,
     LinearInequality,
-    VRepresentation,
     classify_inequalities,
     enumerate_vertices,
     evaluate_affine_values,
@@ -93,15 +92,32 @@ class ChainTwoLevelResult:
     scaling: dict[str, Fraction] | None = None
 
 
-def _column_spans(v: VRepresentation, coordinates: Iterable[str]) -> dict[str, Fraction] | None:
-    """``{coordinate: c}`` when each coordinate takes exactly the values {0, c} on the vertices, else None."""
+def _chain_spans(h: HRepresentation, chain: Iterable[str], work_cap: int | None) -> dict[str, Fraction] | None:
+    """``{coordinate: c}`` when the facets through ``chain`` have the chain-polytope shape, else None.
+
+    Each coordinate in ``chain`` must take exactly the values {0, c} on the
+    vertices, and every facet touching one must have a single gap |a|*c over
+    its chain coordinates, take at most two values on the vertices, and have
+    rhs - min = gap.
+    """
+    v = enumerate_vertices(h, work_cap)
     span: dict[str, Fraction] = {}
-    for c in coordinates:
+    for c in chain:
         j = v.coordinates.index(c)
         values = sorted({p[j] for p in v.vertices})
         if len(values) != 2 or values[0] != 0:
             return None
         span[c] = values[1]
+    _, _, facets, _ = classify_inequalities(h, work_cap)
+    for facet in facets:
+        gaps = {abs(a) * span[c] for c, a in facet.coeffs.items() if c in span}
+        if not gaps:
+            continue
+        if len(gaps) != 1:
+            return None
+        values = sorted(set(evaluate_affine_values(v, facet)))
+        if len(values) > 2 or facet.rhs - values[0] != gaps.pop():
+            return None
     return span
 
 
@@ -113,7 +129,9 @@ def chain_two_level_criterion(
     Every coordinate must take exactly the values {0, c_p} on the vertex set;
     after scaling coordinate p by 1/c_p the irredundant description must
     consist of nonnegativity facets and unit chain sums bounded by 1.  The
-    scaling (the per-coordinate multipliers) is returned on success.
+    scaling (the per-coordinate multipliers) is returned on success.  The
+    test is the one :func:`chain_order_two_level_criterion` runs on its chain
+    part (``_chain_spans``), with every unmarked element in the chain.
 
     Only strictness is required: the chain polytope never sees the order
     redundancies that regularity rules out.
@@ -122,20 +140,14 @@ def chain_two_level_criterion(
     h = build_chain_hrep(mp)
     if not h.coordinates:
         return ChainTwoLevelResult(True, {})
-    span = _column_spans(enumerate_vertices(h, work_cap), h.coordinates)
+    # The shared gap test is the scaled-shape test here.  A strict marking
+    # gives every chain row rhs marking(b) - marking(a) > 0, so a small
+    # multiple of the all-ones vector is interior and no row is implicit; the
+    # origin is a vertex, so every chain-sum facet has minimum 0 on the
+    # vertices.  A facet scaled by the spans is then -y <= 0 or sum(y) <= 1
+    # exactly when it has one gap c and rhs - min = c.
+    span = _chain_spans(h, h.coordinates, work_cap)
     if span is None:
-        return ChainTwoLevelResult(False, None)
-
-    _, _, facets, implicit = classify_inequalities(h, work_cap)
-    if implicit:
-        return ChainTwoLevelResult(False, None)
-    for facet in facets:
-        scaled = LinearInequality({c: a * span[c] for c, a in facet.coeffs.items()}, facet.rhs)
-        coeffs = list(scaled.coeffs.values())
-        if len(coeffs) == 1 and coeffs[0] == -1 and scaled.rhs == 0:
-            continue
-        if all(a == 1 for a in coeffs) and scaled.rhs == 1:
-            continue
         return ChainTwoLevelResult(False, None)
     return ChainTwoLevelResult(True, {p: 1 / c for p, c in span.items()})
 
@@ -169,25 +181,4 @@ def chain_order_two_level_criterion(
         return False
     if not part.chain:
         return True
-
-    h = build_chain_order_hrep(mp, part)
-    v = enumerate_vertices(h, work_cap)
-    span = _column_spans(v, sorted(part.chain))
-    if span is None:
-        return False
-
-    _, _, facets, _ = classify_inequalities(h, work_cap)
-    for facet in facets:
-        chain_support = [c for c in facet.coeffs if c in part.chain]
-        if not chain_support:
-            continue
-        gaps = {abs(facet.coeffs[c]) * span[c] for c in chain_support}
-        if len(gaps) != 1:
-            return False
-        s = gaps.pop()
-        values = tuple(sorted(set(evaluate_affine_values(v, facet))))
-        if len(values) > 2:
-            return False
-        if facet.rhs - values[0] != s:
-            return False
-    return True
+    return _chain_spans(build_chain_order_hrep(mp, part), sorted(part.chain), work_cap) is not None

@@ -4,6 +4,8 @@ import json
 import sys
 from fractions import Fraction
 
+import pytest
+
 from markedposets import MarkedPoset, Poset, enumerate_vertices
 from markedposets.cli import DocumentError, format_hrep, main
 from markedposets.geometry import HRepresentation, LinearInequality
@@ -83,6 +85,12 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", write_doc(tmp_path, doc))
         assert code == 2
 
+    def test_repeated_cover_is_usage_error(self, capsys, tmp_path):
+        doc = dict(SEGMENT_DOC, covers=[["a", "x"], ["a", "x"], ["x", "b"]])
+        code, _, err = run_cli(capsys, "validate", write_doc(tmp_path, doc))
+        assert code == 2
+        assert "repeated" in err
+
     def test_json_mode(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--builtin", "figure1", "--json")
         payload = json.loads(out)
@@ -123,6 +131,16 @@ class TestPolytope:
                                "--family", "chain-order", "--emit", "vertices")
         assert code == 0
         assert out.strip().splitlines() == ["0 0", "0 2", "2 2"]
+
+    @pytest.mark.parametrize("partition", [
+        {"chain": "x"}, {"chain": None}, {"order": 1}, {"chain": "x", "order": ""},
+    ])
+    def test_partition_part_not_a_list_is_usage_error(self, capsys, tmp_path, partition):
+        doc = dict(SEGMENT_DOC, partition=partition)
+        code, _, err = run_cli(capsys, "polytope", write_doc(tmp_path, doc),
+                               "--family", "chain-order", "--emit", "hrep")
+        assert code == 2
+        assert "partition parts" in err
 
     def test_hrep_round_trip(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "polytope", write_doc(tmp_path, SEGMENT_DOC),

@@ -53,6 +53,13 @@ class TestPoset:
     def test_rejects_redundant_cover(self):
         with pytest.raises(ValueError, match="implied"):
             Poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+        # two implied covers: the message names the first in covers order
+        with pytest.raises(ValueError, match=r"cover \('b', 'd'\) is implied"):
+            Poset(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("b", "d"), ("a", "c")])
+
+    def test_rejects_repeated_cover(self):
+        with pytest.raises(ValueError, match=r"cover \('a', 'x'\) is repeated"):
+            Poset(["a", "x", "b"], [("a", "x"), ("a", "x"), ("x", "b")])
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -99,6 +106,13 @@ class TestPoset:
                 for r in poset.elements:
                     if poset.leq(p, q) and poset.leq(q, r):
                         assert poset.leq(p, r)
+        hasse = sorted((p, q) for p, q in oracle if p != q and not any(
+            (p, r) in oracle and (r, q) in oracle for r in poset.elements if r not in (p, q)))
+        assert sorted(poset.covers) == hasse
+        for p, q in oracle:
+            if p != q and (p, q) not in hasse:
+                with pytest.raises(ValueError, match="implied"):
+                    Poset(poset.elements, list(poset.covers) + [(p, q)])
 
 
 class TestMarkedPoset:
