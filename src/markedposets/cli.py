@@ -375,7 +375,7 @@ def main(argv=None) -> int:
     except (DocumentError, json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MarkedPosetError as exc:
+    except (MarkedPosetError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

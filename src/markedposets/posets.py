@@ -9,6 +9,7 @@ of elements that must contain all minimal and maximal elements.
 
 from __future__ import annotations
 
+import heapq
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,15 +111,15 @@ def _topological_order(nodes: Iterable[Hashable], succ: Mapping) -> list:
     for v in indeg:
         for w in succ[v]:
             indeg[w] += 1
-    avail = sorted(v for v in indeg if indeg[v] == 0)
+    avail = sorted(v for v in indeg if indeg[v] == 0)  # a sorted list is a heap
     out: list = []
     while avail:
-        v = avail.pop(0)
+        v = heapq.heappop(avail)
         out.append(v)
         for w in succ[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                insort(avail, w)
+                heapq.heappush(avail, w)
     if len(out) != len(indeg):
         raise ValueError("cover relation contains a cycle")
     return out
@@ -287,11 +288,6 @@ def validate_marked(mp: MarkedPoset) -> MarkingReport:
     return MarkingReport(strict=strict, regular=regular, violations=tuple(violations))
 
 
-def is_strict_regular(mp: MarkedPoset) -> bool:
-    report = validate_marked(mp)
-    return report.strict and report.regular
-
-
 def require_strict_regular(mp: MarkedPoset, operation: str) -> None:
     report = validate_marked(mp)
     if not (report.strict and report.regular):
@@ -426,3 +422,23 @@ def restrict_marked(mp: MarkedPoset, keep: Iterable[str]) -> MarkedPoset:
     """Restrict to an element subset that contains every marked element."""
     keep_set = frozenset(keep) | mp.marked
     return MarkedPoset(induced_subposet(mp.poset, keep_set), mp.marking)
+
+
+def _regularize(mp: MarkedPoset) -> MarkedPoset:
+    """The strict ``mp`` with covers cut until it is regular; its order polytope is kept.
+
+    Cuts every cover between marked elements, then, while validate_marked
+    reports ("regular", (p, q), a, b), the first such p < q.  A marked-marked
+    cover adds no row.  A violating row x_p <= x_q follows from x_p <=
+    marking(b) <= marking(a) <= x_q, whose chains p ... b and a ... q avoid
+    p < q (else a <= q <= b or a <= p <= b, against strictness).  A cut only
+    removes relations, so strictness stays, no cover becomes implied, and an
+    unmarked p or q keeps a cover on those chains, so extremes stay marked.
+    """
+    covers = [(p, q) for p, q in mp.poset.covers if p not in mp.marked or q not in mp.marked]
+    while True:
+        regular = MarkedPoset(Poset(mp.poset.elements, covers), mp.marking)
+        cut = next((w[1] for w in validate_marked(regular).violations if w[0] == "regular"), None)
+        if cut is None:
+            return regular
+        covers.remove(cut)

@@ -3,8 +3,8 @@
 The direct test is the ground truth: a polytope is 2-level exactly when every
 facet functional takes at most two values on the vertex set.  The criteria
 decide the same question for the three marked-poset families from the poset
-data (plus vertex value sets), and the test suite holds them to 100%
-agreement with the direct test.
+data (plus vertex value sets on the chain side); none of them falls back to
+the direct test, and the test suite holds them to 100% agreement with it.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ from .geometry import (
     enumerate_vertices,
     evaluate_affine_values,
 )
-from .polytopes import build_chain_hrep, build_chain_order_hrep, build_order_hrep
+from .polytopes import build_chain_hrep, build_chain_order_hrep
 from .posets import (
     ChainOrderPartition,
     MarkedPoset,
     _components,
-    is_strict_regular,
+    _regularize,
     require_strict,
     require_strict_regular,
     restrict_marked,
@@ -165,19 +165,12 @@ def chain_order_two_level_criterion(
     the (common) vertex-value span of its chain coordinates -- i.e. the facet
     bounds differ by exactly 1 after the per-chain-coordinate scaling.
 
-    Condition (a) uses the component-counting criterion when the restricted
-    marked poset is still regular; restriction can break regularity, in which
-    case the direct test decides the (smaller) restricted polytope.
+    Condition (a) is the order criterion on the restriction, made regular
+    with its order polytope kept by ``posets._regularize``.
     """
     require_strict(mp, "chain_order_two_level_criterion")
     part.validate(mp)
-
-    restricted = restrict_marked(mp, part.order | mp.marked)
-    if is_strict_regular(restricted):
-        order_ok = order_two_level_criterion(restricted)
-    else:
-        order_ok = is_two_level_direct(build_order_hrep(restricted), work_cap).two_level
-    if not order_ok:
+    if not order_two_level_criterion(_regularize(restrict_marked(mp, part.order | mp.marked))):
         return False
     if not part.chain:
         return True

@@ -240,6 +240,21 @@ class TestEhrhart:
                                "--family", "order", "--method", "count")
         assert code == 2
 
+    def test_recursion_limit_is_one_error_line(self, capsys, tmp_path):
+        # the extension walk still recurses once per element; a chain deeper
+        # than the recursion limit must end in an error line, not a traceback
+        n = 1200
+        assert n > sys.getrecursionlimit()
+        elements = [f"e{i:04d}" for i in range(n)]
+        doc = {"name": "long", "elements": elements,
+               "covers": [[p, q] for p, q in zip(elements, elements[1:])],
+               "marked": {elements[0]: 0, elements[-1]: 1}}
+        code, out, err = run_cli(capsys, "ehrhart", write_doc(tmp_path, doc),
+                                 "--family", "order", "--method", "formula")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCorpus:
     def test_small_corpus_passes(self, capsys):

@@ -92,6 +92,10 @@ class TestPoset:
         with pytest.raises(KeyError):
             p.leq("x", "zz")
 
+    def test_topological_order_takes_smallest_available(self):
+        p = Poset(["c", "a", "b", "d"], [("c", "a")])
+        assert p.topological_order() == ["b", "c", "a", "d"]
+
     @settings(max_examples=60, deadline=None)
     @given(small_posets())
     def test_partial_order_laws(self, poset_and_edges):

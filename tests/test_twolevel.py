@@ -18,14 +18,19 @@ from markedposets import (
     build_order_hrep,
     chain_order_two_level_criterion,
     chain_two_level_criterion,
+    enumerate_vertices,
     is_two_level_direct,
     order_two_level_criterion,
+    validate_marked,
 )
 from markedposets.corpus import (
+    _draw,
     all_chain_order_partitions,
+    corpus,
     random_marked_poset,
     random_unimodular_map,
 )
+from markedposets.posets import _regularize, restrict_marked
 
 
 def hrep2(rows):
@@ -196,6 +201,62 @@ class TestChainOrderCriterion:
             for part in all_chain_order_partitions(mp):
                 direct = is_two_level_direct(build_chain_order_hrep(mp, part)).two_level
                 assert chain_order_two_level_criterion(mp, part) == direct
+
+    def test_agreement_on_strict_irregular_inputs(self):
+        # the criterion asks only for strictness; no other test gives it an
+        # irregular input with a non-empty order part
+        rng = random.Random(11)
+        irregular = 0
+        for _ in range(400):
+            mp = _draw(rng, 4, 0, 4, 1)
+            if mp is None:
+                continue
+            report = validate_marked(mp)
+            if not report.strict or report.regular:
+                continue
+            irregular += 1
+            for part in all_chain_order_partitions(mp):
+                direct = is_two_level_direct(build_chain_order_hrep(mp, part)).two_level
+                assert chain_order_two_level_criterion(mp, part) == direct
+        assert irregular >= 100
+
+
+def is_strict_regular(mp):
+    report = validate_marked(mp)
+    return report.strict and report.regular
+
+
+def regularized(mp):
+    """``_regularize(mp)``, checked strict regular with the same order-polytope vertices."""
+    regular = _regularize(mp)
+    assert is_strict_regular(regular)
+    assert enumerate_vertices(build_order_hrep(regular)) == enumerate_vertices(build_order_hrep(mp))
+    return regular
+
+
+class TestRegularize:
+    def test_marked_covers_are_dropped(self):
+        p = Poset(["a", "m", "t", "x"], [("a", "m"), ("a", "x"), ("m", "t"), ("x", "t")])
+        mp = MarkedPoset(p, {"a": 0, "m": 1, "t": 2})
+        assert sorted(regularized(mp).poset.covers) == [("a", "x"), ("x", "t")]
+
+    def test_violating_cover_is_dropped(self):
+        # e1(1) < e2 next to e4(2) < e2: x_e2 >= 1 follows from x_e2 >= 2
+        p = Poset(["e1", "e2", "e3", "e4"], [("e1", "e2"), ("e2", "e3"), ("e4", "e2")])
+        mp = MarkedPoset(p, {"e1": 1, "e3": 3, "e4": 2})
+        assert not is_strict_regular(mp)
+        assert sorted(regularized(mp).poset.covers) == [("e2", "e3"), ("e4", "e2")]
+
+    def test_irregular_restrictions_of_seeded_corpora(self):
+        cut = 0
+        for seed in (20250808, 3, 7):
+            for mp in corpus(seed, 200, max_unmarked=5):
+                for part in all_chain_order_partitions(mp):
+                    restricted = restrict_marked(mp, part.order | mp.marked)
+                    if not is_strict_regular(restricted):
+                        cut += 1
+                        regularized(restricted)
+        assert cut == 1759
 
 
 class TestAgreementSuites:
