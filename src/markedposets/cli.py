@@ -17,7 +17,6 @@ import sys
 from . import gallery
 from .corpus import random_marked_poset
 from .ehrhart import (
-    DEFAULT_EXTENSION_CAP,
     ehrhart_by_counting,
     ehrhart_formula_marked_order,
     pm_family,
@@ -258,8 +257,7 @@ def cmd_ehrhart(args) -> int:
     result: dict = {}
     formula_poly = count_poly = None
     if args.method in ("formula", "both"):
-        formula_poly = ehrhart_formula_marked_order(
-            mp, extension_cap=DEFAULT_EXTENSION_CAP if cap is None else cap)
+        formula_poly = ehrhart_formula_marked_order(mp, extension_cap=cap)
         if args.family != "order":
             lines.append("note: formula computed on the order member; "
                          "the families share one Ehrhart polynomial")
@@ -304,7 +302,7 @@ def cmd_corpus(args) -> int:
         ))
         order_poly = ehrhart_by_counting(order_h, cap)
         chain_poly = ehrhart_by_counting(chain_h, cap)
-        formula_poly = ehrhart_formula_marked_order(mp)
+        formula_poly = ehrhart_formula_marked_order(mp, extension_cap=cap)
         checks.append(("formula-vs-count", formula_poly == order_poly))
         checks.append(("order-chain-ehrhart", order_poly == chain_poly))
         ok = all(flag for _, flag in checks)

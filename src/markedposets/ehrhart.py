@@ -87,13 +87,18 @@ def restricted_linear_extensions(
     return linear_extensions(tie_poset, lab)
 
 
-def count_restricted_extensions(mp: MarkedPoset, cap: int = DEFAULT_EXTENSION_CAP) -> int:
-    total = 0
-    for _ in restricted_linear_extensions(mp):
-        total += 1
-        if total > cap:
+def _capped_extensions(mp: MarkedPoset, labeling: Mapping[str, int] | None,
+                       cap: int | None) -> Iterator[ExtensionWord]:
+    """The restricted extensions; an ExtensionExplosion past ``cap`` (None: the default)."""
+    cap = DEFAULT_EXTENSION_CAP if cap is None else cap
+    for seen, ext in enumerate(restricted_linear_extensions(mp, labeling), 1):
+        if seen > cap:
             raise ExtensionExplosion(f"more than {cap} restricted linear extensions")
-    return total
+        yield ext
+
+
+def count_restricted_extensions(mp: MarkedPoset) -> int:
+    return sum(1 for _ in _capped_extensions(mp, None, None))
 
 
 def _segment_factor(delta: Fraction, descents: int, k: int) -> UnivariatePolynomial:
@@ -113,25 +118,23 @@ def _segment_factor(delta: Fraction, descents: int, k: int) -> UnivariatePolynom
 def ehrhart_formula_marked_order(
     mp: MarkedPoset,
     labeling: Mapping[str, int] | None = None,
-    extension_cap: int = DEFAULT_EXTENSION_CAP,
+    extension_cap: int | None = None,
 ) -> UnivariatePolynomial:
     """The closed Ehrhart formula of the marked order polytope.
 
-    Streams the restricted linear extensions; each extension contributes the
-    product, over its maximal unmarked segments between consecutive marked
-    elements a and b (k elements, d descents counted from a's position up to
-    just before b's), of C(n*(mark(b) - mark(a)) - d + k, k).
+    Streams the restricted linear extensions (ExtensionExplosion past
+    ``extension_cap`` of them; None means :data:`DEFAULT_EXTENSION_CAP`); each
+    extension contributes the product, over its maximal unmarked segments
+    between consecutive marked elements a and b (k elements, d descents
+    counted from a's position up to just before b's), of
+    C(n*(mark(b) - mark(a)) - d + k, k).
     """
     require_strict_regular(mp, "ehrhart_formula_marked_order")
     if not mp.is_integral():
         raise PreconditionViolated("the closed formula needs an integral marking")
 
     total = ZERO_POLYNOMIAL
-    seen = 0
-    for ext in restricted_linear_extensions(mp, labeling):
-        seen += 1
-        if seen > extension_cap:
-            raise ExtensionExplosion(f"more than {extension_cap} restricted linear extensions")
+    for ext in _capped_extensions(mp, labeling, extension_cap):
         marked_at = [i for i, e in enumerate(ext.word) if e in mp.marked]
         term = ONE_POLYNOMIAL
         for s, t in zip(marked_at, marked_at[1:]):

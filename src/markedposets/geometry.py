@@ -328,8 +328,6 @@ def _reject_unbounded_by_rays(h: HRepresentation, cap: int) -> None:
     outright (it is unbounded whenever it is feasible).
     """
     d = len(h.coordinates)
-    if d == 0:
-        return
     ineq_vecs = [h._dense(i) + [0] for i in h.inequalities]
     eq_vecs = [h._dense(e) + [0] for e in h.equalities]
     probe = _IntEchelon(d)

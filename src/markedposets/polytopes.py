@@ -161,9 +161,7 @@ def is_face_partition(mp: MarkedPoset, fp: FacePartition) -> bool:
     return True
 
 
-def order_vertices_combinatorial(
-    mp: MarkedPoset, node_cap: int = DEFAULT_ASSIGNMENT_CAP
-) -> VRepresentation:
+def order_vertices_combinatorial(mp: MarkedPoset) -> VRepresentation:
     """Vertices of the marked order polytope via zero-free-block assignments.
 
     Searches order-preserving assignments of marking values to the unmarked
@@ -192,7 +190,7 @@ def order_vertices_combinatorial(
     def rec(i: int) -> None:
         nonlocal nodes
         nodes += 1
-        if nodes > node_cap:
+        if nodes > DEFAULT_ASSIGNMENT_CAP:
             raise DimensionTooLarge("assignment search exceeds the node cap")
         if i == len(order):
             point = {p: assignment[p] for p in mp.unmarked}

@@ -10,7 +10,6 @@ of elements that must contain all minimal and maximal elements.
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Mapping
@@ -36,16 +35,13 @@ class Poset:
             if (p, q) in distinct:
                 raise ValueError(f"cover ({p!r}, {q!r}) is repeated")
             distinct.add((p, q))
-        self._up_covers: dict[str, tuple[str, ...]] = {e: () for e in self.elements}
-        self._down_covers: dict[str, tuple[str, ...]] = {e: () for e in self.elements}
         up: dict[str, list[str]] = {e: [] for e in self.elements}
         down: dict[str, list[str]] = {e: [] for e in self.elements}
         for p, q in self.covers:
             up[p].append(q)
             down[q].append(p)
-        for e in self.elements:
-            self._up_covers[e] = tuple(sorted(up[e]))
-            self._down_covers[e] = tuple(sorted(down[e]))
+        self._up_covers: dict[str, tuple[str, ...]] = {e: tuple(sorted(up[e])) for e in self.elements}
+        self._down_covers: dict[str, tuple[str, ...]] = {e: tuple(sorted(down[e])) for e in self.elements}
         self._above, implied = _up_sets(self.elements, self._up_covers)
         for p, q in self.covers:
             if (p, q) in implied:
@@ -372,39 +368,28 @@ def linear_extensions(poset: Poset, labeling: Mapping[str, int] | None = None) -
     else:
         check_natural_labeling(poset, labeling)
     indeg = {e: len(poset.lower_covers(e)) for e in poset.elements}
-    available = sorted((e for e in poset.elements if indeg[e] == 0), key=labeling.__getitem__)
     word: list[str] = []
     prefix: list[int] = []
 
-    def rec() -> Iterator[ExtensionWord]:
-        if len(word) == len(poset.elements):
+    def rec(available: list[str]) -> Iterator[ExtensionWord]:
+        if not available:
             yield ExtensionWord(tuple(word), tuple(prefix))
             return
-        # iterate over a snapshot: `available` mutates during recursion
-        for e in list(available):
-            available.remove(e)
-            newly = []
+        for i, e in enumerate(available):
+            released = []
             for q in poset.upper_covers(e):
                 indeg[q] -= 1
                 if indeg[q] == 0:
-                    newly.append(q)
-            for q in newly:
-                insort(available, q, key=labeling.__getitem__)
-            if word:
-                prefix.append(prefix[-1] + (1 if labeling[word[-1]] > labeling[e] else 0))
-            else:
-                prefix.append(0)
+                    released.append(q)
+            prefix.append(prefix[-1] + (labeling[word[-1]] > labeling[e]) if word else 0)
             word.append(e)
-            yield from rec()
+            yield from rec(sorted(available[:i] + available[i + 1:] + released, key=labeling.__getitem__))
             word.pop()
             prefix.pop()
-            for q in newly:
-                available.remove(q)
             for q in poset.upper_covers(e):
                 indeg[q] += 1
-            insort(available, e, key=labeling.__getitem__)
 
-    yield from rec()
+    yield from rec(sorted((e for e in poset.elements if indeg[e] == 0), key=labeling.__getitem__))
 
 
 def induced_subposet(poset: Poset, keep: Iterable[str]) -> Poset:

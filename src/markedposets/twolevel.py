@@ -138,8 +138,6 @@ def chain_two_level_criterion(
     """
     require_strict(mp, "chain_two_level_criterion")
     h = build_chain_hrep(mp)
-    if not h.coordinates:
-        return ChainTwoLevelResult(True, {})
     # The shared gap test is the scaled-shape test here.  A strict marking
     # gives every chain row rhs marking(b) - marking(a) > 0, so a small
     # multiple of the all-ones vector is interior and no row is implicit; the

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from markedposets import MarkedPoset, Poset, enumerate_vertices
+from markedposets import MarkedPoset, Poset, cli, enumerate_vertices
 from markedposets.cli import DocumentError, format_hrep, main
 from markedposets.geometry import HRepresentation, LinearInequality
 from markedposets.polytopes import build_chain_hrep, build_order_hrep
@@ -55,6 +55,14 @@ SEGMENT_DOC = {
     "marked": {"a": 0, "b": 1},
 }
 
+MIXED_DOC = {
+    "name": "mixed",
+    "elements": ["a", "c", "p", "b"],
+    "covers": [["a", "c"], ["c", "p"], ["p", "b"]],
+    "marked": {"a": 0, "b": 2},
+    "partition": {"chain": ["c"], "order": ["p"]},
+}
+
 
 class TestValidate:
     def test_builtin_pm_is_valid(self, capsys):
@@ -91,6 +99,24 @@ class TestValidate:
         assert code == 2
         assert "repeated" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        (["a"], "document must be a JSON object"),
+        ({k: v for k, v in SEGMENT_DOC.items() if k != "covers"}, "missing field: covers"),
+        (dict(SEGMENT_DOC, name=3), "name must be a string"),
+        (dict(SEGMENT_DOC, elements=["a", "b", 1]), "elements must be a list of strings"),
+        (dict(SEGMENT_DOC, covers=[["a", "x", "b"]]), "covers must be a list of [p, q] pairs"),
+        (dict(SEGMENT_DOC, partition=["x"]), "partition must be an object with keys chain, order"),
+        (dict(SEGMENT_DOC, partition={"chain": ["x"], "order": ["x"]}),
+         "chain and order parts overlap"),
+        (dict(SEGMENT_DOC, partition={"chain": []}),
+         "partition does not cover the unmarked elements"),
+    ])
+    def test_document_error_is_usage_error(self, capsys, tmp_path, doc, message):
+        code, out, err = run_cli(capsys, "validate", write_doc(tmp_path, doc))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_json_mode(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--builtin", "figure1", "--json")
         payload = json.loads(out)
@@ -120,14 +146,7 @@ class TestPolytope:
         assert "partition" in err
 
     def test_chain_order_with_partition(self, capsys, tmp_path):
-        doc = {
-            "name": "mixed",
-            "elements": ["a", "c", "p", "b"],
-            "covers": [["a", "c"], ["c", "p"], ["p", "b"]],
-            "marked": {"a": 0, "b": 2},
-            "partition": {"chain": ["c"], "order": ["p"]},
-        }
-        code, out, _ = run_cli(capsys, "polytope", write_doc(tmp_path, doc),
+        code, out, _ = run_cli(capsys, "polytope", write_doc(tmp_path, MIXED_DOC),
                                "--family", "chain-order", "--emit", "vertices")
         assert code == 0
         assert out.strip().splitlines() == ["0 0", "0 2", "2 2"]
@@ -204,6 +223,17 @@ class TestTwoLevel:
                                "--family", "order", "--method", "criterion")
         assert code == 1
         assert "regular" in err
+
+    def test_chain_order_criterion(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "two-level", write_doc(tmp_path, MIXED_DOC),
+                               "--family", "chain-order", "--method", "criterion")
+        assert code == 0
+        assert out == "criterion: true\n"
+        code, out, err = run_cli(capsys, "two-level", "--builtin", "figure1",
+                                 "--family", "chain-order", "--method", "criterion")
+        assert code == 2
+        assert out == ""
+        assert err == "error: family chain-order requires a partition\n"
 
 
 class TestEhrhart:
@@ -287,6 +317,21 @@ class TestWorkCap:
         code, _, err = run_cli(capsys, "ehrhart", "--builtin", "pm:4,1",
                                "--family", "order", "--method", "formula")
         assert code == 1
+
+    def test_env_cap_reaches_corpus_extension_stream(self, capsys, monkeypatch):
+        caps = []
+
+        def spy(mp, **kwargs):
+            caps.append(kwargs.get("extension_cap"))
+            return formula(mp, **kwargs)
+
+        formula = cli.ehrhart_formula_marked_order
+        monkeypatch.setattr(cli, "ehrhart_formula_marked_order", spy)
+        monkeypatch.setenv("MPP_WORK_CAP", "123456")
+        code, out, _ = run_cli(capsys, "corpus", "--seed", "1", "--trials", "2",
+                               "--max-unmarked", "2")
+        assert code == 0 and "2/2 pass" in out
+        assert caps == [123456, 123456]
 
 
 class TestUsage:

@@ -128,6 +128,13 @@ class TestEnumerateVertices:
         h = HRepresentation([], [])
         assert enumerate_vertices(h).vertices == ((),)
 
+    def test_inconsistent_equalities_raise(self):
+        square = hrep2(UNIT_SQUARE)
+        h = HRepresentation(["x", "y"], square.inequalities, [
+            LinearInequality({"x": 1, "y": 1}, 1), LinearInequality({"x": 1, "y": 1}, 0)])
+        with pytest.raises(EmptyPolytope, match="inconsistent equality"):
+            enumerate_vertices(h)
+
     def test_exact_rational_vertex(self):
         # x >= 0, y >= 0, 2x + 3y <= 1
         v = enumerate_vertices(hrep2([(-1, 0, 0), (0, -1, 0), (2, 3, 1)]))
@@ -225,6 +232,21 @@ class TestCountLatticePoints:
                 checked += 1
             except (EmptyPolytope, UnboundedPolytope, ValueError):
                 continue
+
+    def test_equality_segment(self):
+        # x + y = 1 with x, y >= 0: the n-th dilate holds n + 1 points
+        h = HRepresentation(
+            ["x", "y"], [LinearInequality({"x": -1}, 0), LinearInequality({"y": -1}, 0)],
+            [LinearInequality({"x": 1, "y": 1}, 1)])
+        assert [count_lattice_points(h, n) for n in range(4)] == [1, 2, 3, 4]
+
+    def test_zero_dimensional_space(self):
+        assert count_lattice_points(HRepresentation([], []), 3) == 1
+
+    def test_half_integral_point(self):
+        h = HRepresentation(["x"], [LinearInequality({"x": 2}, 1), LinearInequality({"x": -2}, -1)])
+        assert count_lattice_points(h, 1) == 0
+        assert count_lattice_points(h, 2) == 1
 
     def test_negative_dilation_rejected(self):
         with pytest.raises(ValueError):

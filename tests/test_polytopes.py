@@ -7,6 +7,7 @@ import pytest
 
 from markedposets import (
     ChainOrderPartition,
+    DimensionTooLarge,
     FacePartition,
     HRepresentation,
     LinearInequality,
@@ -24,6 +25,7 @@ from markedposets import (
     maximal_marked_chains,
     order_facets_combinatorial,
     order_vertices_combinatorial,
+    polytopes,
 )
 from markedposets.corpus import (
     all_chain_order_partitions,
@@ -285,6 +287,11 @@ class TestOrderVerticesCombinatorial:
             mp = random_marked_poset(rng, max_unmarked=6,
                                      min_unmarked=6 if trial < 5 else 1)
             assert order_vertices_combinatorial(mp) == enumerate_vertices(build_order_hrep(mp))
+
+    def test_node_cap(self, monkeypatch, diamond_02):
+        monkeypatch.setattr(polytopes, "DEFAULT_ASSIGNMENT_CAP", 3)
+        with pytest.raises(DimensionTooLarge, match="node cap"):
+            order_vertices_combinatorial(diamond_02)
 
     def test_vertices_have_no_free_blocks(self):
         rng = random.Random(22)

@@ -7,6 +7,7 @@ import pytest
 
 from markedposets import (
     ChainOrderPartition,
+    ChainTwoLevelResult,
     HRepresentation,
     LinearInequality,
     MarkedPoset,
@@ -127,6 +128,20 @@ class TestChainCriterion:
         assert result.two_level
         assert result.scaling == {"x": Fraction(1, 3), "y": Fraction(1, 3)}
 
+    @pytest.mark.parametrize("poset", [
+        Poset(["a", "b"], [("a", "b")]),
+        Poset(["a", "b", "c"], []),
+    ])
+    def test_no_unmarked_elements(self, poset):
+        mp = MarkedPoset(poset, {e: i for i, e in enumerate(poset.elements)})
+        assert chain_two_level_criterion(mp) == ChainTwoLevelResult(True, {})
+        assert is_two_level_direct(build_chain_hrep(mp)).two_level
+
+    def test_requires_strictness(self):
+        mp = MarkedPoset(Poset(["a", "x", "b"], [("a", "x"), ("x", "b")]), {"a": 1, "b": 1})
+        with pytest.raises(PreconditionViolated, match="requires a strict marking"):
+            chain_two_level_criterion(mp)
+
     def test_two_chain_counterexample(self):
         p = Poset(["a", "m", "b", "x", "y"],
                   [("a", "x"), ("x", "m"), ("x", "y"), ("y", "b")])
@@ -185,6 +200,12 @@ class TestChainOrderCriterion:
             part = ChainOrderPartition.of(mp, mp.unmarked)
             assert (chain_order_two_level_criterion(mp, part)
                     == chain_two_level_criterion(mp).two_level)
+
+    def test_requires_strictness(self):
+        mp = MarkedPoset(Poset(["a", "x", "b"], [("a", "x"), ("x", "b")]), {"a": 1, "b": 1})
+        part = ChainOrderPartition(frozenset({"x"}), frozenset())
+        with pytest.raises(PreconditionViolated, match="requires a strict marking"):
+            chain_order_two_level_criterion(mp, part)
 
     def test_triangle_example_agrees_with_direct(self):
         p = Poset(["a", "c", "p", "b"], [("a", "c"), ("c", "p"), ("p", "b")])
