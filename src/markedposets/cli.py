@@ -112,11 +112,6 @@ def _load(args) -> tuple[str, MarkedPoset, ChainOrderPartition | None]:
     return parse_document(data, fallback_name=os.path.basename(args.file))
 
 
-def _work_cap() -> int | None:
-    raw = os.environ.get("MPP_WORK_CAP")
-    return int(raw) if raw else None
-
-
 def format_hrep(h: HRepresentation) -> str:
     lines = ["coords " + " ".join(h.coordinates)]
     for ineq in h.inequalities:
@@ -182,9 +177,8 @@ def cmd_validate(args) -> int:
 def cmd_polytope(args) -> int:
     name, mp, partition = _load(args)
     h = _family_hrep(mp, partition, args.family)
-    cap = _work_cap()
     if args.emit == "vertices":
-        v = enumerate_vertices(h, cap)
+        v = enumerate_vertices(h)
         text = lambda: "\n".join(" ".join(str(x) for x in vert) for vert in v.vertices)
         result = {
             "coordinates": list(v.coordinates),
@@ -192,7 +186,7 @@ def cmd_polytope(args) -> int:
         }
     else:
         if args.emit == "facets":
-            h = irredundant(h, cap)
+            h = irredundant(h)
         text = lambda: format_hrep(h)
         result = _hrep_payload(h)
     payload = {"command": "polytope", "input": name,
@@ -203,13 +197,12 @@ def cmd_polytope(args) -> int:
 
 def cmd_two_level(args) -> int:
     name, mp, partition = _load(args)
-    cap = _work_cap()
     lines = []
     result: dict = {}
     direct = criterion = None
     if args.method in ("direct", "both"):
         h = _family_hrep(mp, partition, args.family)
-        outcome = is_two_level_direct(h, cap)
+        outcome = is_two_level_direct(h)
         direct = outcome.two_level
         lines.append(f"direct: {str(direct).lower()}")
         result["direct"] = direct
@@ -225,7 +218,7 @@ def cmd_two_level(args) -> int:
         if args.family == "order":
             criterion = order_two_level_criterion(mp)
         elif args.family == "chain":
-            chain_result = chain_two_level_criterion(mp, cap)
+            chain_result = chain_two_level_criterion(mp)
             criterion = chain_result.two_level
             if chain_result.scaling is not None:
                 scaling = " ".join(f"{c}={chain_result.scaling[c]}"
@@ -235,7 +228,7 @@ def cmd_two_level(args) -> int:
         else:
             if partition is None:
                 raise DocumentError("family chain-order requires a partition")
-            criterion = chain_order_two_level_criterion(mp, partition, cap)
+            criterion = chain_order_two_level_criterion(mp, partition)
         lines.append(f"criterion: {str(criterion).lower()}")
         result["criterion"] = criterion
     code = 0
@@ -252,12 +245,11 @@ def cmd_two_level(args) -> int:
 
 def cmd_ehrhart(args) -> int:
     name, mp, partition = _load(args)
-    cap = _work_cap()
     lines = []
     result: dict = {}
     formula_poly = count_poly = None
     if args.method in ("formula", "both"):
-        formula_poly = ehrhart_formula_marked_order(mp, extension_cap=cap)
+        formula_poly = ehrhart_formula_marked_order(mp)
         if args.family != "order":
             lines.append("note: formula computed on the order member; "
                          "the families share one Ehrhart polynomial")
@@ -265,7 +257,7 @@ def cmd_ehrhart(args) -> int:
         result["formula"] = [str(c) for c in formula_poly.coefficients]
     if args.method in ("count", "both"):
         h = _family_hrep(mp, partition, args.family)
-        count_poly = ehrhart_by_counting(h, cap)
+        count_poly = ehrhart_by_counting(h)
         lines.append(f"count: {count_poly}")
         result["count"] = [str(c) for c in count_poly.coefficients]
     code = 0
@@ -281,7 +273,10 @@ def cmd_ehrhart(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    cap = _work_cap()
+    if args.trials < 0:
+        raise ValueError(f"--trials must be at least 0, got {args.trials}")
+    if args.max_unmarked < 1:
+        raise ValueError(f"--max-unmarked must be at least 1, got {args.max_unmarked}")
     rng = random.Random(args.seed)
     lines = []
     trials = []
@@ -293,16 +288,15 @@ def cmd_corpus(args) -> int:
         chain_h = build_chain_hrep(mp)
         checks.append((
             "order-two-level",
-            is_two_level_direct(order_h, cap).two_level == order_two_level_criterion(mp),
+            is_two_level_direct(order_h).two_level == order_two_level_criterion(mp),
         ))
         checks.append((
             "chain-two-level",
-            is_two_level_direct(chain_h, cap).two_level
-            == chain_two_level_criterion(mp, cap).two_level,
+            is_two_level_direct(chain_h).two_level == chain_two_level_criterion(mp).two_level,
         ))
-        order_poly = ehrhart_by_counting(order_h, cap)
-        chain_poly = ehrhart_by_counting(chain_h, cap)
-        formula_poly = ehrhart_formula_marked_order(mp, extension_cap=cap)
+        order_poly = ehrhart_by_counting(order_h)
+        chain_poly = ehrhart_by_counting(chain_h)
+        formula_poly = ehrhart_formula_marked_order(mp)
         checks.append(("formula-vs-count", formula_poly == order_poly))
         checks.append(("order-chain-ehrhart", order_poly == chain_poly))
         ok = all(flag for _, flag in checks)
@@ -370,13 +364,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentError, json.JSONDecodeError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (MarkedPosetError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

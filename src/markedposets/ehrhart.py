@@ -26,6 +26,7 @@ from .geometry import (
     UnivariatePolynomial,
     affine_dimension,
     count_lattice_points,
+    _work_cap,
     enumerate_vertices,
     interpolate_polynomial,
     polynomial,
@@ -43,16 +44,16 @@ from .posets import (
 DEFAULT_EXTENSION_CAP = 10**6
 
 
-def ehrhart_by_counting(h: HRepresentation, work_cap: int | None = None) -> UnivariatePolynomial:
+def ehrhart_by_counting(h: HRepresentation) -> UnivariatePolynomial:
     """Count lattice points at dilations 0..dim, interpolate, verify at dim+1."""
-    v = enumerate_vertices(h, work_cap)
+    v = enumerate_vertices(h)
     for p in v.vertices:
         if any(x.denominator != 1 for x in p):
             raise NonIntegralVertices(f"vertex {p} is not integral")
     dim = affine_dimension(v)
-    points = [(n, count_lattice_points(h, n, work_cap)) for n in range(dim + 1)]
+    points = [(n, count_lattice_points(h, n)) for n in range(dim + 1)]
     poly = interpolate_polynomial(points)
-    probe = count_lattice_points(h, dim + 1, work_cap)
+    probe = count_lattice_points(h, dim + 1)
     if poly.evaluate(dim + 1) != probe:
         raise VerificationFailed(
             f"interpolated polynomial disagrees with the count at dilation {dim + 1}")
@@ -87,18 +88,18 @@ def restricted_linear_extensions(
     return linear_extensions(tie_poset, lab)
 
 
-def _capped_extensions(mp: MarkedPoset, labeling: Mapping[str, int] | None,
-                       cap: int | None) -> Iterator[ExtensionWord]:
-    """The restricted extensions; an ExtensionExplosion past ``cap`` (None: the default)."""
-    cap = DEFAULT_EXTENSION_CAP if cap is None else cap
+def _capped_extensions(mp: MarkedPoset, labeling: Mapping[str, int] | None) -> Iterator[ExtensionWord]:
+    """The restricted extensions; an ExtensionExplosion past the work cap."""
+    cap = _work_cap(DEFAULT_EXTENSION_CAP)
     for seen, ext in enumerate(restricted_linear_extensions(mp, labeling), 1):
         if seen > cap:
-            raise ExtensionExplosion(f"more than {cap} restricted linear extensions")
+            raise ExtensionExplosion(f"more than {cap} restricted linear extensions"
+                                     "; set MPP_WORK_CAP to raise it")
         yield ext
 
 
 def count_restricted_extensions(mp: MarkedPoset) -> int:
-    return sum(1 for _ in _capped_extensions(mp, None, None))
+    return sum(1 for _ in _capped_extensions(mp, None))
 
 
 def _segment_factor(delta: Fraction, descents: int, k: int) -> UnivariatePolynomial:
@@ -118,12 +119,11 @@ def _segment_factor(delta: Fraction, descents: int, k: int) -> UnivariatePolynom
 def ehrhart_formula_marked_order(
     mp: MarkedPoset,
     labeling: Mapping[str, int] | None = None,
-    extension_cap: int | None = None,
 ) -> UnivariatePolynomial:
     """The closed Ehrhart formula of the marked order polytope.
 
-    Streams the restricted linear extensions (ExtensionExplosion past
-    ``extension_cap`` of them; None means :data:`DEFAULT_EXTENSION_CAP`); each
+    Streams the restricted linear extensions (ExtensionExplosion past the
+    work cap, :data:`DEFAULT_EXTENSION_CAP` unless ``MPP_WORK_CAP`` is set); each
     extension contributes the product, over its maximal unmarked segments
     between consecutive marked elements a and b (k elements, d descents
     counted from a's position up to just before b's), of
@@ -134,7 +134,7 @@ def ehrhart_formula_marked_order(
         raise PreconditionViolated("the closed formula needs an integral marking")
 
     total = ZERO_POLYNOMIAL
-    for ext in _capped_extensions(mp, labeling, extension_cap):
+    for ext in _capped_extensions(mp, labeling):
         marked_at = [i for i, e in enumerate(ext.word) if e in mp.marked]
         term = ONE_POLYNOMIAL
         for s, t in zip(marked_at, marked_at[1:]):

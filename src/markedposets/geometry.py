@@ -11,6 +11,7 @@ run fraction-free on integer rows; rationals appear only at solution time.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -24,6 +25,15 @@ from .errors import (
 DEFAULT_SUBSET_CAP = 10**7
 
 Point = tuple[Fraction, ...]
+
+
+def _work_cap(default: int) -> int:
+    """``MPP_WORK_CAP`` when set and non-empty, else ``default``; every cap check reads it anew."""
+    raw = os.environ.get("MPP_WORK_CAP") or str(default)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"MPP_WORK_CAP must be an integer, got {raw!r}") from None
 
 
 class LinearInequality:
@@ -294,7 +304,7 @@ def _interval_bound_certificate(h: HRepresentation) -> bool:
 
 
 def _walk_subsets(
-    ech: _IntEchelon, rows: list[list[int]], target: int, cap: int, visit: Callable[[], bool | None]
+    ech: _IntEchelon, rows: list[list[int]], target: int, visit: Callable[[], bool | None]
 ) -> bool:
     """Call ``visit`` once per subset of ``rows`` that raises ``ech`` to rank ``target``.
 
@@ -303,8 +313,10 @@ def _walk_subsets(
     returns True.
     """
     need = target - ech.rank
+    cap = _work_cap(DEFAULT_SUBSET_CAP)
     if math.comb(len(rows), need) > cap:
-        raise DimensionTooLarge(f"C({len(rows)}, {need}) candidate subsets exceed the work cap {cap}")
+        raise DimensionTooLarge(f"C({len(rows)}, {need}) candidate subsets exceed the work cap {cap}"
+                                "; set MPP_WORK_CAP to raise it")
 
     def dfs(start: int) -> bool:
         if ech.rank == target:
@@ -319,7 +331,7 @@ def _walk_subsets(
     return dfs(0)
 
 
-def _reject_unbounded_by_rays(h: HRepresentation, cap: int) -> None:
+def _reject_unbounded_by_rays(h: HRepresentation) -> None:
     """Complete boundedness check for inputs the interval pass cannot certify.
 
     Detects a recession direction by enumerating candidate extreme rays of the
@@ -348,29 +360,28 @@ def _reject_unbounded_by_rays(h: HRepresentation, cap: int) -> None:
         v = ech.null_direction()
         return is_ray(v) or is_ray([-x for x in v])
 
-    if ech.rank < d and _walk_subsets(ech, ineq_vecs, d - 1, cap, found):
+    if ech.rank < d and _walk_subsets(ech, ineq_vecs, d - 1, found):
         raise UnboundedPolytope("recession direction found")
 
 
-def enumerate_vertices(h: HRepresentation, work_cap: int | None = None) -> VRepresentation:
+def enumerate_vertices(h: HRepresentation) -> VRepresentation:
     """All vertices, exactly: solve every independent constraint subset and filter.
 
-    Raises UnboundedPolytope / EmptyPolytope / DimensionTooLarge per the
-    contract; results are cached on the representation.
+    Raises UnboundedPolytope / EmptyPolytope / DimensionTooLarge (past the
+    work cap) per the contract; results are cached on the representation.
     """
     if h._vertex_cache is not None:
         return h._vertex_cache
-    cap = DEFAULT_SUBSET_CAP if work_cap is None else work_cap
     d = len(h.coordinates)
     if not _interval_bound_certificate(h):
-        _reject_unbounded_by_rays(h, cap)
+        _reject_unbounded_by_rays(h)
 
     ineq_rows = [_int_row(h, i) for i in h.inequalities]
     eq_rows = [_int_row(h, e) for e in h.equalities]
     ech = _IntEchelon(d)
     _seed_equalities(ech, eq_rows)
     candidates: set[Point] = set()
-    _walk_subsets(ech, ineq_rows, d, cap, lambda: candidates.add(ech.solve()))
+    _walk_subsets(ech, ineq_rows, d, lambda: candidates.add(ech.solve()))
 
     def satisfies(x: Point) -> bool:
         for row in ineq_rows:
@@ -423,14 +434,14 @@ def evaluate_affine_values(v: VRepresentation, ineq: LinearInequality) -> tuple[
 
 
 def classify_inequalities(
-    h: HRepresentation, work_cap: int | None = None
+    h: HRepresentation
 ) -> tuple[VRepresentation, int, list[LinearInequality], list[LinearInequality]]:
     """Split inequalities into facets and implicit equalities via tight-vertex dimension.
 
     Returns (vertices, polytope dimension, facet inequalities, inequalities
     tight on every vertex).  Inequalities in neither list are redundant.
     """
-    v = enumerate_vertices(h, work_cap)
+    v = enumerate_vertices(h)
     dim = affine_dimension(v)
     facets: list[LinearInequality] = []
     implicit: list[LinearInequality] = []
@@ -444,14 +455,14 @@ def classify_inequalities(
     return v, dim, facets, implicit
 
 
-def irredundant(h: HRepresentation, work_cap: int | None = None) -> HRepresentation:
+def irredundant(h: HRepresentation) -> HRepresentation:
     """Keep exactly the facet-defining inequalities.
 
     Inequalities tight on every vertex describe the polytope's affine hull;
     they are moved to the equality list (only possible for degenerate input)
     so the returned representation describes the same point set.
     """
-    _, _, facets, implicit = classify_inequalities(h, work_cap)
+    _, _, facets, implicit = classify_inequalities(h)
     return HRepresentation(h.coordinates, facets, list(h.equalities) + implicit)
 
 
@@ -462,7 +473,7 @@ def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
-def count_lattice_points(h: HRepresentation, dilation: int, work_cap: int | None = None) -> int:
+def count_lattice_points(h: HRepresentation, dilation: int) -> int:
     """Exact number of integer points in the dilated polytope.
 
     Counts by recursing over the declared coordinate order; at each prefix the
@@ -473,7 +484,7 @@ def count_lattice_points(h: HRepresentation, dilation: int, work_cap: int | None
     """
     if dilation < 0:
         raise ValueError("dilation must be nonnegative")
-    v = enumerate_vertices(h, work_cap)
+    v = enumerate_vertices(h)
     if dilation == 0:
         return 1
     d = len(h.coordinates)

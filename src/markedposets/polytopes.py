@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import DimensionTooLarge, InfeasibleMarking, PointOutsidePolytope
-from .geometry import HRepresentation, LinearInequality, VRepresentation, contains
+from .geometry import HRepresentation, LinearInequality, VRepresentation, _work_cap, contains
 from .posets import (
     ChainOrderPartition,
     MarkedPoset,
@@ -167,7 +167,8 @@ def order_vertices_combinatorial(mp: MarkedPoset) -> VRepresentation:
     Searches order-preserving assignments of marking values to the unmarked
     elements, depth-first in a linear-extension order so every cover is
     checked as soon as both endpoints have values; an assignment is a vertex
-    exactly when its face partition has no free block.
+    exactly when its face partition has no free block.  More nodes than the
+    work cap raise DimensionTooLarge.
     """
     require_strict_regular(mp, "order_vertices_combinatorial")
     poset = mp.poset
@@ -176,6 +177,7 @@ def order_vertices_combinatorial(mp: MarkedPoset) -> VRepresentation:
     assignment: dict[str, Fraction] = {}
     vertices: list[tuple[Fraction, ...]] = []
     nodes = 0
+    cap = _work_cap(DEFAULT_ASSIGNMENT_CAP)
 
     def feasible(e: str, v: Fraction) -> bool:
         for p in poset.lower_covers(e):
@@ -190,8 +192,9 @@ def order_vertices_combinatorial(mp: MarkedPoset) -> VRepresentation:
     def rec(i: int) -> None:
         nonlocal nodes
         nodes += 1
-        if nodes > DEFAULT_ASSIGNMENT_CAP:
-            raise DimensionTooLarge("assignment search exceeds the node cap")
+        if nodes > cap:
+            raise DimensionTooLarge(f"assignment search exceeds the node cap {cap}"
+                                    "; set MPP_WORK_CAP to raise it")
         if i == len(order):
             point = {p: assignment[p] for p in mp.unmarked}
             fp = face_partition_of_point(mp, point)

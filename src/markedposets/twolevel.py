@@ -44,13 +44,13 @@ class TwoLevelResult:
     witness: TwoLevelWitness | None = None
 
 
-def is_two_level_direct(h: HRepresentation, work_cap: int | None = None) -> TwoLevelResult:
+def is_two_level_direct(h: HRepresentation) -> TwoLevelResult:
     """Check every facet functional for at most two distinct vertex values.
 
     The witness, when present, is the first violating facet in the canonical
     inequality order together with its distinct value set.
     """
-    v, _, facets, _ = classify_inequalities(h, work_cap)
+    v, _, facets, _ = classify_inequalities(h)
     for facet in facets:
         values = tuple(sorted(set(evaluate_affine_values(v, facet))))
         if len(values) > 2:
@@ -92,7 +92,7 @@ class ChainTwoLevelResult:
     scaling: dict[str, Fraction] | None = None
 
 
-def _chain_spans(h: HRepresentation, chain: Iterable[str], work_cap: int | None) -> dict[str, Fraction] | None:
+def _chain_spans(h: HRepresentation, chain: Iterable[str]) -> dict[str, Fraction] | None:
     """``{coordinate: c}`` when the facets through ``chain`` have the chain-polytope shape, else None.
 
     Each coordinate in ``chain`` must take exactly the values {0, c} on the
@@ -100,7 +100,7 @@ def _chain_spans(h: HRepresentation, chain: Iterable[str], work_cap: int | None)
     its chain coordinates, take at most two values on the vertices, and have
     rhs - min = gap.
     """
-    v = enumerate_vertices(h, work_cap)
+    v = enumerate_vertices(h)
     span: dict[str, Fraction] = {}
     for c in chain:
         j = v.coordinates.index(c)
@@ -108,7 +108,7 @@ def _chain_spans(h: HRepresentation, chain: Iterable[str], work_cap: int | None)
         if len(values) != 2 or values[0] != 0:
             return None
         span[c] = values[1]
-    _, _, facets, _ = classify_inequalities(h, work_cap)
+    _, _, facets, _ = classify_inequalities(h)
     for facet in facets:
         gaps = {abs(a) * span[c] for c, a in facet.coeffs.items() if c in span}
         if not gaps:
@@ -121,9 +121,7 @@ def _chain_spans(h: HRepresentation, chain: Iterable[str], work_cap: int | None)
     return span
 
 
-def chain_two_level_criterion(
-    mp: MarkedPoset, work_cap: int | None = None
-) -> ChainTwoLevelResult:
+def chain_two_level_criterion(mp: MarkedPoset) -> ChainTwoLevelResult:
     """2-levelness of the marked chain polytope via the normalizing scaling.
 
     Every coordinate must take exactly the values {0, c_p} on the vertex set;
@@ -144,17 +142,13 @@ def chain_two_level_criterion(
     # origin is a vertex, so every chain-sum facet has minimum 0 on the
     # vertices.  A facet scaled by the spans is then -y <= 0 or sum(y) <= 1
     # exactly when it has one gap c and rhs - min = c.
-    span = _chain_spans(h, h.coordinates, work_cap)
+    span = _chain_spans(h, h.coordinates)
     if span is None:
         return ChainTwoLevelResult(False, None)
     return ChainTwoLevelResult(True, {p: 1 / c for p, c in span.items()})
 
 
-def chain_order_two_level_criterion(
-    mp: MarkedPoset,
-    part: ChainOrderPartition,
-    work_cap: int | None = None,
-) -> bool:
+def chain_order_two_level_criterion(mp: MarkedPoset, part: ChainOrderPartition) -> bool:
     """2-levelness of the marked chain-order polytope.
 
     Two conditions: (a) the marked order polytope restricted to the non-chain
@@ -172,4 +166,4 @@ def chain_order_two_level_criterion(
         return False
     if not part.chain:
         return True
-    return _chain_spans(build_chain_order_hrep(mp, part), sorted(part.chain), work_cap) is not None
+    return _chain_spans(build_chain_order_hrep(mp, part), sorted(part.chain)) is not None

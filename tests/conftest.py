@@ -8,6 +8,12 @@ from markedposets import MarkedPoset, Poset
 from markedposets.gallery import crossing_chains, diamond, fenced_chain
 
 
+@pytest.fixture(autouse=True)
+def _no_work_cap_override(monkeypatch):
+    """Keep an ``MPP_WORK_CAP`` exported in the calling shell out of every test."""
+    monkeypatch.delenv("MPP_WORK_CAP", raising=False)
+
+
 @pytest.fixture
 def segment():
     """a(0) < x < b(1): the unit segment as a marked order polytope."""

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from markedposets import MarkedPoset, Poset, cli, enumerate_vertices
+from markedposets import MarkedPoset, Poset, ehrhart, enumerate_vertices
 from markedposets.cli import DocumentError, format_hrep, main
 from markedposets.geometry import HRepresentation, LinearInequality
 from markedposets.polytopes import build_chain_hrep, build_order_hrep
@@ -110,12 +110,25 @@ class TestValidate:
          "chain and order parts overlap"),
         (dict(SEGMENT_DOC, partition={"chain": []}),
          "partition does not cover the unmarked elements"),
+        (dict(SEGMENT_DOC, covers=[["a", "x"], ["x", "z"]]),
+         "cover ('x', 'z') references unknown element"),
+        (dict(SEGMENT_DOC, covers=[["a", "x"], ["x", "x"], ["x", "b"]]),
+         "cover ('x', 'x') is a loop"),
+        (dict(SEGMENT_DOC, marked={"a": 0, "b": 1, "z": 2}),
+         "marked element 'z' is not in the poset"),
+        (dict(SEGMENT_DOC, marked={"b": 1}), "minimal element 'a' must be marked"),
     ])
     def test_document_error_is_usage_error(self, capsys, tmp_path, doc, message):
         code, out, err = run_cli(capsys, "validate", write_doc(tmp_path, doc))
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_directory_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "validate", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_json_mode(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--builtin", "figure1", "--json")
@@ -168,6 +181,13 @@ class TestPolytope:
         mp = MarkedPoset(Poset(["a", "b", "x"], [("a", "x"), ("x", "b")]), {"a": 0, "b": 1})
         reparsed = parse_hrep_text(out)
         assert enumerate_vertices(reparsed) == enumerate_vertices(build_chain_hrep(mp))
+
+    def test_equalities_in_text(self, capsys):
+        # a chain member with equal marks pins both unmarked coordinates to 0
+        code, out, _ = run_cli(capsys, "polytope", "--builtin", "diamond:1,1",
+                               "--family", "chain", "--emit", "facets")
+        assert code == 0
+        assert out.splitlines() == ["coords x y", "eq 0 1 == 0", "eq 1 0 == 0"]
 
     def test_format_parse_identity(self, figure_one):
         for h in (build_chain_hrep(figure_one), build_order_hrep(figure_one)):
@@ -293,6 +313,16 @@ class TestCorpus:
         assert code == 0
         assert "5/5 pass" in out
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trials", "-1", "--trials must be at least 0, got -1"),
+        ("--max-unmarked", "0", "--max-unmarked must be at least 1, got 0"),
+    ])
+    def test_out_of_range_count_is_usage_error(self, capsys, flag, value, message):
+        code, out, err = run_cli(capsys, "corpus", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_zero_trials_vacuous(self, capsys):
         code, out, _ = run_cli(capsys, "corpus", "--trials", "0")
         assert code == 0
@@ -311,27 +341,44 @@ class TestWorkCap:
                                "--family", "chain", "--emit", "vertices")
         assert code == 1
         assert "cap" in err
+        assert err.endswith("exceed the work cap 1; set MPP_WORK_CAP to raise it\n")
 
     def test_env_cap_limits_extension_stream(self, capsys, monkeypatch):
         monkeypatch.setenv("MPP_WORK_CAP", "1")
         code, _, err = run_cli(capsys, "ehrhart", "--builtin", "pm:4,1",
                                "--family", "order", "--method", "formula")
         assert code == 1
+        assert err == ("error: more than 1 restricted linear extensions"
+                       "; set MPP_WORK_CAP to raise it\n")
 
     def test_env_cap_reaches_corpus_extension_stream(self, capsys, monkeypatch):
         caps = []
 
-        def spy(mp, **kwargs):
-            caps.append(kwargs.get("extension_cap"))
-            return formula(mp, **kwargs)
+        def spy(default):
+            caps.append(work_cap(default))
+            return caps[-1]
 
-        formula = cli.ehrhart_formula_marked_order
-        monkeypatch.setattr(cli, "ehrhart_formula_marked_order", spy)
+        work_cap = ehrhart._work_cap
+        monkeypatch.setattr(ehrhart, "_work_cap", spy)
         monkeypatch.setenv("MPP_WORK_CAP", "123456")
         code, out, _ = run_cli(capsys, "corpus", "--seed", "1", "--trials", "2",
                                "--max-unmarked", "2")
         assert code == 0 and "2/2 pass" in out
         assert caps == [123456, 123456]
+
+    def test_malformed_env_cap_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("MPP_WORK_CAP", "lots")
+        code, out, err = run_cli(capsys, "polytope", "--builtin", "figure1",
+                                 "--family", "chain", "--emit", "vertices")
+        assert code == 2
+        assert out == ""
+        assert err == "error: MPP_WORK_CAP must be an integer, got 'lots'\n"
+
+    def test_malformed_env_cap_unread_without_enumeration(self, capsys, monkeypatch):
+        monkeypatch.setenv("MPP_WORK_CAP", "lots")
+        code, out, _ = run_cli(capsys, "polytope", "--builtin", "figure1",
+                               "--family", "chain", "--emit", "hrep")
+        assert code == 0 and out.startswith("coords ")
 
 
 class TestUsage:
@@ -343,6 +390,11 @@ class TestUsage:
     def test_unknown_builtin(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--builtin", "nonsense")
         assert code == 2
+
+    def test_builtin_rejecting_its_arguments(self, capsys):
+        code, out, err = run_cli(capsys, "validate", "--builtin", "pm:2,1")
+        assert code == 2
+        assert out == "" and err == "error: family needs m >= 3\n"
 
     def test_no_input(self, capsys):
         code, _, err = run_cli(capsys, "validate")

@@ -75,12 +75,15 @@ class TestFormula:
         assert ehrhart_formula_marked_order(diamond_02) == ehrhart_by_counting(
             build_order_hrep(diamond_02))
 
-    def test_extension_cap_counts_words(self):
+    def test_extension_cap_counts_words(self, monkeypatch):
         # pm(4, 1) streams exactly 4 restricted extensions
         mp = pm_family(4, 1)
-        assert ehrhart_formula_marked_order(mp, extension_cap=4) == pm_closed_form(4, 1)
-        with pytest.raises(ExtensionExplosion, match="more than 3 restricted linear extensions"):
-            ehrhart_formula_marked_order(mp, extension_cap=3)
+        monkeypatch.setenv("MPP_WORK_CAP", "4")
+        assert ehrhart_formula_marked_order(mp) == pm_closed_form(4, 1)
+        monkeypatch.setenv("MPP_WORK_CAP", "3")
+        with pytest.raises(ExtensionExplosion, match="more than 3 restricted linear extensions"
+                                                     "; set MPP_WORK_CAP to raise it"):
+            ehrhart_formula_marked_order(mp)
 
     def test_requires_strict_regular(self):
         p = Poset(["a", "b"], [("a", "b")])

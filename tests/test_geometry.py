@@ -97,11 +97,12 @@ class TestEnumerateVertices:
         with pytest.raises(EmptyPolytope):
             enumerate_vertices(hrep2([(1, 0, 0), (-1, 0, -1), (0, 1, 1), (0, -1, 0)]))
 
-    def test_work_cap(self):
-        with pytest.raises(DimensionTooLarge):
-            enumerate_vertices(hrep2(TRAPEZOID), work_cap=2)
+    def test_work_cap(self, monkeypatch):
+        monkeypatch.setenv("MPP_WORK_CAP", "2")
+        with pytest.raises(DimensionTooLarge, match="set MPP_WORK_CAP to raise it"):
+            enumerate_vertices(hrep2(TRAPEZOID))
 
-    def test_ray_walk_bounds_tetrahedron(self):
+    def test_ray_walk_bounds_tetrahedron(self, monkeypatch):
         # no single row bounds a coordinate, so the interval pass certifies nothing
         h = HRepresentation(["x", "y", "z"], [
             LinearInequality({"x": 1, "y": 1, "z": 1}, 2),
@@ -110,9 +111,11 @@ class TestEnumerateVertices:
             LinearInequality({"x": -1, "y": -1, "z": 1}, 0),
         ])
         # the ray walk tries C(4, 2) = 6 subsets, the vertex walk only C(4, 3) = 4
+        monkeypatch.setenv("MPP_WORK_CAP", "5")
         with pytest.raises(DimensionTooLarge, match=r"C\(4, 2\)"):
-            enumerate_vertices(h, work_cap=5)
-        assert enumerate_vertices(h, work_cap=6).vertices == (
+            enumerate_vertices(h)
+        monkeypatch.setenv("MPP_WORK_CAP", "6")
+        assert enumerate_vertices(h).vertices == (
             (0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
 
     def test_equalities(self):
@@ -311,6 +314,10 @@ class TestNormalization:
         h = HRepresentation(
             ["x"], [LinearInequality({"x": 2}, 2), LinearInequality({"x": 1}, 1)])
         assert len(h.inequalities) == 1
+
+    def test_duplicate_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="duplicate coordinate ids"):
+            HRepresentation(["x", "y", "x"], [])
 
     def test_unknown_coordinate_rejected(self):
         with pytest.raises(ValueError):

@@ -293,6 +293,15 @@ class TestOrderVerticesCombinatorial:
         with pytest.raises(DimensionTooLarge, match="node cap"):
             order_vertices_combinatorial(diamond_02)
 
+    def test_env_cap_reaches_assignment_search(self, monkeypatch, diamond_02):
+        # the diamond's search visits 7 nodes: the root, 2 values of the
+        # first element, then 2 of the second under each
+        monkeypatch.setenv("MPP_WORK_CAP", "7")
+        assert len(order_vertices_combinatorial(diamond_02)) == 4
+        monkeypatch.setenv("MPP_WORK_CAP", "6")
+        with pytest.raises(DimensionTooLarge, match="node cap 6; set MPP_WORK_CAP to raise it"):
+            order_vertices_combinatorial(diamond_02)
+
     def test_vertices_have_no_free_blocks(self):
         rng = random.Random(22)
         for _ in range(8):

@@ -77,6 +77,14 @@ class TestPoset:
         with pytest.raises(ValueError, match="cycle"):
             Poset.from_relations(["a", "b", "c"], relations)
 
+    @pytest.mark.parametrize("relations, message", [
+        ([("a", "b"), ("b", "z")], r"relation \('b', 'z'\) references unknown element"),
+        ([("a", "b"), ("b", "b")], r"relation \('b', 'b'\) is a loop"),
+    ])
+    def test_from_relations_rejects_bad_relation(self, relations, message):
+        with pytest.raises(ValueError, match=message):
+            Poset.from_relations(["a", "b", "c"], relations)
+
     def test_leq_chain(self):
         p = Poset(["a", "x", "b"], [("a", "x"), ("x", "b")])
         assert p.leq("a", "b")
