@@ -89,15 +89,26 @@ def parse_document(data: object, fallback_name: str = "poset"):
     return name, mp, partition
 
 
+def _builtin_pair(request: str, form: str) -> tuple[int, int]:
+    """The two integers after the colon of ``request``, whose form is ``kind:form``."""
+    kind, _, args = request.partition(":")
+    try:
+        first, second = (int(v) for v in args.split(","))
+    except ValueError:
+        raise DocumentError(f"builtin {request!r} must have the form {kind}:{form}"
+                            " with two integers") from None
+    return first, second
+
+
 def _builtin(request: str):
     kind, _, args = request.partition(":")
     if kind == "figure1":
         return "figure1", gallery.crossing_chains(), None
     if kind == "diamond":
-        lo, hi = (int(v) for v in args.split(",")) if args else (0, 2)
+        lo, hi = _builtin_pair(request, "lo,hi") if args else (0, 2)
         return f"diamond:{lo},{hi}", gallery.diamond(lo, hi), None
     if kind == "pm":
-        m, c = (int(v) for v in args.split(","))
+        m, c = _builtin_pair(request, "m,c")
         return f"pm:{m},{c}", pm_family(m, c), None
     raise DocumentError(f"unknown builtin {request!r}")
 

@@ -3,14 +3,19 @@
 Two independent routes: exact lattice-point counting plus interpolation, and
 a closed formula that sums, over the linear extensions of the mark-augmented
 poset, products of binomial polynomials read off each extension's descent
-pattern between consecutive marked elements.  The two routes are held equal
-on every corpus instance by the test suite.
+pattern between consecutive marked elements.  The formula groups the
+extensions by the multiset of their segments (mark gap, descents, length),
+so each distinct product is expanded once and scaled by how many extensions
+share it.  The two routes are held equal on every corpus instance by the
+test suite.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 from typing import Iterator, Mapping
 
 from .errors import (
@@ -102,18 +107,24 @@ def count_restricted_extensions(mp: MarkedPoset) -> int:
     return sum(1 for _ in _capped_extensions(mp, None))
 
 
-def _segment_factor(delta: Fraction, descents: int, k: int) -> UnivariatePolynomial:
-    """The polynomial C(n*delta - descents + k, k) expanded in n."""
+def _segment_factor(delta: int, descents: int, k: int) -> UnivariatePolynomial:
+    """The polynomial C(n*delta - descents + k, k) expanded in n.
+
+    The product of the k linear factors n*delta + k - descents - j is expanded
+    with integer coefficients; the division by k! comes once, at the end.
+    """
     if k == 0:
         if descents:
             raise VerificationFailed("descent between adjacent marked elements")
         return ONE_POLYNOMIAL
     if descents > k:
         raise VerificationFailed("segment descent count exceeds its length")
-    result = ONE_POLYNOMIAL
+    coeffs = [1]
     for j in range(k):
-        result = result * polynomial([k - descents - j, delta])
-    return result * Fraction(1, math.factorial(k))
+        shift = k - descents - j
+        coeffs = [shift * a + delta * b for a, b in zip(coeffs + [0], [0, *coeffs])]
+    denominator = math.factorial(k)
+    return UnivariatePolynomial(tuple(Fraction(c, denominator) for c in coeffs))
 
 
 def ehrhart_formula_marked_order(
@@ -128,19 +139,29 @@ def ehrhart_formula_marked_order(
     between consecutive marked elements a and b (k elements, d descents
     counted from a's position up to just before b's), of
     C(n*(mark(b) - mark(a)) - d + k, k).
+
+    The product depends only on the multiset of (mark(b) - mark(a), d, k)
+    triples, the word's signature.  The stream counts the words of each
+    signature; each distinct signature is multiplied out once and scaled by
+    its count, and each distinct triple is expanded once.
     """
     require_strict_regular(mp, "ehrhart_formula_marked_order")
     if not mp.is_integral():
         raise PreconditionViolated("the closed formula needs an integral marking")
 
-    total = ZERO_POLYNOMIAL
+    marks = {a: int(v) for a, v in mp.marking.items()}
+    signatures: Counter[tuple[tuple[int, int, int], ...]] = Counter()
     for ext in _capped_extensions(mp, labeling):
-        marked_at = [i for i, e in enumerate(ext.word) if e in mp.marked]
-        term = ONE_POLYNOMIAL
-        for s, t in zip(marked_at, marked_at[1:]):
-            delta = mp.value(ext.word[t]) - mp.value(ext.word[s])
-            descents = ext.segment_descents(s, t)
-            term = term * _segment_factor(delta, descents, t - s - 1)
+        marked_at = [i for i, e in enumerate(ext.word) if e in marks]
+        signatures[tuple(sorted(
+            (marks[ext.word[t]] - marks[ext.word[s]], ext.segment_descents(s, t), t - s - 1)
+            for s, t in zip(marked_at, marked_at[1:])))] += 1
+    factor = cache(_segment_factor)
+    total = ZERO_POLYNOMIAL
+    for signature, words in signatures.items():
+        term = polynomial([words])
+        for triple in signature:
+            term = term * factor(*triple)
         total = total + term
     return total
 

@@ -31,9 +31,12 @@ def _work_cap(default: int) -> int:
     """``MPP_WORK_CAP`` when set and non-empty, else ``default``; every cap check reads it anew."""
     raw = os.environ.get("MPP_WORK_CAP") or str(default)
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"MPP_WORK_CAP must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"MPP_WORK_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 class LinearInequality:

@@ -367,29 +367,37 @@ def linear_extensions(poset: Poset, labeling: Mapping[str, int] | None = None) -
         labeling = canonical_labeling(poset)
     else:
         check_natural_labeling(poset, labeling)
+    key = labeling.__getitem__
     indeg = {e: len(poset.lower_covers(e)) for e in poset.elements}
     word: list[str] = []
     prefix: list[int] = []
-
-    def rec(available: list[str]) -> Iterator[ExtensionWord]:
+    # levels[i] lists, sorted by label, the elements available after i letters;
+    # chosen[i] counts how many of them have been tried as letter i + 1.
+    levels = [sorted((e for e in poset.elements if indeg[e] == 0), key=key)]
+    chosen = [0]
+    while levels:
+        if len(word) == len(levels):  # the level above is exhausted: take back this level's letter
+            prefix.pop()
+            for q in poset.upper_covers(word.pop()):
+                indeg[q] += 1
+        available, i = levels[-1], chosen[-1]
         if not available:
             yield ExtensionWord(tuple(word), tuple(prefix))
-            return
-        for i, e in enumerate(available):
-            released = []
-            for q in poset.upper_covers(e):
-                indeg[q] -= 1
-                if indeg[q] == 0:
-                    released.append(q)
-            prefix.append(prefix[-1] + (labeling[word[-1]] > labeling[e]) if word else 0)
-            word.append(e)
-            yield from rec(sorted(available[:i] + available[i + 1:] + released, key=labeling.__getitem__))
-            word.pop()
-            prefix.pop()
-            for q in poset.upper_covers(e):
-                indeg[q] += 1
-
-    yield from rec(sorted((e for e in poset.elements if indeg[e] == 0), key=labeling.__getitem__))
+        if i == len(available):
+            levels.pop()
+            chosen.pop()
+            continue
+        chosen[-1] = i + 1
+        e = available[i]
+        released = []
+        for q in poset.upper_covers(e):
+            indeg[q] -= 1
+            if indeg[q] == 0:
+                released.append(q)
+        prefix.append(prefix[-1] + (key(word[-1]) > key(e)) if word else 0)
+        word.append(e)
+        levels.append(sorted(available[:i] + available[i + 1:] + released, key=key))
+        chosen.append(0)
 
 
 def induced_subposet(poset: Poset, keep: Iterable[str]) -> Poset:

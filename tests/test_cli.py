@@ -1,12 +1,13 @@
 """CLI surface: exit codes, canonical output, determinism, round-trips."""
 
 import json
+import math
 import sys
 from fractions import Fraction
 
 import pytest
 
-from markedposets import MarkedPoset, Poset, ehrhart, enumerate_vertices
+from markedposets import MarkedPoset, Poset, cli, ehrhart, enumerate_vertices, polynomial
 from markedposets.cli import DocumentError, format_hrep, main
 from markedposets.geometry import HRepresentation, LinearInequality
 from markedposets.polytopes import build_chain_hrep, build_order_hrep
@@ -290,20 +291,35 @@ class TestEhrhart:
                                "--family", "order", "--method", "count")
         assert code == 2
 
-    def test_recursion_limit_is_one_error_line(self, capsys, tmp_path):
-        # the extension walk still recurses once per element; a chain deeper
-        # than the recursion limit must end in an error line, not a traceback
-        n = 1200
-        assert n > sys.getrecursionlimit()
-        elements = [f"e{i:04d}" for i in range(n)]
-        doc = {"name": "long", "elements": elements,
-               "covers": [[p, q] for p, q in zip(elements, elements[1:])],
-               "marked": {elements[0]: 0, elements[-1]: 1}}
-        code, out, err = run_cli(capsys, "ehrhart", write_doc(tmp_path, doc),
+    def test_recursion_limit_is_one_error_line(self, capsys, monkeypatch):
+        # a route that still recurses once per element must end in an error
+        # line, not a traceback, when its input is deeper than the limit
+        def deep(mp, depth=0):
+            return deep(mp, depth + 1)
+
+        monkeypatch.setattr(cli, "ehrhart_formula_marked_order", deep)
+        code, out, err = run_cli(capsys, "ehrhart", "--builtin", "pm:3,1",
                                  "--family", "order", "--method", "formula")
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
+
+    def test_chain_longer_than_recursion_limit(self, capsys, tmp_path):
+        # one word with one segment of k letters and no descents: C(n + k, k)
+        k = 1200
+        assert k > sys.getrecursionlimit()
+        elements = ["a", *(f"x{i:04d}" for i in range(k)), "b"]
+        doc = {"name": "long", "elements": elements,
+               "covers": [[p, q] for p, q in zip(elements, elements[1:])],
+               "marked": {"a": 0, "b": 1}}
+        code, out, _ = run_cli(capsys, "ehrhart", write_doc(tmp_path, doc),
+                               "--family", "order", "--method", "formula", "--json")
+        assert code == 0
+        formula = polynomial(Fraction(c) for c in json.loads(out)["result"]["formula"])
+        assert formula.degree == k
+        assert formula.coefficients[-1] == Fraction(1, math.factorial(k))
+        for n in (0, 1, 2, 7):
+            assert formula.evaluate(n) == math.comb(n + k, k)
 
 
 class TestCorpus:
@@ -374,6 +390,15 @@ class TestWorkCap:
         assert out == ""
         assert err == "error: MPP_WORK_CAP must be an integer, got 'lots'\n"
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_non_positive_env_cap_is_usage_error(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("MPP_WORK_CAP", cap)
+        code, out, err = run_cli(capsys, "polytope", "--builtin", "figure1",
+                                 "--family", "chain", "--emit", "vertices")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: MPP_WORK_CAP must be a positive integer, got '{cap}'\n"
+
     def test_malformed_env_cap_unread_without_enumeration(self, capsys, monkeypatch):
         monkeypatch.setenv("MPP_WORK_CAP", "lots")
         code, out, _ = run_cli(capsys, "polytope", "--builtin", "figure1",
@@ -399,3 +424,14 @@ class TestUsage:
     def test_no_input(self, capsys):
         code, _, err = run_cli(capsys, "validate")
         assert code == 2
+
+    @pytest.mark.parametrize("builtin, form", [
+        ("diamond:1", "diamond:lo,hi"),
+        ("diamond:a,b", "diamond:lo,hi"),
+        ("pm:3", "pm:m,c"),
+    ])
+    def test_malformed_builtin_arguments(self, capsys, builtin, form):
+        code, out, err = run_cli(capsys, "validate", "--builtin", builtin)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: builtin '{builtin}' must have the form {form} with two integers\n"

@@ -1,9 +1,17 @@
 """Ehrhart polynomials: the counting oracle, the extension formula, the family."""
 
+import contextlib
+import io
+import json
+import math
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markedposets import (
     ExtensionExplosion,
@@ -24,8 +32,13 @@ from markedposets import (
     polynomial,
     restricted_linear_extensions,
 )
-from markedposets.corpus import all_chain_order_partitions, random_marked_poset
+from markedposets.cli import main
+from markedposets.corpus import all_chain_order_partitions, corpus, random_marked_poset
+from markedposets.ehrhart import _segment_factor
+from markedposets.errors import VerificationFailed
 from markedposets.posets import augment_marked_order
+
+ORACLE_SEEDS = (20250808, 3, 7)
 
 
 def random_natural_labeling(rng, poset):
@@ -42,6 +55,45 @@ def random_natural_labeling(rng, poset):
             if indeg[q] == 0:
                 avail.append(q)
     return labeling
+
+
+def fraction_segment_factor(delta, descents, k):
+    """C(n*delta - descents + k, k): its k linear factors multiplied in Fractions, over k!."""
+    result = polynomial([1])
+    for j in range(k):
+        result = result * polynomial([k - descents - j, delta])
+    return result * Fraction(1, math.factorial(k))
+
+
+def per_word_formula(mp, labeling=None):
+    """The extension formula summed word by word, each word's product expanded anew."""
+    total = polynomial([])
+    for ext in restricted_linear_extensions(mp, labeling):
+        marked_at = [i for i, e in enumerate(ext.word) if e in mp.marked]
+        term = polynomial([1])
+        for s, t in zip(marked_at, marked_at[1:]):
+            delta = mp.value(ext.word[t]) - mp.value(ext.word[s])
+            term = term * fraction_segment_factor(delta, ext.segment_descents(s, t), t - s - 1)
+        total = total + term
+    return total
+
+
+def cube(k):
+    """k unmarked elements in an antichain between marks 0 and 1: the unit k-cube."""
+    xs = [f"x{i}" for i in range(k)]
+    covers = [("bot", x) for x in xs] + [(x, "top") for x in xs]
+    return MarkedPoset(Poset(["bot", *xs, "top"], covers), {"bot": 0, "top": 1})
+
+
+def ehrhart_json(doc):
+    """``mpp ehrhart <doc> --family order --method formula --json``: exit code and stdout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "poset.json"
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["ehrhart", str(path), "--family", "order", "--method", "formula", "--json"])
+    return code, out.getvalue()
 
 
 class TestCounting:
@@ -138,6 +190,59 @@ class TestFormula:
             assert poly.degree == dim
 
 
+class TestSignatureGrouping:
+    """The grouped formula against the per-word sum and known closed forms."""
+
+    def test_matches_per_word_sum_on_corpora(self):
+        for seed in ORACLE_SEEDS:
+            for mp in corpus(seed, 150, max_unmarked=7):
+                assert ehrhart_formula_marked_order(mp) == per_word_formula(mp)
+
+    def test_matches_per_word_sum_under_random_labelings(self):
+        rng = random.Random(56)
+        for seed in ORACLE_SEEDS:
+            for mp in corpus(seed, 150, max_unmarked=7)[:10]:
+                augmented = augment_marked_order(mp)
+                for _ in range(3):
+                    labeling = random_natural_labeling(rng, augmented)
+                    assert (ehrhart_formula_marked_order(mp, labeling=labeling)
+                            == per_word_formula(mp, labeling))
+
+    def test_cube_is_binomial_power(self):
+        for k in range(1, 8):
+            assert ehrhart_formula_marked_order(cube(k)) == polynomial([1, 1]) ** k
+
+    def test_segment_factor_grid(self):
+        for delta in range(4):
+            for k in range(8):
+                for descents in range(k + 1):
+                    assert (_segment_factor(delta, descents, k)
+                            == fraction_segment_factor(delta, descents, k))
+
+    def test_segment_factor_guards(self):
+        with pytest.raises(VerificationFailed, match="descent between adjacent marked elements"):
+            _segment_factor(1, 1, 0)
+        with pytest.raises(VerificationFailed, match="segment descent count exceeds its length"):
+            _segment_factor(1, 3, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), data=st.data())
+    def test_relabelling_and_cover_order_are_invisible(self, seed, data):
+        mp = random_marked_poset(random.Random(seed), max_unmarked=6)
+        elements = list(mp.poset.elements)
+        rename = dict(zip(elements, data.draw(st.permutations([f"v{i}" for i in range(len(elements))]))))
+        covers = data.draw(st.permutations(sorted(mp.poset.covers)))
+        relabelled = MarkedPoset(Poset([rename[e] for e in elements],
+                                       [(rename[p], rename[q]) for p, q in covers]),
+                                 {rename[a]: v for a, v in mp.marking.items()})
+        assert ehrhart_formula_marked_order(relabelled) == ehrhart_formula_marked_order(mp)
+        original, renamed = (ehrhart_json({
+            "name": "poset", "elements": list(m.poset.elements),
+            "covers": [list(c) for c in m.poset.covers],
+            "marked": {a: int(v) for a, v in m.marking.items()}}) for m in (mp, relabelled))
+        assert original[0] == 0 and renamed == original
+
+
 class TestFamilyEquality:
     def test_order_equals_chain_on_corpus(self):
         rng = random.Random(54)
@@ -194,7 +299,7 @@ class TestPmFamily:
         assert pm_closed_form(3, 2) == polynomial([1, 6, 12, 8])
 
     def test_formula_matches_closed_form(self):
-        for m in (3, 4, 5, 6):
+        for m in range(3, 41):
             for c in (1, 2):
                 assert ehrhart_formula_marked_order(pm_family(m, c)) == pm_closed_form(m, c)
 
