@@ -2,10 +2,12 @@
 
 Everything here is arbitrary-precision exact arithmetic; there is no
 tolerance anywhere because downstream tests (facet detection, 2-levelness)
-are equality tests.  Vertex enumeration is the plain basis-subset method with
-rank pruning and a hard work cap: the instances this package targets are desk
-scale, and a naive enumerator doubles as an auditable oracle.  The hot paths
-run fraction-free on integer rows; rationals appear only at solution time.
+are equality tests.  Vertex enumeration is the double description method on
+the homogenized cone, under a hard work cap on the rays it holds; its cost
+follows the vertex count rather than the number of constraint subsets.  The
+test suite keeps the plain subset walk (solve every independent subset of d
+rows, keep the feasible solutions) as its oracle.  The hot paths run
+fraction-free on integer rows; rationals appear only at solution time.
 """
 
 from __future__ import annotations
@@ -212,8 +214,15 @@ class _IntEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _back_substitute(self, x: list[Fraction]) -> list[Fraction]:
-        """Overwrite the pivot entries of ``x`` so every stacked equation holds."""
+    def null_direction(self) -> list[Fraction]:
+        """The kernel vector that is 1 at the one free column.
+
+        Requires rank == width - 1 and homogeneous stacked rows (rhs 0).  The
+        pivots are distinct because a residual is zero at every stacked pivot;
+        back-substitution fills them from the last one down.
+        """
+        pivots = {p for p, _ in self.rows}
+        x = [Fraction(0 if j in pivots else 1) for j in range(self.width)]
         for pivot, row in sorted(self.rows, key=lambda t: -t[0]):
             acc = Fraction(row[self.width])
             for j in range(pivot + 1, self.width):
@@ -221,19 +230,6 @@ class _IntEchelon:
                     acc -= row[j] * x[j]
             x[pivot] = acc / row[pivot]
         return x
-
-    def solve(self) -> Point:
-        """Unique solution of the stacked equations; requires rank == width."""
-        return tuple(self._back_substitute([Fraction(0)] * self.width))
-
-    def null_direction(self) -> list[Fraction]:
-        """The kernel vector that is 1 at the one free column.
-
-        Requires rank == width - 1 and homogeneous stacked rows (rhs 0).  The
-        pivots are distinct because a residual is zero at every stacked pivot.
-        """
-        pivots = {p for p, _ in self.rows}
-        return self._back_substitute([Fraction(0 if j in pivots else 1) for j in range(self.width)])
 
 
 def _int_row(h: HRepresentation, ineq: LinearInequality, dilation: int = 1) -> list[int]:
@@ -248,7 +244,7 @@ def _int_vector(values: Sequence[Fraction]) -> list[int]:
     den = 1
     for v in values:
         den = den * v.denominator // math.gcd(den, v.denominator)
-    return [int(v * den) for v in values]
+    return [v.numerator * (den // v.denominator) for v in values]
 
 
 def _seed_equalities(ech: _IntEchelon, eq_rows: list[list[int]]) -> None:
@@ -367,73 +363,166 @@ def _reject_unbounded_by_rays(h: HRepresentation) -> None:
         raise UnboundedPolytope("recession direction found")
 
 
-def enumerate_vertices(h: HRepresentation) -> VRepresentation:
-    """All vertices, exactly: solve every independent constraint subset and filter.
+def _dot(row: Sequence[tuple[int, int]], vec: Sequence[int]) -> int:
+    """A sparse row ``[(column, coefficient), ...]`` times a dense vector."""
+    return sum(a * vec[j] for j, a in row)
 
-    Raises UnboundedPolytope / EmptyPolytope / DimensionTooLarge (past the
-    work cap) per the contract; results are cached on the representation.
+
+def _cone_row(h: HRepresentation, ineq: LinearInequality) -> list[tuple[int, int]]:
+    """The constraint a.x <= b (or = b) as the sparse integer row (-a, b).
+
+    The row is >= 0 (= 0) at (x, 1) for every point x of the polytope.
+    """
+    row = _int_row(h, ineq)
+    d = len(row) - 1
+    return [(j, -a) for j, a in enumerate(row[:d]) if a] + ([(d, row[d])] if row[d] else [])
+
+
+def _eliminate(a: int, v: Sequence[int], s: int, l: Sequence[int]) -> list[int]:
+    """a v - s l, divided by its gcd: orthogonal to a row g with g.v = s and g.l = a."""
+    w = [a * x - s * y for x, y in zip(v, l)]
+    g = _row_gcd(w)
+    return w if g == 1 else [x // g for x in w]
+
+
+def _double_description(h: HRepresentation) -> list[list[int]]:
+    """The extreme rays of the cone {(x, t) : a.x <= b t, e.x = c t, t >= 0}, fraction-free.
+
+    A row a.x <= b becomes (-a, b).y >= 0 on y = (x, t).  The walk starts from
+    the lineality basis e_1 .. e_{d+1} and no rays.  While lineality remains,
+    a row g with g.l != 0 for some lineality vector l pivots on l: every other
+    lineality vector and every ray r becomes (g.l) r - (g.r) l, and l itself
+    becomes a ray oriented so g.l > 0 (an equality row drops it).  An
+    inequality orthogonal to all lineality waits until the cone is pointed.
+    From then on each inequality keeps its positive and zero rays and adds
+    the positive combination of every adjacent (positive, negative) pair; two
+    rays are adjacent when their common tight rows number at least d - 1 and
+    no third ray is tight on all of them (the combinatorial test).
+
+    The equalities come first, after t >= 0 alone.  As they are consistent
+    (the caller checks), one orthogonal to all lineality is a combination of
+    those before it, so it is implied and skipped.
+
+    Raises DimensionTooLarge once the rays held exceed the work cap.
+    """
+    d = len(h.coordinates)
+    cap = _work_cap(DEFAULT_SUBSET_CAP)
+
+    rows = ([([(d, 1)], False)] + [(_cone_row(h, e), True) for e in h.equalities]
+            + [(_cone_row(h, i), False) for i in h.inequalities])
+
+    def check_cap(n: int) -> None:
+        if n > cap:
+            raise DimensionTooLarge(f"{n} double-description rays exceed the work cap {cap}"
+                                    "; set MPP_WORK_CAP to raise it")
+
+    lineality = [[int(i == j) for j in range(d + 1)] for i in range(d + 1)]
+    rays: list[list[int]] = []
+    imposed: list[list[tuple[int, int]]] = []
+    waiting: list[list[tuple[int, int]]] = []
+    pending = iter(rows)
+    for g, equality in pending:
+        dots = [_dot(g, l) for l in lineality]
+        k = next((k for k, s in enumerate(dots) if s), None)
+        if k is None:
+            if not equality:
+                waiting.append(g)
+            continue
+        l, a = lineality.pop(k), dots.pop(k)
+        if a < 0:
+            l, a = [-x for x in l], -a
+        lineality = [_eliminate(a, v, s, l) if s else v for v, s in zip(lineality, dots)]
+        rays = [_eliminate(a, r, s, l) if (s := _dot(g, r)) else r for r in rays]
+        if not equality:
+            rays.append(l)
+            check_cap(len(rays))
+        imposed.append(g)
+        if not lineality:
+            break
+    assert not lineality, "a bounded polyhedron has a pointed homogenized cone"
+
+    zero_sets = [sum(1 << i for i, g in enumerate(imposed) if _dot(g, r) == 0) for r in rays]
+    later = waiting + [g for g, equality in pending if not equality]
+    for i, g in enumerate(later, start=len(imposed)):
+        bit = 1 << i
+        kept: list[list[int]] = []
+        kept_zero: list[int] = []
+        positive, negative = [], []
+        for r, z in zip(rays, zero_sets):
+            s = _dot(g, r)
+            if s < 0:
+                negative.append((r, z, s))
+                continue
+            if s > 0:
+                positive.append((r, z, s))
+            else:
+                z |= bit
+            kept.append(r)
+            kept_zero.append(z)
+        for p, zp, sp in positive:
+            for n, zn, sn in negative:
+                common = zp & zn
+                if common.bit_count() < d - 1:
+                    continue
+                if sum(1 for z in zero_sets if z & common == common) > 2:
+                    continue
+                kept.append(_eliminate(sp, n, sn, p))
+                kept_zero.append(common | bit)
+                check_cap(len(kept))
+        rays, zero_sets = kept, kept_zero
+    return rays
+
+
+def enumerate_vertices(h: HRepresentation) -> VRepresentation:
+    """All vertices, exactly: x / t over the extreme rays (x, t) of the homogenized cone.
+
+    The rays come from the double description method (``_double_description``);
+    boundedness is settled first, so every ray has t > 0.  The test suite
+    holds the result to the subset walk, which solves every independent
+    subset of d rows and keeps the feasible solutions.  Raises
+    UnboundedPolytope / EmptyPolytope / DimensionTooLarge (past the work cap)
+    per the contract; results are cached on the representation.
     """
     if h._vertex_cache is not None:
         return h._vertex_cache
     d = len(h.coordinates)
     if not _interval_bound_certificate(h):
         _reject_unbounded_by_rays(h)
-
-    ineq_rows = [_int_row(h, i) for i in h.inequalities]
-    eq_rows = [_int_row(h, e) for e in h.equalities]
-    ech = _IntEchelon(d)
-    _seed_equalities(ech, eq_rows)
-    candidates: set[Point] = set()
-    _walk_subsets(ech, ineq_rows, d, lambda: candidates.add(ech.solve()))
-
-    def satisfies(x: Point) -> bool:
-        for row in ineq_rows:
-            acc = Fraction(row[d])
-            for j in range(d):
-                if row[j]:
-                    acc -= row[j] * x[j]
-            if acc < 0:
-                return False
-        for row in eq_rows:
-            acc = Fraction(row[d])
-            for j in range(d):
-                if row[j]:
-                    acc -= row[j] * x[j]
-            if acc != 0:
-                return False
-        return True
-
-    feasible = [x for x in candidates if satisfies(x)]
-    if not feasible:
+    _seed_equalities(_IntEchelon(d), [_int_row(h, e) for e in h.equalities])
+    vertices = []
+    for r in _double_description(h):
+        t = r[d]
+        assert t > 0, "a bounded polyhedron has no ray at infinity"
+        vertices.append(tuple(Fraction(x, t) for x in r[:d]))
+    if not vertices:
         raise EmptyPolytope("no vertex satisfies all constraints")
-    result = VRepresentation(h.coordinates, tuple(sorted(feasible)))
+    result = VRepresentation(h.coordinates, tuple(sorted(vertices)))
     h._vertex_cache = result
     return result
 
 
-def affine_dimension(v: VRepresentation | Iterable[Point]) -> int:
-    """Dimension of the affine hull of a vertex set (-1 for empty, 0 for a point)."""
-    points = list(v.vertices if isinstance(v, VRepresentation) else v)
-    if not points:
-        return -1
-    base = points[0]
-    width = len(base)
+def _rank(rows: Iterable[Sequence[int]], width: int) -> int:
     ech = _IntEchelon(width)
-    for p in points[1:]:
-        diff = _int_vector([p[j] - base[j] for j in range(width)])
-        ech.push_residual(ech.residual(diff + [0]))
+    for row in rows:
+        ech.push_residual(ech.residual(row))
     return ech.rank
 
 
-def _vertex_values(v: VRepresentation, ineq: LinearInequality) -> list[Fraction]:
-    """The functional's value at each vertex, in vertex order."""
-    terms = [(v.coordinates.index(c), a) for c, a in ineq.coeffs.items()]
-    return [sum((p[j] * a for j, a in terms), Fraction(0)) for p in v.vertices]
+def _homogenized(points: Iterable[Point]) -> list[list[int]]:
+    """Each point x as the integer vector (D x, D), D the least common denominator of x."""
+    return [_int_vector([*p, Fraction(1)]) for p in points]
+
+
+def affine_dimension(v: VRepresentation | Iterable[Point]) -> int:
+    """Dimension of the affine hull of a vertex set (-1 for empty, 0 for a point)."""
+    points = _homogenized(v.vertices if isinstance(v, VRepresentation) else v)
+    return _rank(points, len(points[0]) if points else 0) - 1
 
 
 def evaluate_affine_values(v: VRepresentation, ineq: LinearInequality) -> tuple[Fraction, ...]:
     """The multiset (as a sorted tuple) of the functional's values on the vertices."""
-    return tuple(sorted(_vertex_values(v, ineq)))
+    terms = [(v.coordinates.index(c), a) for c, a in ineq.coeffs.items()]
+    return tuple(sorted(sum((p[j] * a for j, a in terms), Fraction(0)) for p in v.vertices))
 
 
 def classify_inequalities(
@@ -443,14 +532,19 @@ def classify_inequalities(
 
     Returns (vertices, polytope dimension, facet inequalities, inequalities
     tight on every vertex).  Inequalities in neither list are redundant.
+    Runs on the vertices homogenized to integer vectors (D x, D): a row is
+    tight where its cone row (-a, b) vanishes, and an affine dimension is a
+    rank minus 1.
     """
     v = enumerate_vertices(h)
-    dim = affine_dimension(v)
+    width = len(h.coordinates) + 1
+    points = _homogenized(v.vertices)
+    dim = _rank(points, width) - 1
     facets: list[LinearInequality] = []
     implicit: list[LinearInequality] = []
     for ineq in h.inequalities:
-        tight = [p for p, value in zip(v.vertices, _vertex_values(v, ineq)) if value == ineq.rhs]
-        tight_dim = affine_dimension(tight)
+        g = _cone_row(h, ineq)
+        tight_dim = _rank((p for p in points if _dot(g, p) == 0), width) - 1
         if tight_dim == dim:
             implicit.append(ineq)
         elif tight_dim == dim - 1 and dim >= 1:

@@ -14,6 +14,27 @@ def _no_work_cap_override(monkeypatch):
     monkeypatch.delenv("MPP_WORK_CAP", raising=False)
 
 
+def _ladder(k: int) -> MarkedPoset:
+    """Chains x_0 < ... < x_{k-1} and y_0 < ... < y_{k-1} with rungs x_i < y_i.
+
+    bot (mark 0) lies below x_0 and top (mark 2) above y_{k-1}; the
+    polytopes have dimension 2k.
+    """
+    x = [f"x{i}" for i in range(k)]
+    y = [f"y{i}" for i in range(k)]
+    covers = [("bot", x[0]), (y[-1], "top")]
+    covers += [(x[i], x[i + 1]) for i in range(k - 1)]
+    covers += [(y[i], y[i + 1]) for i in range(k - 1)]
+    covers += [(x[i], y[i]) for i in range(k)]
+    return MarkedPoset(Poset(["bot", "top", *x, *y], covers), {"bot": 0, "top": 2})
+
+
+@pytest.fixture
+def ladder():
+    """The ladder family, as a function of k."""
+    return _ladder
+
+
 @pytest.fixture
 def segment():
     """a(0) < x < b(1): the unit segment as a marked order polytope."""

@@ -1,11 +1,14 @@
 """Polytope core: vertex enumeration, redundancy, counting, interpolation.
 
 Derived expectations are frozen from independent oracles implemented here:
-a two-constraint Cramer solver for 2D vertex candidates, and a plain box
-scan for lattice points.
+a two-constraint Cramer solver for 2D vertex candidates, the subset walk
+(solve every independent subset of d rows) for vertices in any dimension,
+a rational-elimination rank for facet classification, and a plain box scan
+for lattice points.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,14 +25,26 @@ from markedposets import (
     UnivariatePolynomial,
     affine_dimension,
     affine_image,
+    build_chain_hrep,
+    build_chain_order_hrep,
+    build_order_hrep,
+    contains,
     count_lattice_points,
     enumerate_vertices,
     evaluate_affine_values,
     interpolate_polynomial,
     irredundant,
+    is_two_level_direct,
     polynomial,
 )
-from markedposets.corpus import random_unimodular_map
+from markedposets.corpus import all_chain_order_partitions, corpus, random_unimodular_map
+from markedposets.geometry import (
+    _int_row,
+    _IntEchelon,
+    _seed_equalities,
+    _walk_subsets,
+    classify_inequalities,
+)
 
 
 def hrep2(rows):
@@ -56,6 +71,89 @@ def oracle_vertices_2d(rows):
         if all(ax * x + ay * y <= b for ax, ay, b in rows):
             found.add((x, y))
     return found
+
+
+def subset_walk_vertices(h):
+    """Every feasible solution of an independent subset of d rows, sorted.
+
+    Walks the subsets that raise the equalities to rank d, solves each by
+    back-substitution, and keeps the solutions that satisfy every row.
+    """
+    d = len(h.coordinates)
+    ech = _IntEchelon(d)
+    _seed_equalities(ech, [_int_row(h, e) for e in h.equalities])
+    found = set()
+
+    def solve():
+        x = [Fraction(0)] * d
+        for pivot, row in sorted(ech.rows, key=lambda t: -t[0]):
+            rest = sum(row[j] * x[j] for j in range(pivot + 1, d))
+            x[pivot] = (row[d] - rest) / Fraction(row[pivot])
+        found.add(tuple(x))
+
+    _walk_subsets(ech, [_int_row(h, i) for i in h.inequalities], d, solve)
+    feasible = sorted(x for x in found if contains(h, dict(zip(h.coordinates, x))))
+    if not feasible:
+        raise EmptyPolytope("no vertex satisfies all constraints")
+    return tuple(feasible)
+
+
+def fraction_rank(vectors):
+    """Rank by Gaussian elimination over the rationals."""
+    rows = [[Fraction(a) for a in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def oracle_affine_dimension(points):
+    """The rank of the differences to the first point (-1 for no point)."""
+    if not points:
+        return -1
+    return fraction_rank([[a - b for a, b in zip(p, points[0])] for p in points[1:]])
+
+
+def oracle_classify(h, vertices):
+    """(dimension, facets, implicit rows) by the tight vertices' affine dimension."""
+    named = [dict(zip(h.coordinates, p)) for p in vertices]
+    dim = oracle_affine_dimension(vertices)
+    facets, implicit = [], []
+    for ineq in h.inequalities:
+        tight = [p for p, x in zip(vertices, named) if ineq.evaluate(x) == ineq.rhs]
+        tight_dim = oracle_affine_dimension(tight)
+        if tight_dim == dim:
+            implicit.append(ineq)
+        elif tight_dim == dim - 1 and dim >= 1:
+            facets.append(ineq)
+    return dim, facets, implicit
+
+
+def assert_matches_oracles(h):
+    """Vertices, classification and the direct 2-level verdict against the oracles."""
+    vertices = subset_walk_vertices(h)
+    v, dim, facets, implicit = classify_inequalities(h)
+    assert v.vertices == vertices
+    assert (dim, facets, implicit) == oracle_classify(h, vertices)
+    assert affine_dimension(v) == dim
+    named = [dict(zip(h.coordinates, p)) for p in vertices]
+    witness = None
+    for facet in facets:
+        values = tuple(sorted({facet.evaluate(x) for x in named}))
+        if len(values) > 2:
+            witness = (facet, values)
+            break
+    direct = is_two_level_direct(h)
+    assert direct.two_level == (witness is None)
+    if witness:
+        assert (direct.witness.facet, direct.witness.values) == witness
 
 
 def oracle_count_box(rows, dilation, box):
@@ -110,7 +208,7 @@ class TestEnumerateVertices:
             LinearInequality({"x": -1, "y": 1, "z": -1}, 0),
             LinearInequality({"x": -1, "y": -1, "z": 1}, 0),
         ])
-        # the ray walk tries C(4, 2) = 6 subsets, the vertex walk only C(4, 3) = 4
+        # the ray walk tries C(4, 2) = 6 subsets; the double description holds at most 4 rays
         monkeypatch.setenv("MPP_WORK_CAP", "5")
         with pytest.raises(DimensionTooLarge, match=r"C\(4, 2\)"):
             enumerate_vertices(h)
@@ -142,6 +240,59 @@ class TestEnumerateVertices:
         # x >= 0, y >= 0, 2x + 3y <= 1
         v = enumerate_vertices(hrep2([(-1, 0, 0), (0, -1, 0), (2, 3, 1)]))
         assert v.vertices == ((0, 0), (0, Fraction(1, 3)), (Fraction(1, 2), 0))
+
+    def test_work_cap_boundary(self, monkeypatch, ladder):
+        # the double description holds at most 10 rays on this input: its 10 vertices
+        monkeypatch.setenv("MPP_WORK_CAP", "10")
+        assert len(enumerate_vertices(build_chain_hrep(ladder(3)))) == 10
+        monkeypatch.setenv("MPP_WORK_CAP", "9")
+        with pytest.raises(DimensionTooLarge) as exc:
+            enumerate_vertices(build_chain_hrep(ladder(3)))
+        assert str(exc.value).endswith(
+            "double-description rays exceed the work cap 9; set MPP_WORK_CAP to raise it")
+
+
+def corpus_hreps(seed):
+    """Order and chain H-reps of a seeded corpus, plus two random chain-order splits each."""
+    rng = random.Random(seed)
+    for mp in corpus(seed, 200, max_unmarked=6):
+        yield build_order_hrep(mp)
+        yield build_chain_hrep(mp)
+        for part in rng.sample(list(all_chain_order_partitions(mp)), 2):
+            yield build_chain_order_hrep(mp, part)
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("seed", [20250808, 3, 7])
+    def test_corpus_matches_subset_walk(self, seed):
+        for h in corpus_hreps(seed):
+            assert_matches_oracles(h)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_systems_match_subset_walk(self, data):
+        coords = ["x", "y", "z"][:data.draw(st.integers(2, 3))]
+        coeff = st.integers(-3, 3)
+        rhs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+        def rows(count):
+            drawn = [({c: data.draw(coeff) for c in coords}, data.draw(rhs)) for _ in range(count)]
+            return [LinearInequality(a, b) for a, b in drawn if any(a.values())]
+
+        # a box with fractional bounds keeps every system bounded
+        box = [LinearInequality({c: s}, data.draw(st.builds(Fraction, st.integers(1, 6),
+                                                                 st.integers(1, 3))))
+               for c in coords for s in (1, -1)]
+        h = HRepresentation(coords, box + rows(data.draw(st.integers(0, 4))),
+                            rows(data.draw(st.integers(0, len(coords) - 1))))
+        try:
+            expected = subset_walk_vertices(h)
+        except EmptyPolytope as exc:
+            with pytest.raises(EmptyPolytope, match=re.escape(str(exc))):
+                enumerate_vertices(h)
+            return
+        assert_matches_oracles(h)
+        assert enumerate_vertices(h).vertices == expected
 
 
 class TestIrredundant:

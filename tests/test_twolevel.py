@@ -22,6 +22,7 @@ from markedposets import (
     enumerate_vertices,
     is_two_level_direct,
     order_two_level_criterion,
+    order_vertices_combinatorial,
     validate_marked,
 )
 from markedposets.corpus import (
@@ -302,6 +303,18 @@ class TestAgreementSuites:
         # poset is strict but irregular and must still be decided correctly
         assert chain_two_level_criterion(figure_one).two_level
         assert is_two_level_direct(build_chain_hrep(figure_one)).two_level
+
+
+class TestReach:
+    def test_ladder_seven(self, ladder):
+        # dimension 14 from 21 order rows: C(21, 14) = 116,280 row subsets for 36 vertices
+        mp = ladder(7)
+        order, chain = build_order_hrep(mp), build_chain_hrep(mp)
+        assert enumerate_vertices(order) == order_vertices_combinatorial(mp)
+        assert len(enumerate_vertices(order)) == len(enumerate_vertices(chain)) == 36
+        # both families are 2-level here, and the criteria say so
+        assert order_two_level_criterion(mp) and is_two_level_direct(order).two_level
+        assert chain_two_level_criterion(mp).two_level and is_two_level_direct(chain).two_level
 
 
 class TestAffineInvariance:
