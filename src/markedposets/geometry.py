@@ -52,18 +52,19 @@ class LinearInequality:
     __slots__ = ("coeffs", "rhs")
 
     def __init__(self, coeffs: Mapping[str, int | Fraction], rhs: int | Fraction):
-        exact = {c: Fraction(v) for c, v in coeffs.items() if v != 0}
-        if not exact:
+        if all(isinstance(v, int) for v in coeffs.values()):  # no Fraction per coefficient
+            scale = 1
+            ints = {c: v for c, v in coeffs.items() if v != 0}
+        else:
+            exact = {c: Fraction(v) for c, v in coeffs.items() if v != 0}
+            scale = math.lcm(*(v.denominator for v in exact.values()))
+            ints = {c: int(v * scale) for c, v in exact.items()}
+        if not ints:
             raise ValueError("inequality needs at least one nonzero coefficient")
-        denom_lcm = 1
-        for v in exact.values():
-            denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-        ints = {c: int(v * denom_lcm) for c, v in exact.items()}
-        g = 0
-        for v in ints.values():
-            g = math.gcd(g, v)
+        g = math.gcd(*ints.values())
         self.coeffs: dict[str, int] = {c: v // g for c, v in sorted(ints.items())}
-        self.rhs: Fraction = Fraction(rhs) * denom_lcm / g
+        rhs = Fraction(rhs)
+        self.rhs: Fraction = rhs if scale == g == 1 else rhs * scale / g
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         return sum((point[c] * a for c, a in self.coeffs.items()), Fraction(0))
@@ -88,9 +89,11 @@ class LinearInequality:
 class HRepresentation:
     """A polytope as inequalities (and optional equalities) over named coordinates.
 
-    Inequalities are deduplicated and kept sorted by their coefficient rows,
-    so two H-representations of the same system compare equal.  Equalities are
-    additionally sign-normalized (first nonzero coefficient positive).
+    Inequalities are deduplicated and kept sorted by their dense coefficient
+    rows in declared coordinate order, then by rhs, so two H-representations
+    of the same system compare equal.  That order is computed sparsely, from
+    each row's nonzeros alone (``_sparse_key``).  Equalities are additionally
+    sign-normalized (first nonzero coefficient positive).
     """
 
     def __init__(
@@ -106,7 +109,7 @@ class HRepresentation:
         ineqs = list(inequalities)
         eqs = list(equalities)
         for row in ineqs + eqs:
-            unknown = row.coeffs.keys() - self._column.keys()
+            unknown = [c for c in row.coeffs if c not in self._column]
             if unknown:
                 raise ValueError(f"constraint references undeclared coordinates {sorted(unknown)}")
         self.inequalities: tuple[LinearInequality, ...] = self._canonical(ineqs)
@@ -121,12 +124,24 @@ class HRepresentation:
             dense[self._column[c]] = a
         return dense
 
+    def _sparse_key(self, row: LinearInequality) -> tuple:
+        """A key that sorts and compares like ``(*self._dense(row), row.rhs)``.
+
+        Each nonzero a in column j becomes (1, -j, a) if a > 0, else (-1, j, a),
+        in column order, then a (0,) terminator stands for the zeros after the
+        last one.  At the first column where two dense rows differ, the entry
+        of the row with the larger value there sorts higher: a positive entry
+        beats any later entry or the terminator, a negative one loses to them.
+        """
+        entries = sorted((self._column[c], a) for c, a in row.coeffs.items())
+        return (*((1, -j, a) if a > 0 else (-1, j, a) for j, a in entries), (0,), row.rhs)
+
     def _canonical(self, rows: list[LinearInequality]) -> tuple[LinearInequality, ...]:
-        unique = {(*self._dense(row), row.rhs): row for row in rows}
+        unique = {self._sparse_key(row): row for row in rows}
         return tuple(unique[k] for k in sorted(unique))
 
     def _sign_normalized(self, row: LinearInequality) -> LinearInequality:
-        lead = next(a for a in self._dense(row) if a)
+        lead = row.coeffs[min(row.coeffs, key=self._column.__getitem__)]
         return row.negated() if lead < 0 else row
 
     def __eq__(self, other: object) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DimensionTooLarge, InfeasibleMarking, PointOutsidePolytope
 from .geometry import HRepresentation, LinearInequality, VRepresentation, _work_cap, contains
@@ -17,6 +17,7 @@ from .posets import (
     ChainOrderPartition,
     MarkedPoset,
     _components,
+    _members,
     _saturated_chains,
     _up_sets,
     require_strict_regular,
@@ -121,10 +122,10 @@ def is_face_partition(mp: MarkedPoset, fp: FacePartition) -> bool:
     for i, block in enumerate(fp.blocks):
         if not block:
             raise ValueError("empty block")
-        for e in block:
+        for e in sorted(block):
             if e in block_of:
                 raise ValueError(f"element {e!r} appears in two blocks")
-            if e not in poset._above:
+            if e not in poset._index:
                 raise ValueError(f"unknown element {e!r}")
             block_of[e] = i
     if len(block_of) != len(poset.elements):
@@ -142,7 +143,7 @@ def is_face_partition(mp: MarkedPoset, fp: FacePartition) -> bool:
         if bp != bq:
             succ[bp].add(bq)
     try:
-        reach, _ = _up_sets(range(k), succ)
+        order, above, _ = _up_sets(range(k), succ)
     except ValueError:  # the block relation has a cycle: not antisymmetric
         return False
 
@@ -152,10 +153,10 @@ def is_face_partition(mp: MarkedPoset, fp: FacePartition) -> bool:
     for i in range(k):
         if len(block_marks[i]) > 1:
             return False
-    for i in range(k):
+    for i, reach in zip(order, above):
         if not block_marks[i]:
             continue
-        for j in reach[i]:
+        for j in _members(reach, order):
             if block_marks[j] and min(block_marks[i]) >= min(block_marks[j]):
                 return False
     return True
@@ -189,26 +190,31 @@ def order_vertices_combinatorial(mp: MarkedPoset) -> VRepresentation:
                 return False
         return True
 
-    def rec(i: int) -> None:
-        nonlocal nodes
+    # stack[i] iterates the values still to try at order[i]; one node is
+    # entered per loop turn, and the walk needs no Python recursion
+    stack: list[Iterator[Fraction]] = []
+    while True:
         nodes += 1
         if nodes > cap:
             raise DimensionTooLarge(f"assignment search exceeds the node cap {cap}"
                                     "; set MPP_WORK_CAP to raise it")
-        if i == len(order):
+        if len(stack) == len(order):
             point = {p: assignment[p] for p in mp.unmarked}
             fp = face_partition_of_point(mp, point)
             if not fp.free_blocks:
                 vertices.append(tuple(point[p] for p in mp.unmarked))
-            return
-        e = order[i]
-        for v in values:
-            if feasible(e, v):
+        else:
+            stack.append(iter(values))
+        while stack:
+            e = order[len(stack) - 1]
+            assignment.pop(e, None)
+            v = next((v for v in stack[-1] if feasible(e, v)), None)
+            if v is not None:
                 assignment[e] = v
-                rec(i + 1)
-                del assignment[e]
-
-    rec(0)
+                break
+            stack.pop()
+        else:
+            break
     return VRepresentation(tuple(mp.unmarked), tuple(sorted(set(vertices))))
 
 

@@ -3,8 +3,11 @@
 Elements are opaque string ids; every deterministic ordering in this module
 is lexicographic in those ids.  Posets are stored by their covering relations
 (the Hasse diagram) and are validated to be acyclic with an irredundant cover
-set.  A marked poset attaches an order-preserving rational marking to a subset
-of elements that must contain all minimal and maximal elements.
+set.  The order itself is held as one int bitmask per element: bit i of an
+element's up-set is the i-th element of the topological order, so comparisons
+are bit tests and n elements hold their order in at most n^2 bits.
+A marked poset attaches an order-preserving rational marking to a subset of
+elements that must contain all minimal and maximal elements.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import PreconditionViolated
 
@@ -42,14 +45,16 @@ class Poset:
             down[q].append(p)
         self._up_covers: dict[str, tuple[str, ...]] = {e: tuple(sorted(up[e])) for e in self.elements}
         self._down_covers: dict[str, tuple[str, ...]] = {e: tuple(sorted(down[e])) for e in self.elements}
-        self._above, implied = _up_sets(self.elements, self._up_covers)
+        order, self._above, implied = _up_sets(self.elements, self._up_covers)
         for p, q in self.covers:
             if (p, q) in implied:
                 raise ValueError(f"cover ({p!r}, {q!r}) is implied by other covers")
+        self._order: tuple[str, ...] = tuple(order)
+        self._index: dict[str, int] = {e: i for i, e in enumerate(order)}
 
     def topological_order(self) -> list[str]:
         """Elements in a topological order (smallest id first among available)."""
-        return _topological_order(self.elements, self._up_covers)
+        return list(self._order)
 
     @classmethod
     def from_relations(cls, elements: Iterable[str], relations: Iterable[tuple[str, str]]) -> "Poset":
@@ -63,15 +68,16 @@ class Poset:
             if p == q:
                 raise ValueError(f"relation ({p!r}, {q!r}) is a loop")
             succ[p].add(q)
-        _, implied = _up_sets(elements, succ)
+        _, _, implied = _up_sets(elements, succ)
         covers = [(p, q) for p in elements for q in sorted(succ[p]) if (p, q) not in implied]
         return cls(elements, covers)
 
     def leq(self, p: str, q: str) -> bool:
         """p <= q in the transitive closure of the covers."""
-        if p not in self._above or q not in self._above:
-            raise KeyError(f"unknown element id {p if p not in self._above else q!r}")
-        return p == q or q in self._above[p]
+        index = self._index
+        if p not in index or q not in index:
+            raise KeyError(f"unknown element id {p if p not in index else q!r}")
+        return p == q or bool(self._above[index[p]] >> index[q] & 1)
 
     def less(self, p: str, q: str) -> bool:
         return p != q and self.leq(p, q)
@@ -121,24 +127,40 @@ def _topological_order(nodes: Iterable[Hashable], succ: Mapping) -> list:
     return out
 
 
-def _up_sets(nodes: Iterable[Hashable], succ: Mapping) -> tuple[dict, set]:
-    """Each node's strict up-set in the graph ``succ``, and the edges implied by the others.
+def _up_sets(nodes: Iterable[Hashable], succ: Mapping) -> tuple[list, list[int], set]:
+    """The topological order of the graph ``succ``, each node's strict up-set, and the implied edges.
 
-    An edge v -> w is implied when w lies above another successor of v.  One
-    pass in reverse topological order finds both; raises on a cycle.
+    Up-sets are bitmasks indexed like the order: bit j of ``above[i]`` says
+    that ``order[j]`` lies above ``order[i]``.  An edge v -> w is implied when
+    w lies above another successor of v.  One pass in reverse topological order
+    finds both (the bit-vector form of Warshall's closure); raises on a cycle.
     """
-    above: dict = {}
+    order = _topological_order(nodes, succ)
+    index = {v: i for i, v in enumerate(order)}
+    above = [0] * len(order)
     implied: set = set()
-    for v in reversed(_topological_order(nodes, succ)):
-        acc: set = set()
+    for i in range(len(order) - 1, -1, -1):
+        v = order[i]
+        acc = 0
         for w in succ[v]:
-            acc |= above[w]
+            acc |= above[index[w]]
         for w in succ[v]:
-            if w in acc:
+            bit = 1 << index[w]
+            if acc & bit:
                 implied.add((v, w))
-        acc.update(succ[v])
-        above[v] = frozenset(acc)
-    return above, implied
+            acc |= bit
+        above[i] = acc
+    return order, above, implied
+
+
+def _members(mask: int, order: Sequence) -> list:
+    """The entries of ``order`` whose bits are set in ``mask``, in order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(order[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 def _components(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[tuple[str, ...]]:
@@ -200,8 +222,8 @@ class MarkedPoset:
         self.poset = poset
         self.marking: dict[str, Fraction] = {a: Fraction(v) for a, v in marking.items()}
         self.marked: frozenset[str] = frozenset(self.marking)
-        for a in self.marked:
-            if a not in poset._above:
+        for a in sorted(self.marked):
+            if a not in poset._index:
                 raise ValueError(f"marked element {a!r} is not in the poset")
         for e in poset.minimals():
             if e not in self.marked:
@@ -311,14 +333,19 @@ def maximal_marked_chains(mp: MarkedPoset) -> list[tuple[str, tuple[str, ...], s
 
 
 def augment_marked_order(mp: MarkedPoset) -> Poset:
-    """Add a < b for marked pairs with strictly increasing marks, then re-reduce."""
+    """Add a < b for marked pairs with strictly increasing marks, then re-reduce.
+
+    Only pairs between adjacent distinct mark levels are added: they generate
+    the same order as all increasing pairs.
+    """
     poset = mp.poset
+    levels: dict[Fraction, list[str]] = {}
+    for a in sorted(mp.marked):
+        levels.setdefault(mp.value(a), []).append(a)
+    ranked = [levels[v] for v in sorted(levels)]
     relations = list(poset.covers)
-    marked_sorted = sorted(mp.marked)
-    for a in marked_sorted:
-        for b in marked_sorted:
-            if a != b and mp.value(a) < mp.value(b):
-                relations.append((a, b))
+    for lower, upper in zip(ranked, ranked[1:]):
+        relations += [(a, b) for a in lower for b in upper]
     return Poset.from_relations(poset.elements, relations)
 
 
@@ -403,11 +430,13 @@ def linear_extensions(poset: Poset, labeling: Mapping[str, int] | None = None) -
 def induced_subposet(poset: Poset, keep: Iterable[str]) -> Poset:
     """The subposet on ``keep`` with the inherited order, reduced to covers."""
     keep_set = frozenset(keep)
-    for e in keep_set:
-        if e not in poset._above:
+    index, above, order = poset._index, poset._above, poset._order
+    for e in sorted(keep_set):
+        if e not in index:
             raise KeyError(f"unknown element id {e!r}")
     elements = tuple(e for e in poset.elements if e in keep_set)
-    relations = [(p, q) for p in elements for q in poset._above[p] if q in keep_set]
+    kept = sum(1 << index[e] for e in elements)
+    relations = [(p, q) for p in elements for q in _members(above[index[p]] & kept, order)]
     return Poset.from_relations(elements, relations)
 
 

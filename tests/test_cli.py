@@ -1,14 +1,22 @@
 """CLI surface: exit codes, canonical output, determinism, round-trips."""
 
+import contextlib
+import io
 import json
 import math
+import random
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markedposets import MarkedPoset, Poset, cli, ehrhart, enumerate_vertices, polynomial
 from markedposets.cli import DocumentError, format_hrep, main
+from markedposets.corpus import _draw
 from markedposets.geometry import HRepresentation, LinearInequality
 from markedposets.polytopes import build_chain_hrep, build_order_hrep
 
@@ -209,6 +217,48 @@ class TestPolytope:
                                "--family", "chain", "--emit", "hrep", "--json")
         assert code == 0
         assert len(json.loads(out)["result"]["inequalities"]) == n - 1
+
+
+class TestDocumentOrder:
+    """Listing a document's elements and covers in another order changes no output byte."""
+
+    @staticmethod
+    def outputs(doc):
+        results = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "poset.json"
+            path.write_text(json.dumps(doc))
+            for argv in (["validate"], ["polytope", "--family", "order", "--emit", "hrep"],
+                         ["polytope", "--family", "chain", "--emit", "hrep"],
+                         ["polytope", "--family", "chain-order", "--emit", "hrep"]):
+                for mode in ([], ["--json"]):
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = main([argv[0], str(path), *argv[1:], *mode])
+                    results.append((code, out.getvalue(), err.getvalue()))
+        return results
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32), data=st.data())
+    def test_shuffled_document(self, seed, data):
+        # regular or not: validate lists every violation it finds
+        rng = random.Random(seed)
+        mp = None
+        while mp is None:
+            mp = _draw(rng, 6, 0, 3, 1)
+        chain = sorted(e for e in mp.unmarked if rng.random() < 0.5)
+        doc = {"name": "poset", "elements": list(mp.poset.elements),
+               "covers": [list(c) for c in mp.poset.covers],
+               "marked": {a: int(v) for a, v in sorted(mp.marking.items())},
+               "partition": {"chain": chain, "order": sorted(set(mp.unmarked) - set(chain))}}
+        shuffled = dict(doc, elements=data.draw(st.permutations(doc["elements"])),
+                        covers=data.draw(st.permutations(doc["covers"])),
+                        marked=dict(data.draw(st.permutations(list(doc["marked"].items())))),
+                        partition={part: data.draw(st.permutations(ids))
+                                   for part, ids in doc["partition"].items()})
+        original = self.outputs(doc)
+        assert original[0][0] in (0, 1) and all(code == 0 for code, _, _ in original[2:])
+        assert self.outputs(shuffled) == original
 
 
 class TestTwoLevel:

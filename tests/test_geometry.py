@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from markedposets import (
@@ -490,6 +490,53 @@ class TestNormalization:
             LinearInequality({"y": 2}, 1))
         # an equality's sign follows its first declared coordinate, y
         assert h.equalities == (LinearInequality({"x": -1, "y": 1}, 0),)
+
+
+COEFFS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+RHS = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6))
+
+
+class TestSparseRowOrder:
+    """The sparse canonical order against the dense rows it stands for."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_sorts_and_dedups_like_dense_rows(self, data):
+        coords = data.draw(st.permutations("abcde"))[:data.draw(st.integers(1, 5))]
+        rows = []
+        for _ in range(data.draw(st.integers(0, 10))):
+            coeffs = {c: data.draw(COEFFS) for c in coords}
+            if any(coeffs.values()):
+                rows.append(LinearInequality(coeffs, data.draw(RHS)))
+        if rows:  # repeated rows, some scaled so that only normalization merges them
+            for row in data.draw(st.lists(st.sampled_from(rows), max_size=4)):
+                k = data.draw(st.sampled_from([1, 2, Fraction(1, 3)]))
+                rows.append(LinearInequality({c: k * a for c, a in row.coeffs.items()}, k * row.rhs))
+        h = HRepresentation(coords, rows)
+
+        def dense(row):
+            return (*h._dense(row), row.rhs)
+
+        for r in rows:
+            for s in rows:
+                assert (h._sparse_key(r) < h._sparse_key(s)) == (dense(r) < dense(s))
+                assert (h._sparse_key(r) == h._sparse_key(s)) == (dense(r) == dense(s))
+        unique = {dense(row): row for row in rows}
+        assert h.inequalities == tuple(unique[k] for k in sorted(unique))
+        signed = [row if next(a for a in h._dense(row) if a) > 0 else row.negated() for row in rows]
+        unique = {dense(row): row for row in signed}
+        assert HRepresentation(coords, [], rows).equalities == tuple(unique[k] for k in sorted(unique))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.sampled_from("abcd"), st.integers(-12, 12), min_size=1), RHS)
+    def test_integer_rows_match_the_fraction_path(self, coeffs, rhs):
+        # all-int coefficients take the gcd-only path; Fraction ones the lcm path
+        assume(any(coeffs.values()))
+        fast = LinearInequality(coeffs, rhs)
+        exact = LinearInequality({c: Fraction(a) for c, a in coeffs.items()}, rhs)
+        assert list(fast.coeffs.items()) == list(exact.coeffs.items())
+        assert all(type(a) is int for a in fast.coeffs.values())
+        assert type(fast.rhs) is Fraction and fast.rhs == exact.rhs
 
 
 class TestAffineImage:

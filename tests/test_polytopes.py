@@ -1,6 +1,8 @@
 """Builders for the three polytope families and face-partition combinatorics."""
 
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -40,6 +42,13 @@ def ineq(coeffs, rhs):
     return LinearInequality(coeffs, rhs)
 
 
+def long_chain(n):
+    """e0000 < e0001 < ... with marks 0 and 1 on the two ends."""
+    elements = [f"e{i:04d}" for i in range(n)]
+    return MarkedPoset(Poset(elements, list(zip(elements, elements[1:]))),
+                       {elements[0]: 0, elements[-1]: 1})
+
+
 class TestBuildOrder:
     def test_segment(self, segment):
         h = build_order_hrep(segment)
@@ -62,6 +71,20 @@ class TestBuildOrder:
             ineq({"x": -1}, 0), ineq({"x": 1, "y": -1}, 0),
             ineq({"y": -1}, -1), ineq({"y": 1}, 3),
         }
+
+    def test_long_chain_memory(self):
+        # the order is one bitmask up-set per element and rows are keyed by
+        # their nonzeros, so the traced peak is about 2 MB; up-sets held as
+        # sets (about 54 MB) or a dense key per row (about 19 MB) would each
+        # exceed the 10 MB bound
+        tracemalloc.start()
+        try:
+            h = build_order_hrep(long_chain(1500))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(h.inequalities) == 1499
+        assert peak < 10 * 2**20
 
 
 class TestBuildChain:
@@ -235,6 +258,9 @@ class TestIsFacePartition:
     def test_not_a_partition_raises(self, segment):
         with pytest.raises(ValueError):
             is_face_partition(segment, FacePartition.of(segment, [{"a", "x"}]))
+        # of several unknown ids the least is named, whatever the string hashing
+        with pytest.raises(ValueError, match="unknown element 'q'"):
+            is_face_partition(segment, FacePartition.of(segment, [{"a", "x", "s", "q", "r"}, {"b"}]))
 
     def test_points_induce_face_partitions(self):
         rng = random.Random(8)
@@ -301,6 +327,15 @@ class TestOrderVerticesCombinatorial:
         monkeypatch.setenv("MPP_WORK_CAP", "6")
         with pytest.raises(DimensionTooLarge, match="node cap 6; set MPP_WORK_CAP to raise it"):
             order_vertices_combinatorial(diamond_02)
+
+    def test_chain_deeper_than_recursion_limit(self, monkeypatch):
+        # the walk goes one level per unmarked element without recursing, so a
+        # long chain ends at the node cap, not at Python's recursion limit
+        mp = long_chain(1200)
+        assert len(mp.unmarked) > sys.getrecursionlimit()
+        monkeypatch.setenv("MPP_WORK_CAP", "1100")
+        with pytest.raises(DimensionTooLarge, match="node cap 1100; set MPP_WORK_CAP to raise it"):
+            order_vertices_combinatorial(mp)
 
     def test_vertices_have_no_free_blocks(self):
         rng = random.Random(22)

@@ -17,6 +17,10 @@ from markedposets import (
     maximal_marked_chains,
     validate_marked,
 )
+from markedposets.corpus import corpus
+from markedposets.posets import _members, _topological_order, _up_sets, induced_subposet
+
+ORACLE_SEEDS = (20250808, 3, 7)
 
 
 def brute_closure(elements, covers):
@@ -30,6 +34,27 @@ def brute_closure(elements, covers):
                 rel.add((a, d))
                 changed = True
     return rel
+
+
+def frozen_up_sets(nodes, succ):
+    """The frozenset form of ``_up_sets``: each node's strict up-set, and the implied edges."""
+    above, implied = {}, set()
+    for v in reversed(_topological_order(nodes, succ)):
+        acc = set()
+        for w in succ[v]:
+            acc |= above[w]
+        implied.update((v, w) for w in succ[v] if w in acc)
+        acc.update(succ[v])
+        above[v] = frozenset(acc)
+    return above, implied
+
+
+def all_pairs_augment(mp):
+    """``augment_marked_order`` adding every marked pair with increasing marks."""
+    marked = sorted(mp.marked)
+    relations = list(mp.poset.covers)
+    relations += [(a, b) for a in marked for b in marked if mp.value(a) < mp.value(b)]
+    return Poset.from_relations(mp.poset.elements, relations)
 
 
 @st.composite
@@ -127,6 +152,40 @@ class TestPoset:
                     Poset(poset.elements, list(poset.covers) + [(p, q)])
 
 
+class TestBitmaskClosure:
+    """The bitmask up-sets against the frozenset closure they replaced."""
+
+    @staticmethod
+    def check(poset, relations):
+        # the cover graph and the relation graph share one closure and one order
+        for succ in ({e: poset.upper_covers(e) for e in poset.elements},
+                     {e: {q for p, q in relations if p == e} for e in poset.elements}):
+            order, above, implied = _up_sets(poset.elements, succ)
+            oracle_above, oracle_implied = frozen_up_sets(poset.elements, succ)
+            assert implied == oracle_implied
+            assert order == poset.topological_order() == _topological_order(poset.elements, succ)
+            assert {v: frozenset(_members(m, order)) for v, m in zip(order, above)} == oracle_above
+        for p in poset.elements:
+            assert {q for q in poset.elements if poset.less(p, q)} == oracle_above[p]
+        rng = random.Random(len(poset.elements))
+        for _ in range(3):
+            keep = [e for e in poset.elements if rng.random() < 0.6]
+            oracle = Poset.from_relations(
+                keep, [(p, q) for p in keep for q in oracle_above[p] if q in keep])
+            induced = induced_subposet(poset, keep)
+            assert induced.elements == oracle.elements and induced.covers == oracle.covers
+
+    def test_seeded_corpora(self):
+        for seed in ORACLE_SEEDS:
+            for mp in corpus(seed, 200, max_unmarked=6):
+                self.check(mp.poset, mp.poset.covers)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_posets())
+    def test_small_posets(self, poset_and_edges):
+        self.check(*poset_and_edges)
+
+
 class TestMarkedPoset:
     def test_requires_marked_extremes(self):
         with pytest.raises(ValueError, match="must be marked"):
@@ -136,6 +195,14 @@ class TestMarkedPoset:
         p = Poset(["a", "b"], [("a", "b")])
         with pytest.raises(ValueError, match="order-preserving"):
             MarkedPoset(p, {"a": 1, "b": 0})
+
+    def test_unknown_ids_name_the_least(self):
+        # the message does not depend on string hashing, which varies per process
+        p = Poset(["a", "b"], [("a", "b")])
+        with pytest.raises(ValueError, match="marked element 'q' is not in the poset"):
+            MarkedPoset(p, {"a": 0, "b": 1, "r": 3, "q": 2, "s": 4})
+        with pytest.raises(KeyError, match="unknown element id 'q'"):
+            induced_subposet(p, ["a", "r", "q", "s"])
 
     def test_validate_single_chain(self, segment):
         report = validate_marked(segment)
@@ -201,6 +268,21 @@ class TestAugment:
         mp = MarkedPoset(Poset(["a", "b", "c"], []), {"a": 0, "b": 1, "c": 2})
         aug = augment_marked_order(mp)
         assert sorted(aug.covers) == [("a", "b"), ("b", "c")]
+
+    def test_matches_all_pairs_on_corpora(self):
+        for seed in ORACLE_SEEDS:
+            for mp in corpus(seed, 200, max_unmarked=6):
+                augmented, oracle = augment_marked_order(mp), all_pairs_augment(mp)
+                assert augmented.elements == oracle.elements and augmented.covers == oracle.covers
+
+    def test_levels_with_ties(self):
+        # two elements per mark level: only adjacent levels are joined
+        mp = MarkedPoset(Poset(["a", "b", "c", "d", "e", "f"], []),
+                         {"a": 0, "b": 0, "c": 1, "d": 1, "e": 2, "f": 2})
+        augmented = augment_marked_order(mp)
+        assert augmented.covers == all_pairs_augment(mp).covers
+        assert sorted(augmented.covers) == [(p, q) for p, q in itertools.product("abcdef", repeat=2)
+                                            if mp.value(q) - mp.value(p) == 1]
 
     def test_idempotent(self, figure_one):
         once = augment_marked_order(figure_one)
