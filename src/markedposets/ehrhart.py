@@ -1,10 +1,14 @@
 """Ehrhart polynomials of marked poset polytopes.
 
 Two independent routes: exact lattice-point counting plus interpolation, and
-a closed formula that sums, over the linear extensions of the mark-augmented
-poset, products of binomial polynomials read off each extension's descent
-pattern between consecutive marked elements.  The formula groups the
-extensions by the multiset of their segments (mark gap, descents, length),
+a closed formula.  The counting route counts the closed dilates nP for
+n = 0..floor(dim/2) and, by Ehrhart-Macdonald reciprocity, the relative
+interiors of mP for m = 1..ceil(dim/2) in place of the larger dilates; one
+more closed count, at floor(dim/2) + 1, checks the interpolated polynomial.
+The formula sums, over the linear extensions of the mark-augmented poset,
+products of binomial polynomials read off each extension's descent pattern
+between consecutive marked elements.  It groups the extensions by the
+multiset of their segments (mark gap, descents, length),
 so each distinct product is expanded once and scaled by how many extensions
 share it.  The two routes are held equal on every corpus instance by the
 test suite.
@@ -31,6 +35,7 @@ from .geometry import (
     UnivariatePolynomial,
     affine_dimension,
     count_lattice_points,
+    _count_points,
     _work_cap,
     enumerate_vertices,
     interpolate_polynomial,
@@ -50,18 +55,29 @@ DEFAULT_EXTENSION_CAP = 10**6
 
 
 def ehrhart_by_counting(h: HRepresentation) -> UnivariatePolynomial:
-    """Count lattice points at dilations 0..dim, interpolate, verify at dim+1."""
+    """Interpolate L_P at n = -ceil(dim/2)..floor(dim/2), verify at floor(dim/2) + 1.
+
+    P must be a lattice polytope (NonIntegralVertices otherwise).  The values
+    at n >= 0 are closed counts of nP.  By Ehrhart-Macdonald reciprocity,
+    L_P(-m) = (-1)^dim * #(relint(mP) & Z^d), so the values at n = -m come
+    from relative-interior counts of mP for m = 1..ceil(dim/2), which stay
+    small.  The probe is one more closed count, at a dilation outside the
+    interpolation points.
+    """
     v = enumerate_vertices(h)
     for p in v.vertices:
         if any(x.denominator != 1 for x in p):
             raise NonIntegralVertices(f"vertex {p} is not integral")
     dim = affine_dimension(v)
-    points = [(n, count_lattice_points(h, n)) for n in range(dim + 1)]
+    top = dim // 2
+    sign = -1 if dim % 2 else 1
+    points = [(-m, sign * _count_points(h, m, 1)) for m in range(1, dim - top + 1)]
+    points += [(n, count_lattice_points(h, n)) for n in range(top + 1)]
     poly = interpolate_polynomial(points)
-    probe = count_lattice_points(h, dim + 1)
-    if poly.evaluate(dim + 1) != probe:
+    probe = count_lattice_points(h, top + 1)
+    if poly.evaluate(top + 1) != probe:
         raise VerificationFailed(
-            f"interpolated polynomial disagrees with the count at dilation {dim + 1}")
+            f"interpolated polynomial disagrees with the count at dilation {top + 1}")
     return poly
 
 

@@ -16,6 +16,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -162,6 +163,16 @@ class VRepresentation:
 
     coordinates: tuple[str, ...]
     vertices: tuple[Point, ...]
+
+    @cached_property
+    def _integer_vectors(self) -> list[list[int]]:
+        """Each vertex x as the integer vector (D x, D), D the least common denominator of x."""
+        return _homogenized(self.vertices)
+
+    @cached_property
+    def _box(self) -> list[tuple[Fraction, Fraction]]:
+        """Each coordinate's least and greatest value over the vertices."""
+        return [(min(values), max(values)) for values in zip(*self.vertices)]
 
     def point_maps(self) -> list[dict[str, Fraction]]:
         return [dict(zip(self.coordinates, v)) for v in self.vertices]
@@ -530,14 +541,18 @@ def _homogenized(points: Iterable[Point]) -> list[list[int]]:
 
 def affine_dimension(v: VRepresentation | Iterable[Point]) -> int:
     """Dimension of the affine hull of a vertex set (-1 for empty, 0 for a point)."""
-    points = _homogenized(v.vertices if isinstance(v, VRepresentation) else v)
+    points = v._integer_vectors if isinstance(v, VRepresentation) else _homogenized(v)
     return _rank(points, len(points[0]) if points else 0) - 1
 
 
 def evaluate_affine_values(v: VRepresentation, ineq: LinearInequality) -> tuple[Fraction, ...]:
-    """The multiset (as a sorted tuple) of the functional's values on the vertices."""
+    """The multiset (as a sorted tuple) of the functional's values on the vertices.
+
+    Read off the vertices' integer vectors (D x, D) as (a . D x) / D.
+    """
     terms = [(v.coordinates.index(c), a) for c, a in ineq.coeffs.items()]
-    return tuple(sorted(sum((p[j] * a for j, a in terms), Fraction(0)) for p in v.vertices))
+    d = len(v.coordinates)
+    return tuple(sorted(Fraction(_dot(terms, p), p[d]) for p in v._integer_vectors))
 
 
 def classify_inequalities(
@@ -553,7 +568,7 @@ def classify_inequalities(
     """
     v = enumerate_vertices(h)
     width = len(h.coordinates) + 1
-    points = _homogenized(v.vertices)
+    points = v._integer_vectors
     dim = _rank(points, width) - 1
     facets: list[LinearInequality] = []
     implicit: list[LinearInequality] = []
@@ -592,10 +607,25 @@ def count_lattice_points(h: HRepresentation, dilation: int) -> int:
     next coordinate's integer range is derived from every constraint touching
     it, relaxing still-free coordinates to their vertex box.  Every constraint
     is enforced exactly once its last coordinate is reached, so the relaxation
-    only prunes.
+    only prunes.  The Ehrhart counting route also counts relative-interior
+    points with the same recursion (``_count_points`` with ``shrink`` 1).
     """
     if dilation < 0:
         raise ValueError("dilation must be nonnegative")
+    return _count_points(h, dilation, 0)
+
+
+def _count_points(h: HRepresentation, dilation: int, shrink: int) -> int:
+    """Integer points of the dilate with every non-implicit row's integer rhs lowered by ``shrink``.
+
+    Shrink 0 counts the closed dilate.  Shrink 1 counts its relative interior
+    (for dilation >= 1): each row is all-integer, so a.x < b is a.x <= b - 1;
+    rows tight on the whole polytope (implicit) stay equalities, like the
+    equality rows.  Implicit rows are looked up only when the polytope is not
+    full-dimensional: a row can be tight everywhere even when the equalities
+    alone already cut the polytope's affine hull out, as y <= 0 is beside
+    y = 0.
+    """
     v = enumerate_vertices(h)
     if dilation == 0:
         return 1
@@ -604,60 +634,71 @@ def count_lattice_points(h: HRepresentation, dilation: int) -> int:
         return 1
 
     n = dilation
-    rows = [_int_row(h, i, n) for i in h.inequalities]
-    for eq in h.equalities:
-        row = _int_row(h, eq, n)
+    eq_rows = [_int_row(h, e, n) for e in h.equalities]
+    implicit: list[LinearInequality] = []
+    if shrink and affine_dimension(v) < d:
+        implicit = classify_inequalities(h)[3]
+    rows = []
+    for ineq in h.inequalities:
+        row = _int_row(h, ineq, n)
+        if ineq in implicit:
+            eq_rows.append(row)
+        else:
+            row[d] -= shrink
+            rows.append(row)
+    for row in eq_rows:
         rows += [row, [-a for a in row]]
 
     box_lo = []
     box_hi = []
-    for j in range(d):
-        values = [p[j] for p in v.vertices]
-        lo, hi = min(values) * n, max(values) * n
-        box_lo.append(_ceil_div(lo.numerator, lo.denominator))
-        box_hi.append(hi.numerator // hi.denominator)
-        if box_lo[j] > box_hi[j]:
+    for lo, hi in v._box:
+        box_lo.append(_ceil_div(lo.numerator * n, lo.denominator))
+        box_hi.append(hi.numerator * n // hi.denominator)
+        if box_lo[-1] > box_hi[-1]:
             return 0
 
-    # suffix[r][i]: minimal contribution of coordinates >= i to row r, by box
-    suffix: list[list[int]] = []
+    # Row r bounds coordinate i by its slack less the least that coordinates
+    # after i can add to it inside the box (``rest``): from above when its
+    # coefficient a is positive, from below when it is negative.
+    upper: list[list[tuple[int, int, int]]] = [[] for _ in range(d)]
+    lower: list[list[tuple[int, int, int]]] = [[] for _ in range(d)]
     touch: list[list[tuple[int, int]]] = [[] for _ in range(d)]
     for r, row in enumerate(rows):
-        acc = [0] * (d + 1)
+        rest = 0
         for j in range(d - 1, -1, -1):
             a = row[j]
-            contrib = min(a * box_lo[j], a * box_hi[j]) if a else 0
-            acc[j] = acc[j + 1] + contrib
-        suffix.append(acc)
-        for j in range(d):
-            if row[j]:
-                touch[j].append((r, row[j]))
+            if a:
+                (upper if a > 0 else lower)[j].append((r, abs(a), rest))
+                touch[j].append((r, a))
+                rest += min(a * box_lo[j], a * box_hi[j])
 
     slack = [row[d] for row in rows]
+    last = d - 1
 
     def rec(i: int) -> int:
         lo, hi = box_lo[i], box_hi[i]
-        for r, a in touch[i]:
-            budget = slack[r] - suffix[r][i + 1]
-            if a > 0:
-                bound = budget // a
-                if bound < hi:
-                    hi = bound
-            else:
-                bound = _ceil_div(-budget, -a)
-                if bound > lo:
-                    lo = bound
-            if lo > hi:
-                return 0
-        if i == d - 1:
+        for r, a, rest in upper[i]:
+            bound = (slack[r] - rest) // a
+            if bound < hi:
+                hi = bound
+        for r, a, rest in lower[i]:
+            bound = -((slack[r] - rest) // a)
+            if bound > lo:
+                lo = bound
+        if lo > hi:
+            return 0
+        if i == last:
             return hi - lo + 1
+        rows_i = touch[i]
+        for r, a in rows_i:
+            slack[r] -= a * lo
         total = 0
-        for t in range(lo, hi + 1):
-            for r, a in touch[i]:
-                slack[r] -= a * t
+        for _ in range(lo, hi + 1):
             total += rec(i + 1)
-            for r, a in touch[i]:
-                slack[r] += a * t
+            for r, a in rows_i:
+                slack[r] -= a
+        for r, a in rows_i:
+            slack[r] += a * (hi + 1)
         return total
 
     return rec(0)
@@ -729,21 +770,43 @@ def polynomial(coeffs: Iterable[int | Fraction]) -> UnivariatePolynomial:
     return UnivariatePolynomial(tuple(Fraction(c) for c in coeffs))
 
 
-def interpolate_polynomial(points: Sequence[tuple[int, int | Fraction]]) -> UnivariatePolynomial:
-    """The unique rational polynomial through the points (exact Lagrange)."""
+def interpolate_polynomial(points: Sequence[tuple[int | Fraction, int | Fraction]]) -> UnivariatePolynomial:
+    """The unique rational polynomial through the points (exact Lagrange, in integers).
+
+    With the abscissae scaled to integers X_i = D x_i and the values to
+    integers Y_i = E y_i (D, E least common denominators), every basis
+    polynomial F(t) / (t - X_i) / w_i, where F = prod_j (t - X_j) and
+    w_i = prod_{j != i} (X_i - X_j), is put over W = lcm |w_i|; each quotient
+    comes from F by synthetic division.  The integer numerator
+    N = sum_i Y_i (W / w_i) F / (t - X_i) gives the coefficient of x^k as
+    N_k D^k / (W E), one division per coefficient.
+    """
     xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate abscissae")
-    result = ZERO_POLYNOMIAL
-    for i, (xi, yi) in enumerate(points):
-        term = UnivariatePolynomial((Fraction(yi),))
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            term = term * UnivariatePolynomial((Fraction(-xj, 1), Fraction(1)))
-            term = term * Fraction(1, xi - xj)
-        result = result + term
-    return result
+    fx = [Fraction(x) for x in xs]
+    fy = [Fraction(y) for _, y in points]
+    dx = math.lcm(*(x.denominator for x in fx))
+    dy = math.lcm(*(y.denominator for y in fy))
+    xs_int = [x.numerator * (dx // x.denominator) for x in fx]
+    full = [1]
+    for xj in xs_int:
+        full = [a - xj * b for a, b in zip([0, *full], full + [0])]
+    weights = [math.prod(xi - xj for xj in xs_int if xj != xi) for xi in xs_int]
+    common = math.lcm(*weights)
+    size = len(xs_int)
+    numerator = [0] * size
+    for xi, y, w in zip(xs_int, fy, weights):
+        scale = y.numerator * (dy // y.denominator) * (common // w)
+        if not scale:
+            continue
+        q = 1  # quotient coefficients of F / (t - xi), from the top down
+        for k in range(size - 1, -1, -1):
+            numerator[k] += scale * q
+            q = full[k] + xi * q
+    denominator = common * dy
+    return UnivariatePolynomial(tuple(Fraction(c * dx ** k, denominator)
+                                      for k, c in enumerate(numerator)))
 
 
 # ---------------------------------------------------------------------------

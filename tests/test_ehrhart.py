@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import markedposets.ehrhart as ehrhart_module
 from markedposets import (
     ExtensionExplosion,
     HRepresentation,
@@ -24,6 +25,7 @@ from markedposets import (
     build_chain_hrep,
     build_chain_order_hrep,
     build_order_hrep,
+    count_lattice_points,
     count_restricted_extensions,
     ehrhart_by_counting,
     ehrhart_formula_marked_order,
@@ -36,7 +38,9 @@ from markedposets.cli import main
 from markedposets.corpus import all_chain_order_partitions, corpus, random_marked_poset
 from markedposets.ehrhart import _segment_factor
 from markedposets.errors import VerificationFailed
+from markedposets.geometry import _count_points, affine_dimension, enumerate_vertices
 from markedposets.posets import augment_marked_order
+from test_geometry import fraction_lagrange
 
 ORACLE_SEEDS = (20250808, 3, 7)
 
@@ -85,6 +89,41 @@ def cube(k):
     return MarkedPoset(Poset(["bot", *xs, "top"], covers), {"bot": 0, "top": 1})
 
 
+def chain_poset(k):
+    """k unmarked elements in a chain between marks 0 and 1: a unimodular k-simplex."""
+    xs = [f"x{i:02d}" for i in range(k)]
+    elements = ["bot", *xs, "top"]
+    return MarkedPoset(Poset(elements, list(zip(elements, elements[1:]))), {"bot": 0, "top": 1})
+
+
+def closed_dilation_route(h):
+    """The counting route without reciprocity: closed counts at dilations 0..dim,
+    Fraction Lagrange, and the probe at dim + 1."""
+    dim = affine_dimension(enumerate_vertices(h))
+    poly = fraction_lagrange([(n, count_lattice_points(h, n)) for n in range(dim + 1)])
+    if poly.evaluate(dim + 1) != count_lattice_points(h, dim + 1):
+        raise VerificationFailed(f"interpolated polynomial disagrees with the count at dilation {dim + 1}")
+    return poly
+
+
+def corpus_hreps(seed):
+    """The order, chain and every chain-order H-rep of ``corpus(seed, 200, max_unmarked=5)``."""
+    for mp in corpus(seed, 200, max_unmarked=5):
+        yield build_order_hrep(mp)
+        yield build_chain_hrep(mp)
+        for part in all_chain_order_partitions(mp):
+            yield build_chain_order_hrep(mp, part)
+
+
+# wrong interior counts, each given the true count function and the dilation
+INTERIOR_FAULTS = {
+    "dropped point": lambda count, h, m: max(count(h, m, 1) - 1, 0),
+    "no shrink": lambda count, h, m: count(h, m, 0),
+    "shrink of 2": lambda count, h, m: count(h, m, 2),
+    "sign (-1)^(dim+1)": lambda count, h, m: -count(h, m, 1),
+}
+
+
 def ehrhart_json(doc):
     """``mpp ehrhart <doc> --family order --method formula --json``: exit code and stdout."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -112,6 +151,73 @@ class TestCounting:
             ["x"], [LinearInequality({"x": -1}, 0), LinearInequality({"x": 2}, 1)])
         with pytest.raises(NonIntegralVertices):
             ehrhart_by_counting(h)
+
+    def test_rows_tight_on_a_thin_polytope(self):
+        # the unit cube in x, y, z at w = 0: an equality with a tight row beside it,
+        # or an inequality pair; its interior count at m = 2 is the first nonzero one
+        coords = ["x", "y", "z", "w"]
+        box = [LinearInequality({c: s}, max(s, 0)) for c in coords[:3] for s in (-1, 1)]
+        w_upper, w_lower = LinearInequality({"w": 1}, 0), LinearInequality({"w": -1}, 0)
+        for h in (HRepresentation(coords, [*box, w_upper], [w_upper]),
+                  HRepresentation(coords, [*box, w_upper, w_lower])):
+            assert ehrhart_by_counting(h) == polynomial([1, 1]) ** 3
+
+
+class TestReciprocityRoute:
+    """Interior counts at -ceil(dim/2)..-1 against the closed-dilation route and faults."""
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_matches_closed_dilation_route(self, seed):
+        for h in corpus_hreps(seed):
+            assert ehrhart_by_counting(h) == closed_dilation_route(h)
+
+    @pytest.mark.parametrize("fault", sorted(INTERIOR_FAULTS))
+    def test_probe_catches_interior_count_fault(self, monkeypatch, fault):
+        monkeypatch.setattr(ehrhart_module, "_count_points",
+                            lambda h, m, shrink: INTERIOR_FAULTS[fault](_count_points, h, m))
+        caught = 0
+        for mp in corpus(ORACLE_SEEDS[0], 40, max_unmarked=5):
+            try:
+                ehrhart_by_counting(build_order_hrep(mp))
+            except VerificationFailed:
+                caught += 1
+        assert caught
+
+    def test_counts_no_dilation_above_half_the_dimension(self, monkeypatch):
+        calls = []
+
+        def closed(h, n):
+            calls.append(("closed", n))
+            return count_lattice_points(h, n)
+
+        def interior(h, m, shrink):
+            calls.append(("interior", m, shrink))
+            return _count_points(h, m, shrink)
+
+        monkeypatch.setattr(ehrhart_module, "count_lattice_points", closed)
+        monkeypatch.setattr(ehrhart_module, "_count_points", interior)
+        marked = [*corpus(ORACLE_SEEDS[1], 30, max_unmarked=5), cube(5), chain_poset(6)]
+        for h in [build_order_hrep(mp) for mp in marked] + [build_chain_hrep(mp) for mp in marked]:
+            calls.clear()
+            dim = affine_dimension(enumerate_vertices(h))
+            ehrhart_by_counting(h)
+            assert sorted(calls) == sorted(
+                [("closed", n) for n in range(dim // 2 + 2)]
+                + [("interior", m, 1) for m in range(1, (dim + 1) // 2 + 1)])
+
+
+class TestCountingReach:
+    """Sizes the closed-dilation route took seconds to minutes on (its probe at dim + 1)."""
+
+    def test_chain_of_twelve_is_a_binomial(self):
+        assert ehrhart_by_counting(build_order_hrep(chain_poset(12))) == fraction_segment_factor(1, 0, 12)
+
+    def test_cube_of_dimension_eight(self):
+        assert ehrhart_by_counting(build_order_hrep(cube(8))) == polynomial([1, 1]) ** 8
+
+    def test_ladder_of_four_rungs_matches_formula(self, ladder):
+        mp = ladder(4)
+        assert ehrhart_by_counting(build_order_hrep(mp)) == ehrhart_formula_marked_order(mp)
 
 
 class TestFormula:

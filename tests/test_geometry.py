@@ -7,6 +7,8 @@ a rational-elimination rank for facet classification, and a plain box scan
 for lattice points.
 """
 
+import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -39,6 +41,7 @@ from markedposets import (
 )
 from markedposets.corpus import all_chain_order_partitions, corpus, random_unimodular_map
 from markedposets.geometry import (
+    _count_points,
     _int_row,
     _IntEchelon,
     _seed_equalities,
@@ -165,6 +168,77 @@ def oracle_count_box(rows, dilation, box):
             if all(ax * x + ay * y <= b * dilation for ax, ay, b in rows):
                 total += 1
     return total
+
+
+def fraction_lagrange(points):
+    """Lagrange interpolation with every basis polynomial multiplied out in Fractions."""
+    xs = [x for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("duplicate abscissae")
+    result = polynomial([])
+    for i, (xi, yi) in enumerate(points):
+        term = UnivariatePolynomial((Fraction(yi),))
+        for j, (xj, _) in enumerate(points):
+            if i == j:
+                continue
+            term = term * UnivariatePolynomial((Fraction(-xj, 1), Fraction(1)))
+            term = term * Fraction(1, xi - xj)
+        result = result + term
+    return result
+
+
+def random_lattice_polytope(rng):
+    """A small lattice polytope, often with equalities and implicit inequality pairs.
+
+    Box bounds and difference rows y_i - y_j <= c form a totally unimodular
+    system, so every vertex is integral; an equality row or an inequality
+    pair of the same shape keeps it so, and a random unimodular map then
+    hides the shape.  Bounds with lower = upper are implicit pairs too.
+    """
+    d = rng.randint(1, 3)
+    ys = [f"y{i}" for i in range(d)]
+    ineqs, eqs = [], []
+    for y in ys:
+        lo = rng.randint(-2, 1)
+        ineqs += [LinearInequality({y: -1}, -lo), LinearInequality({y: 1}, lo + rng.choice([0, 1, 2, 3]))]
+
+    def difference():
+        i, j = rng.sample(range(d), 2) if d > 1 else (0, None)
+        coeffs = {ys[i]: 1} if j is None else {ys[i]: 1, ys[j]: -1}
+        return coeffs, rng.randint(-2, 3)
+
+    for _ in range(rng.randint(0, 3)):
+        ineqs.append(LinearInequality(*difference()))
+    if rng.random() < 0.4:
+        eqs.append(LinearInequality(*difference()))
+    if rng.random() < 0.4:
+        coeffs, c = difference()
+        ineqs += [LinearInequality(coeffs, c), LinearInequality({y: -a for y, a in coeffs.items()}, -c)]
+    matrix, shift = random_unimodular_map(rng, d)
+    return affine_image(HRepresentation(ys, ineqs, eqs), matrix, shift)
+
+
+def oracle_interior_count(h, dilation):
+    """Scan the vertex box of the dilate for relative-interior lattice points.
+
+    A row is implicit when it is tight at every lattice point of the polytope
+    (they include the vertices of a lattice polytope); every other row must
+    hold strictly.
+    """
+    columns = list(zip(*enumerate_vertices(h).vertices))
+
+    def box_points(n):
+        box = [range(int(min(c)) * n, int(max(c)) * n + 1) for c in columns]
+        return [dict(zip(h.coordinates, x)) for x in itertools.product(*box)]
+
+    def inside(x, n):
+        return (all(i.evaluate(x) <= i.rhs * n for i in h.inequalities)
+                and all(e.evaluate(x) == e.rhs * n for e in h.equalities))
+
+    lattice = [x for x in box_points(1) if inside(x, 1)]
+    loose = [i for i in h.inequalities if any(i.evaluate(x) != i.rhs for x in lattice)]
+    return sum(1 for x in box_points(dilation)
+               if inside(x, dilation) and all(i.evaluate(x) < i.rhs * dilation for i in loose))
 
 
 class TestEnumerateVertices:
@@ -353,6 +427,12 @@ class TestEvaluateAffineValues:
         values = evaluate_affine_values(v, LinearInequality({"x": 1, "y": -1}, 0))
         assert values == (-2, -1, 0, 0)
 
+    def test_fractional_vertices(self):
+        # vertices (0, 0), (1/2, 0), (0, 1/3)
+        v = enumerate_vertices(hrep2([(-1, 0, 0), (0, -1, 0), (2, 3, 1)]))
+        values = evaluate_affine_values(v, LinearInequality({"x": 3, "y": 1}, 2))
+        assert values == (0, Fraction(1, 3), Fraction(3, 2))
+
 
 class TestCountLatticePoints:
     def test_unit_square_dilation2(self):
@@ -407,6 +487,34 @@ class TestCountLatticePoints:
             count_lattice_points(hrep2(UNIT_SQUARE), -1)
 
 
+class TestInteriorCount:
+    """``_count_points`` with shrink 1: lattice points of the dilate's relative interior."""
+
+    def test_unit_square(self):
+        assert [_count_points(hrep2(UNIT_SQUARE), n, 1) for n in (1, 2, 3)] == [0, 1, 4]
+
+    def test_row_tight_beside_an_equality(self):
+        # x + y <= 1 is tight on the segment although the equality alone cuts out its line
+        upper = LinearInequality({"x": 1, "y": 1}, 1)
+        h = HRepresentation(
+            ["x", "y"], [LinearInequality({"x": -1}, 0), LinearInequality({"y": -1}, 0), upper], [upper])
+        assert [_count_points(h, n, 1) for n in (1, 2, 3)] == [0, 1, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_random_lattice_polytopes_match_strict_box_scan(self, seed):
+        h = random_lattice_polytope(random.Random(seed))
+        try:
+            v = enumerate_vertices(h)
+        except EmptyPolytope:
+            assume(False)
+        assert all(x.denominator == 1 for p in v.vertices for x in p)
+        # a unimodular map can stretch the box; keep the scan at dilation 3 small
+        assume(math.prod(3 * (max(c) - min(c)) + 1 for c in zip(*v.vertices)) <= 20_000)
+        for n in (1, 2, 3):
+            assert _count_points(h, n, 1) == oracle_interior_count(h, n)
+
+
 class TestInterpolation:
     def test_linear(self):
         assert interpolate_polynomial([(0, 1), (1, 2), (2, 3)]) == polynomial([1, 1])
@@ -420,6 +528,19 @@ class TestInterpolation:
     def test_duplicate_abscissae(self):
         with pytest.raises(ValueError):
             interpolate_polynomial([(0, 1), (0, 2)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_fraction_lagrange(self, data):
+        numbers = st.integers(-30, 30) | st.fractions(-8, 8, max_denominator=7)
+        xs = data.draw(st.lists(numbers, max_size=7, unique=True))
+        points = [(x, data.draw(numbers)) for x in xs]
+        assert interpolate_polynomial(points) == fraction_lagrange(points)
+        if points:
+            duplicated = [*points, (data.draw(st.sampled_from(xs)), data.draw(numbers))]
+            for interpolate in (interpolate_polynomial, fraction_lagrange):
+                with pytest.raises(ValueError, match="duplicate abscissae"):
+                    interpolate(duplicated)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=5))
