@@ -8,10 +8,11 @@ more closed count, at floor(dim/2) + 1, checks the interpolated polynomial.
 The formula sums, over the linear extensions of the mark-augmented poset,
 products of binomial polynomials read off each extension's descent pattern
 between consecutive marked elements.  It groups the extensions by the
-multiset of their segments (mark gap, descents, length),
-so each distinct product is expanded once and scaled by how many extensions
-share it.  The two routes are held equal on every corpus instance by the
-test suite.
+multiset of their segments (mark gap, descents, length), so each distinct
+product is expanded once, in integers over the common denominator u! (u the
+number of unmarked elements), and scaled by how many extensions share it;
+the only division is the last one, by u!.  The two routes are held equal on
+every corpus instance by the test suite.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .errors import (
     VerificationFailed,
 )
 from .geometry import (
-    ONE_POLYNOMIAL,
-    ZERO_POLYNOMIAL,
     HRepresentation,
     UnivariatePolynomial,
     affine_dimension,
@@ -123,24 +122,33 @@ def count_restricted_extensions(mp: MarkedPoset) -> int:
     return sum(1 for _ in _capped_extensions(mp, None))
 
 
-def _segment_factor(delta: int, descents: int, k: int) -> UnivariatePolynomial:
-    """The polynomial C(n*delta - descents + k, k) expanded in n.
+def _segment_factor(delta: int, descents: int, k: int) -> tuple[int, ...]:
+    """k! * C(n*delta - descents + k, k) expanded in n: integer coefficients, constant first.
 
-    The product of the k linear factors n*delta + k - descents - j is expanded
-    with integer coefficients; the division by k! comes once, at the end.
+    The product of the k linear factors n*delta + k - descents - j; the
+    division by k! is left to the caller.
     """
     if k == 0:
         if descents:
             raise VerificationFailed("descent between adjacent marked elements")
-        return ONE_POLYNOMIAL
+        return (1,)
     if descents > k:
         raise VerificationFailed("segment descent count exceeds its length")
     coeffs = [1]
     for j in range(k):
         shift = k - descents - j
         coeffs = [shift * a + delta * b for a, b in zip(coeffs + [0], [0, *coeffs])]
-    denominator = math.factorial(k)
-    return UnivariatePolynomial(tuple(Fraction(c, denominator) for c in coeffs))
+    return tuple(coeffs)
+
+
+def _convolve(a: list[int], b: tuple[int, ...]) -> list[int]:
+    """The coefficients of the product of two integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def ehrhart_formula_marked_order(
@@ -158,8 +166,9 @@ def ehrhart_formula_marked_order(
 
     The product depends only on the multiset of (mark(b) - mark(a), d, k)
     triples, the word's signature.  The stream counts the words of each
-    signature; each distinct signature is multiplied out once and scaled by
-    its count, and each distinct triple is expanded once.
+    signature; each distinct signature is multiplied out once, in integers
+    over the common denominator u! (u unmarked elements; a word's segments are
+    disjoint sets of them), and each distinct triple is expanded once.
     """
     require_strict_regular(mp, "ehrhart_formula_marked_order")
     if not mp.is_integral():
@@ -172,14 +181,30 @@ def ehrhart_formula_marked_order(
         signatures[tuple(sorted(
             (marks[ext.word[t]] - marks[ext.word[s]], ext.segment_descents(s, t), t - s - 1)
             for s, t in zip(marked_at, marked_at[1:])))] += 1
-    factor = cache(_segment_factor)
-    total = ZERO_POLYNOMIAL
+    return _signature_sum(signatures, len(mp.unmarked))
+
+
+def _signature_sum(signatures: Mapping[tuple[tuple[int, int, int], ...], int],
+                   unmarked: int) -> UnivariatePolynomial:
+    """Sum words * prod C(n*delta - d + k, k) over (delta, d, k) in each signature.
+
+    Every signature's lengths k must sum to at most ``unmarked`` (u): then
+    u!/(k_1! k_2! ...) is an integer, a multinomial times a factorial, and
+    dividing out one k_i! at a time stays exact.  Each term is its numerator
+    product times words * u!/(k_1! k_2! ...), the terms add up in one integer
+    coefficient list, and each coefficient is divided by u! once.
+    """
+    numerator = cache(_segment_factor)
+    denominator = math.factorial(unmarked)
+    total = [0] * (unmarked + 1)
     for signature, words in signatures.items():
-        term = polynomial([words])
-        for triple in signature:
-            term = term * factor(*triple)
-        total = total + term
-    return total
+        term, scale = [1], words * denominator
+        for delta, descents, k in signature:
+            term = _convolve(term, numerator(delta, descents, k))
+            scale //= math.factorial(k)
+        for i, c in enumerate(term):
+            total[i] += scale * c
+    return UnivariatePolynomial(tuple(Fraction(c, denominator) for c in total))
 
 
 def pm_family(m: int, c: int) -> MarkedPoset:

@@ -763,7 +763,6 @@ class UnivariatePolynomial:
 
 
 ZERO_POLYNOMIAL = UnivariatePolynomial(())
-ONE_POLYNOMIAL = UnivariatePolynomial((Fraction(1),))
 
 
 def polynomial(coeffs: Iterable[int | Fraction]) -> UnivariatePolynomial:

@@ -175,14 +175,14 @@ def order_vertices_combinatorial(mp: MarkedPoset) -> VRepresentation:
     poset = mp.poset
     values = sorted({mp.value(a) for a in mp.marked})
     order = [e for e in poset.topological_order() if e not in mp.marked]
-    assignment: dict[str, Fraction] = {}
+    assignment: dict[str, Fraction] = {a: mp.value(a) for a in mp.marked}
     vertices: list[tuple[Fraction, ...]] = []
     nodes = 0
     cap = _work_cap(DEFAULT_ASSIGNMENT_CAP)
 
     def feasible(e: str, v: Fraction) -> bool:
         for p in poset.lower_covers(e):
-            lo = mp.value(p) if p in mp.marked else assignment.get(p)
+            lo = assignment.get(p)
             if lo is not None and lo > v:
                 return False
         for q in poset.upper_covers(e):
@@ -199,10 +199,11 @@ def order_vertices_combinatorial(mp: MarkedPoset) -> VRepresentation:
             raise DimensionTooLarge(f"assignment search exceeds the node cap {cap}"
                                     "; set MPP_WORK_CAP to raise it")
         if len(stack) == len(order):
-            point = {p: assignment[p] for p in mp.unmarked}
-            fp = face_partition_of_point(mp, point)
-            if not fp.free_blocks:
-                vertices.append(tuple(point[p] for p in mp.unmarked))
+            # feasible() has checked every cover, so the leaf is in the polytope
+            # and its face partition glues the covers with equal values
+            glued = [(p, q) for p, q in poset.covers if assignment[p] == assignment[q]]
+            if not FacePartition.of(mp, _components(poset.elements, glued)).free_blocks:
+                vertices.append(tuple(assignment[p] for p in mp.unmarked))
         else:
             stack.append(iter(values))
         while stack:

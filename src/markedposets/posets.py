@@ -284,25 +284,37 @@ def validate_marked(mp: MarkedPoset) -> MarkingReport:
     Strict: comparable marked a < b implies marking(a) < marking(b).
     Regular: for every cover p < q and marked a <= q, p <= b, either a = b
     or marking(a) < marking(b).
+
+    Marks are compared by their ranks among the distinct mark values, and
+    a <= q, p <= b are read off the up-set bitmasks, so the loops do integer
+    work only.  Witnesses come in id order: strict by (a, b), regular by
+    cover, then a, then b.
     """
     poset = mp.poset
+    index, above = poset._index, poset._above
+    marked = sorted(mp.marked)
+    rank_of = {v: r for r, v in enumerate(sorted(set(mp.marking.values())))}
+    rank = [rank_of[mp.value(a)] for a in marked]
+    bit = [1 << index[a] for a in marked]
     violations: list[tuple] = []
     strict = True
-    marked_sorted = sorted(mp.marked)
-    for a in marked_sorted:
-        for b in marked_sorted:
-            if poset.less(a, b) and mp.value(a) >= mp.value(b):
+    for i, a in enumerate(marked):
+        up = above[index[a]]
+        for j, b in enumerate(marked):
+            if rank[i] >= rank[j] and up & bit[j]:
                 strict = False
                 violations.append(("strict", a, b))
+    reach = [above[index[a]] | bit[i] for i, a in enumerate(marked)]  # up-sets are strict: add a
     regular = True
     for p, q in sorted(poset.covers):
-        below_q = [a for a in marked_sorted if poset.leq(a, q)]
-        above_p = [b for b in marked_sorted if poset.leq(p, b)]
-        for a in below_q:
-            for b in above_p:
-                if a != b and mp.value(a) >= mp.value(b):
+        up_p, bit_q = above[index[p]] | 1 << index[p], 1 << index[q]
+        below_q = [i for i in range(len(marked)) if reach[i] & bit_q]
+        above_p = [j for j in range(len(marked)) if up_p & bit[j]]
+        for i in below_q:
+            for j in above_p:
+                if i != j and rank[i] >= rank[j]:
                     regular = False
-                    violations.append(("regular", (p, q), a, b))
+                    violations.append(("regular", (p, q), marked[i], marked[j]))
     return MarkingReport(strict=strict, regular=regular, violations=tuple(violations))
 
 

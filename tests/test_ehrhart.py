@@ -6,11 +6,12 @@ import json
 import math
 import random
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import markedposets.ehrhart as ehrhart_module
@@ -36,7 +37,7 @@ from markedposets import (
 )
 from markedposets.cli import main
 from markedposets.corpus import all_chain_order_partitions, corpus, random_marked_poset
-from markedposets.ehrhart import _segment_factor
+from markedposets.ehrhart import _segment_factor, _signature_sum
 from markedposets.errors import VerificationFailed
 from markedposets.geometry import _count_points, affine_dimension, enumerate_vertices
 from markedposets.posets import augment_marked_order
@@ -78,6 +79,28 @@ def per_word_formula(mp, labeling=None):
         for s, t in zip(marked_at, marked_at[1:]):
             delta = mp.value(ext.word[t]) - mp.value(ext.word[s])
             term = term * fraction_segment_factor(delta, ext.segment_descents(s, t), t - s - 1)
+        total = total + term
+    return total
+
+
+def word_signatures(mp, labeling=None):
+    """The words of the restricted stream counted per sorted tuple of (mark gap, descents, length)."""
+    signatures = Counter()
+    for ext in restricted_linear_extensions(mp, labeling):
+        marked_at = [i for i, e in enumerate(ext.word) if e in mp.marked]
+        signatures[tuple(sorted(
+            (int(mp.value(ext.word[t]) - mp.value(ext.word[s])), ext.segment_descents(s, t), t - s - 1)
+            for s, t in zip(marked_at, marked_at[1:])))] += 1
+    return signatures
+
+
+def fraction_signature_sum(signatures):
+    """Each signature's segment factors multiplied in Fraction polynomials, scaled by its words, summed."""
+    total = polynomial([])
+    for signature, words in signatures.items():
+        term = polynomial([words])
+        for triple in signature:
+            term = term * fraction_segment_factor(*triple)
         total = total + term
     return total
 
@@ -296,6 +319,18 @@ class TestFormula:
             assert poly.degree == dim
 
 
+@st.composite
+def signature_counters(draw):
+    """Word counts per signature: up to 5 (gap, descents, length) triples, any k = 0, d = k or gap > 1."""
+    def triple(gap_and_length):
+        gap, k = gap_and_length
+        return st.tuples(st.just(gap), st.integers(0, k), st.just(k))
+
+    triples = st.tuples(st.integers(0, 4), st.integers(0, 6)).flatmap(triple)
+    signatures = st.lists(triples, max_size=5).map(lambda t: tuple(sorted(t)))
+    return Counter(draw(st.dictionaries(signatures, st.integers(1, 50), max_size=6)))
+
+
 class TestSignatureGrouping:
     """The grouped formula against the per-word sum and known closed forms."""
 
@@ -322,7 +357,7 @@ class TestSignatureGrouping:
         for delta in range(4):
             for k in range(8):
                 for descents in range(k + 1):
-                    assert (_segment_factor(delta, descents, k)
+                    assert (polynomial(_segment_factor(delta, descents, k)) * Fraction(1, math.factorial(k))
                             == fraction_segment_factor(delta, descents, k))
 
     def test_segment_factor_guards(self):
@@ -347,6 +382,36 @@ class TestSignatureGrouping:
             "covers": [list(c) for c in m.poset.covers],
             "marked": {a: int(v) for a, v in m.marking.items()}}) for m in (mp, relabelled))
         assert original[0] == 0 and renamed == original
+
+
+class TestIntegerAssembly:
+    """The integer signature sum over u! against the Fraction assembly per signature."""
+
+    def test_pm_family(self):
+        for m in range(3, 41):
+            for c in (1, 2):
+                mp = pm_family(m, c)
+                assert ehrhart_formula_marked_order(mp) == fraction_signature_sum(word_signatures(mp))
+
+    def test_cube(self):
+        for mp in map(cube, range(1, 9)):
+            assert ehrhart_formula_marked_order(mp) == fraction_signature_sum(word_signatures(mp))
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_seeded_corpus(self, seed):
+        rng = random.Random(seed)
+        for mp in corpus(seed, 200, max_unmarked=7):
+            labeling = random_natural_labeling(rng, augment_marked_order(mp))
+            for lab in (None, labeling):
+                assert (ehrhart_formula_marked_order(mp, labeling=lab)
+                        == fraction_signature_sum(word_signatures(mp, lab)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(signatures=signature_counters(), slack=st.integers(0, 2))
+    @example(signatures=Counter({((0, 0, 0), (2, 3, 3), (3, 1, 2)): 4, ((1, 0, 5),): 2}), slack=0)
+    def test_random_signatures(self, signatures, slack):
+        unmarked = max((sum(k for _, _, k in sig) for sig in signatures), default=0) + slack
+        assert _signature_sum(signatures, unmarked) == fraction_signature_sum(signatures)
 
 
 class TestFamilyEquality:

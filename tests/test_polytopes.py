@@ -49,6 +49,28 @@ def long_chain(n):
                        {elements[0]: 0, elements[-1]: 1})
 
 
+def leafwise_vertices(mp):
+    """The assignment search with each leaf checked by ``face_partition_of_point``."""
+    poset, values = mp.poset, sorted(set(mp.marking.values()))
+    order = [e for e in poset.topological_order() if e not in mp.marked]
+    vertices = set()
+
+    def walk(point):
+        if len(point) == len(order):
+            if not face_partition_of_point(mp, point).free_blocks:
+                vertices.add(tuple(point[p] for p in mp.unmarked))
+            return
+        e = order[len(point)]
+        lows = [mp.value(p) if p in mp.marked else point[p] for p in poset.lower_covers(e)]
+        highs = [mp.value(q) for q in poset.upper_covers(e) if q in mp.marked]
+        for v in values:
+            if all(lo <= v for lo in lows) and all(v <= hi for hi in highs):
+                walk({**point, e: v})
+
+    walk({})
+    return tuple(sorted(vertices))
+
+
 class TestBuildOrder:
     def test_segment(self, segment):
         h = build_order_hrep(segment)
@@ -336,6 +358,15 @@ class TestOrderVerticesCombinatorial:
         monkeypatch.setenv("MPP_WORK_CAP", "1100")
         with pytest.raises(DimensionTooLarge, match="node cap 1100; set MPP_WORK_CAP to raise it"):
             order_vertices_combinatorial(mp)
+
+    @pytest.mark.parametrize("seed", (20250808, 3, 7))
+    def test_matches_leafwise_check_on_corpora(self, seed):
+        for mp in corpus(seed, 200, max_unmarked=6):
+            assert order_vertices_combinatorial(mp).vertices == leafwise_vertices(mp)
+
+    def test_matches_leafwise_check_on_ladder_and_chain(self, ladder):
+        for mp in (ladder(7), long_chain(200)):
+            assert order_vertices_combinatorial(mp).vertices == leafwise_vertices(mp)
 
     def test_vertices_have_no_free_blocks(self):
         rng = random.Random(22)

@@ -17,7 +17,7 @@ from markedposets import (
     maximal_marked_chains,
     validate_marked,
 )
-from markedposets.corpus import corpus
+from markedposets.corpus import _draw, corpus
 from markedposets.posets import _members, _topological_order, _up_sets, induced_subposet
 
 ORACLE_SEEDS = (20250808, 3, 7)
@@ -55,6 +55,20 @@ def all_pairs_augment(mp):
     relations = list(mp.poset.covers)
     relations += [(a, b) for a in marked for b in marked if mp.value(a) < mp.value(b)]
     return Poset.from_relations(mp.poset.elements, relations)
+
+
+def fraction_validate_marked(mp):
+    """``validate_marked`` with ``leq``/``less`` calls and ``Fraction`` mark comparisons."""
+    poset, marked = mp.poset, sorted(mp.marked)
+    strict = [("strict", a, b) for a in marked for b in marked
+              if poset.less(a, b) and mp.value(a) >= mp.value(b)]
+    regular = []
+    for p, q in sorted(poset.covers):
+        below_q = [a for a in marked if poset.leq(a, q)]
+        above_p = [b for b in marked if poset.leq(p, b)]
+        regular += [("regular", (p, q), a, b) for a in below_q for b in above_p
+                    if a != b and mp.value(a) >= mp.value(b)]
+    return not strict, not regular, tuple(strict + regular)
 
 
 @st.composite
@@ -221,6 +235,38 @@ class TestMarkedPoset:
         report = validate_marked(MarkedPoset(p, {"a": 1, "b": 1}))
         assert not report.strict
         assert ("strict", "a", "b") in report.violations
+
+
+class TestValidateAgainstOracle:
+    """Integer ranks and up-set masks give the report of the leq/Fraction loops, witness for witness."""
+
+    @staticmethod
+    def check(mp):
+        report = validate_marked(mp)
+        assert (report.strict, report.regular, report.violations) == fraction_validate_marked(mp)
+        return report
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_seeded_corpora(self, seed):
+        for mp in corpus(seed, 200, max_unmarked=7):
+            self.check(mp)
+
+    @pytest.mark.parametrize("seed", (11, 12, 13))
+    def test_random_draws(self, seed):
+        # strict markings, often irregular; marks as drawn, scaled by 1/3,
+        # and halved downwards, which ties comparable marks and breaks strictness
+        rng = random.Random(seed)
+        flagged = {"strict": 0, "regular": 0}
+        for _ in range(600):
+            mp = _draw(rng, 5, 0, 4, 1)
+            if mp is None:
+                continue
+            for scale in (lambda v: v, lambda v: v / 3, lambda v: v // 2):
+                remarked = MarkedPoset(mp.poset, {a: scale(v) for a, v in mp.marking.items()})
+                report = self.check(remarked)
+                flagged["strict"] += not report.strict
+                flagged["regular"] += not report.regular
+        assert flagged["strict"] >= 60 and flagged["regular"] >= 600
 
 
 class TestHasseComponents:
