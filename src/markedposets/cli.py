@@ -9,6 +9,7 @@ deterministic given the input and flags.  Exit codes: 0 success/agreement,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -370,9 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process, built on the first ``main`` call rather than at import:
+# building it costs about as much as a small command
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (MarkedPosetError, RecursionError) as exc:

@@ -4,10 +4,12 @@ Everything here is arbitrary-precision exact arithmetic; there is no
 tolerance anywhere because downstream tests (facet detection, 2-levelness)
 are equality tests.  Vertex enumeration is the double description method on
 the homogenized cone, under a hard work cap on the rays it holds; its cost
-follows the vertex count rather than the number of constraint subsets.  The
-test suite keeps the plain subset walk (solve every independent subset of d
-rows, keep the feasible solutions) as its oracle.  The hot paths run
-fraction-free on integer rows; rationals appear only at solution time.
+follows the vertex count rather than the number of constraint subsets, and
+the same cone settles boundedness and emptiness.  The test suite keeps the
+plain subset walk (solve every independent subset of d rows, keep the
+feasible solutions) as its oracle.  The hot paths run fraction-free on
+integer rows and on the vertices over one common denominator; rationals
+appear only at solution time and in reported values.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DimensionTooLarge,
@@ -166,8 +168,18 @@ class VRepresentation:
 
     @cached_property
     def _integer_vectors(self) -> list[list[int]]:
-        """Each vertex x as the integer vector (D x, D), D the least common denominator of x."""
+        """Each vertex x as the integer vector (L x, L), L = ``_scale``."""
         return _homogenized(self.vertices)
+
+    @cached_property
+    def _scale(self) -> int:
+        """L, the least common denominator of every vertex coordinate."""
+        return self._integer_vectors[0][-1] if self.vertices else 1
+
+    @cached_property
+    def _columns(self) -> dict[str, list[int]]:
+        """Each coordinate's values L x over the vertices, in vertex order."""
+        return {c: [p[j] for p in self._integer_vectors] for j, c in enumerate(self.coordinates)}
 
     @cached_property
     def _box(self) -> list[tuple[Fraction, Fraction]]:
@@ -200,7 +212,7 @@ def _row_gcd(row: Sequence[int]) -> int:
 
 
 class _IntEchelon:
-    """Incremental integer row echelon with stack discipline.
+    """Incremental integer row echelon; the stacked ``rows`` may be popped from the end.
 
     Rows represent linear *equations* (scaling by -1 is immaterial), stored
     primitive.  Each incoming row is reduced against the stack fraction-free;
@@ -233,29 +245,9 @@ class _IntEchelon:
         self.rows.append((pivot, [x // g for x in r]))
         return True
 
-    def pop(self) -> None:
-        self.rows.pop()
-
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def null_direction(self) -> list[Fraction]:
-        """The kernel vector that is 1 at the one free column.
-
-        Requires rank == width - 1 and homogeneous stacked rows (rhs 0).  The
-        pivots are distinct because a residual is zero at every stacked pivot;
-        back-substitution fills them from the last one down.
-        """
-        pivots = {p for p, _ in self.rows}
-        x = [Fraction(0 if j in pivots else 1) for j in range(self.width)]
-        for pivot, row in sorted(self.rows, key=lambda t: -t[0]):
-            acc = Fraction(row[self.width])
-            for j in range(pivot + 1, self.width):
-                if row[j]:
-                    acc -= row[j] * x[j]
-            x[pivot] = acc / row[pivot]
-        return x
 
 
 def _int_row(h: HRepresentation, ineq: LinearInequality, dilation: int = 1) -> list[int]:
@@ -264,129 +256,6 @@ def _int_row(h: HRepresentation, ineq: LinearInequality, dilation: int = 1) -> l
     row = [a * rhs.denominator for a in h._dense(ineq)]
     row.append(rhs.numerator)
     return row
-
-
-def _int_vector(values: Sequence[Fraction]) -> list[int]:
-    den = 1
-    for v in values:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    return [v.numerator * (den // v.denominator) for v in values]
-
-
-def _seed_equalities(ech: _IntEchelon, eq_rows: list[list[int]]) -> None:
-    for row in eq_rows:
-        r = ech.residual(row)
-        if not ech.push_residual(r) and r[ech.width] != 0:
-            raise EmptyPolytope("inconsistent equality constraints")
-
-
-def _interval_bound_certificate(h: HRepresentation) -> bool:
-    """Try to certify boundedness by propagating per-coordinate intervals.
-
-    Sound but incomplete: success proves the polyhedron bounded, failure says
-    nothing.  All H-representations produced by this package certify here.
-    """
-    coords = h.coordinates
-    if not coords:
-        return True
-    rows = [(i.coeffs, i.rhs) for i in h.inequalities]
-    for e in h.equalities:
-        rows.append((e.coeffs, e.rhs))
-        neg = e.negated()
-        rows.append((neg.coeffs, neg.rhs))
-    lower: dict[str, Fraction | None] = {c: None for c in coords}
-    upper: dict[str, Fraction | None] = {c: None for c in coords}
-    for _ in range(len(coords) + 2):
-        changed = False
-        for coeffs, rhs in rows:
-            for target, a_t in coeffs.items():
-                budget = rhs
-                usable = True
-                for c, a in coeffs.items():
-                    if c == target:
-                        continue
-                    bound = lower[c] if a > 0 else upper[c]
-                    if bound is None:
-                        usable = False
-                        break
-                    budget -= a * bound
-                if not usable:
-                    continue
-                cand = budget / a_t
-                if a_t > 0:
-                    if upper[target] is None or cand < upper[target]:
-                        upper[target] = cand
-                        changed = True
-                else:
-                    if lower[target] is None or cand > lower[target]:
-                        lower[target] = cand
-                        changed = True
-        if all(lower[c] is not None and upper[c] is not None for c in coords):
-            return True
-        if not changed:
-            return False
-    return False
-
-
-def _walk_subsets(
-    ech: _IntEchelon, rows: list[list[int]], target: int, visit: Callable[[], bool | None]
-) -> bool:
-    """Call ``visit`` once per subset of ``rows`` that raises ``ech`` to rank ``target``.
-
-    Depth-first over independent subsets in index order.  A truthy ``visit``
-    stops the walk, leaving its subset stacked on ``ech``, and the walk
-    returns True.
-    """
-    need = target - ech.rank
-    cap = _work_cap(DEFAULT_SUBSET_CAP)
-    if math.comb(len(rows), need) > cap:
-        raise DimensionTooLarge(f"C({len(rows)}, {need}) candidate subsets exceed the work cap {cap}"
-                                "; set MPP_WORK_CAP to raise it")
-
-    def dfs(start: int) -> bool:
-        if ech.rank == target:
-            return bool(visit())
-        for idx in range(start, len(rows) - (target - ech.rank) + 1):
-            if ech.push_residual(ech.residual(rows[idx])):
-                if dfs(idx + 1):
-                    return True
-                ech.pop()
-        return False
-
-    return dfs(0)
-
-
-def _reject_unbounded_by_rays(h: HRepresentation) -> None:
-    """Complete boundedness check for inputs the interval pass cannot certify.
-
-    Detects a recession direction by enumerating candidate extreme rays of the
-    homogeneous system; raises UnboundedPolytope when one exists.  A system
-    whose constraint rows do not span the space is rejected as unbounded
-    outright (it is unbounded whenever it is feasible).
-    """
-    d = len(h.coordinates)
-    ineq_vecs = [h._dense(i) + [0] for i in h.inequalities]
-    eq_vecs = [h._dense(e) + [0] for e in h.equalities]
-    probe = _IntEchelon(d)
-    for vec in ineq_vecs + eq_vecs:
-        probe.push_residual(probe.residual(vec))
-    if probe.rank < d:
-        raise UnboundedPolytope("constraints do not span the space; unbounded if feasible")
-
-    def is_ray(v: list[Fraction]) -> bool:
-        if any(sum(a * x for a, x in zip(vec, v)) != 0 for vec in eq_vecs):
-            return False
-        return all(sum(a * x for a, x in zip(vec, v)) <= 0 for vec in ineq_vecs)
-
-    ech = _IntEchelon(d)
-    _seed_equalities(ech, eq_vecs)
-
-    def found() -> bool:
-        v = ech.null_direction()
-        return is_ray(v) or is_ray([-x for x in v])
-
-    if ech.rank < d and _walk_subsets(ech, ineq_vecs, d - 1, found):
-        raise UnboundedPolytope("recession direction found")
 
 
 def _dot(row: Sequence[tuple[int, int]], vec: Sequence[int]) -> int:
@@ -425,10 +294,20 @@ def _double_description(h: HRepresentation) -> list[list[int]]:
     rays are adjacent when their common tight rows number at least d - 1 and
     no third ray is tight on all of them (the combinatorial test).
 
-    The equalities come first, after t >= 0 alone.  As they are consistent
-    (the caller checks), one orthogonal to all lineality is a combination of
-    those before it, so it is implied and skipped.
+    The equalities come first, after t >= 0 alone, so while they run the cone
+    is the lineality plus one ray with t > 0.  An equality orthogonal to all
+    lineality is implied when it vanishes on that ray too, and is skipped.
+    Otherwise it forces t = 0: the equalities are inconsistent, the ray goes,
+    and the walk goes on over the recession cone alone.
 
+    The cone then settles boundedness and emptiness, in this order:
+
+    - lineality left after every row: the rows do not span the space, and
+      the polytope is unbounded if feasible (UnboundedPolytope);
+    - an extreme ray with t = 0: a recession direction (UnboundedPolytope);
+    - an inconsistent equality (EmptyPolytope).
+
+    Every ray returned has t > 0; none means the system has no solution.
     Raises DimensionTooLarge once the rays held exceed the work cap.
     """
     d = len(h.coordinates)
@@ -445,14 +324,16 @@ def _double_description(h: HRepresentation) -> list[list[int]]:
     lineality = [[int(i == j) for j in range(d + 1)] for i in range(d + 1)]
     rays: list[list[int]] = []
     imposed: list[list[tuple[int, int]]] = []
-    waiting: list[list[tuple[int, int]]] = []
-    pending = iter(rows)
-    for g, equality in pending:
+    later: list[list[tuple[int, int]]] = []
+    inconsistent = False
+    for g, equality in rows:
         dots = [_dot(g, l) for l in lineality]
         k = next((k for k, s in enumerate(dots) if s), None)
         if k is None:
             if not equality:
-                waiting.append(g)
+                later.append(g)
+            elif any(_dot(g, r) for r in rays):
+                inconsistent, rays = True, []
             continue
         l, a = lineality.pop(k), dots.pop(k)
         if a < 0:
@@ -463,12 +344,10 @@ def _double_description(h: HRepresentation) -> list[list[int]]:
             rays.append(l)
             check_cap(len(rays))
         imposed.append(g)
-        if not lineality:
-            break
-    assert not lineality, "a bounded polyhedron has a pointed homogenized cone"
+    if lineality:
+        raise UnboundedPolytope("constraints do not span the space; unbounded if feasible")
 
     zero_sets = [sum(1 << i for i, g in enumerate(imposed) if _dot(g, r) == 0) for r in rays]
-    later = waiting + [g for g, equality in pending if not equality]
     for i, g in enumerate(later, start=len(imposed)):
         bit = 1 << i
         kept: list[list[int]] = []
@@ -496,33 +375,37 @@ def _double_description(h: HRepresentation) -> list[list[int]]:
                 kept_zero.append(common | bit)
                 check_cap(len(kept))
         rays, zero_sets = kept, kept_zero
+    if any(r[d] == 0 for r in rays):
+        raise UnboundedPolytope("recession direction found")
+    if inconsistent:
+        raise EmptyPolytope("inconsistent equality constraints")
     return rays
 
 
 def enumerate_vertices(h: HRepresentation) -> VRepresentation:
     """All vertices, exactly: x / t over the extreme rays (x, t) of the homogenized cone.
 
-    The rays come from the double description method (``_double_description``);
-    boundedness is settled first, so every ray has t > 0.  The test suite
-    holds the result to the subset walk, which solves every independent
-    subset of d rows and keeps the feasible solutions.  Raises
-    UnboundedPolytope / EmptyPolytope / DimensionTooLarge (past the work cap)
-    per the contract; results are cached on the representation.
+    The rays come from the double description method (``_double_description``),
+    which also settles boundedness and emptiness: UnboundedPolytope when the
+    rows leave lineality or a ray has t = 0, then EmptyPolytope for
+    inconsistent equalities, and EmptyPolytope here when no ray is left.  The
+    test suite holds the result to the subset walk, which solves every
+    independent subset of d rows and keeps the feasible solutions, and the
+    errors to an interval certificate plus a ray walk over the recession
+    cone.  Raises DimensionTooLarge past the work cap; results are cached on
+    the representation.
     """
     if h._vertex_cache is not None:
         return h._vertex_cache
     d = len(h.coordinates)
-    if not _interval_bound_certificate(h):
-        _reject_unbounded_by_rays(h)
-    _seed_equalities(_IntEchelon(d), [_int_row(h, e) for e in h.equalities])
-    vertices = []
-    for r in _double_description(h):
-        t = r[d]
-        assert t > 0, "a bounded polyhedron has no ray at infinity"
-        vertices.append(tuple(Fraction(x, t) for x in r[:d]))
-    if not vertices:
+    rays = _double_description(h)
+    if not rays:
         raise EmptyPolytope("no vertex satisfies all constraints")
-    result = VRepresentation(h.coordinates, tuple(sorted(vertices)))
+    # over a common denominator the points sort like their integer numerators
+    scale = math.lcm(*(r[d] for r in rays))
+    rays.sort(key=lambda r: [x * (scale // r[d]) for x in r[:d]])
+    vertices = tuple(tuple(Fraction(x, r[d]) for x in r[:d]) for r in rays)
+    result = VRepresentation(h.coordinates, vertices)
     h._vertex_cache = result
     return result
 
@@ -535,8 +418,10 @@ def _rank(rows: Iterable[Sequence[int]], width: int) -> int:
 
 
 def _homogenized(points: Iterable[Point]) -> list[list[int]]:
-    """Each point x as the integer vector (D x, D), D the least common denominator of x."""
-    return [_int_vector([*p, Fraction(1)]) for p in points]
+    """Each point x as the integer vector (L x, L), L the least common denominator of all points."""
+    points = list(points)
+    scale = math.lcm(*(x.denominator for p in points for x in p))
+    return [[x.numerator * (scale // x.denominator) for x in p] + [scale] for p in points]
 
 
 def affine_dimension(v: VRepresentation | Iterable[Point]) -> int:
@@ -545,40 +430,53 @@ def affine_dimension(v: VRepresentation | Iterable[Point]) -> int:
     return _rank(points, len(points[0]) if points else 0) - 1
 
 
-def evaluate_affine_values(v: VRepresentation, ineq: LinearInequality) -> tuple[Fraction, ...]:
-    """The multiset (as a sorted tuple) of the functional's values on the vertices.
+def _scaled_values(v: VRepresentation, ineq: LinearInequality) -> list[int]:
+    """a . (L x) at every vertex x, in vertex order, for the row a . x <= b (L = ``v._scale``)."""
+    terms = iter(ineq.coeffs.items())
+    c, a = next(terms)
+    values = [a * x for x in v._columns[c]]
+    for c, a in terms:
+        values = [s + a * x for s, x in zip(values, v._columns[c])]
+    return values
 
-    Read off the vertices' integer vectors (D x, D) as (a . D x) / D.
-    """
-    terms = [(v.coordinates.index(c), a) for c, a in ineq.coeffs.items()]
-    d = len(v.coordinates)
-    return tuple(sorted(Fraction(_dot(terms, p), p[d]) for p in v._integer_vectors))
+
+def evaluate_affine_values(v: VRepresentation, ineq: LinearInequality) -> tuple[Fraction, ...]:
+    """The multiset (as a sorted tuple) of the functional's values on the vertices."""
+    return tuple(Fraction(s, v._scale) for s in sorted(_scaled_values(v, ineq)))
 
 
 def classify_inequalities(
     h: HRepresentation
 ) -> tuple[VRepresentation, int, list[LinearInequality], list[LinearInequality]]:
-    """Split inequalities into facets and implicit equalities via tight-vertex dimension.
+    """Split inequalities into facets and implicit equalities by their tight-vertex masks.
 
     Returns (vertices, polytope dimension, facet inequalities, inequalities
-    tight on every vertex).  Inequalities in neither list are redundant.
-    Runs on the vertices homogenized to integer vectors (D x, D): a row is
-    tight where its cone row (-a, b) vanishes, and an affine dimension is a
-    rank minus 1.
+    tight on every vertex).  Inequalities in neither list are redundant.  The
+    dimension is one rank of the vertices' integer vectors (L x, L), minus 1.
+    Each row's mask holds a bit per vertex where a . (L x) = b L.  A row is
+    implicit when its mask is every vertex.  In any H-representation a row
+    defines a facet exactly when its tight vertex set is proper and maximal
+    among the rows' tight sets (each facet is some row's tight set, and every
+    other proper face lies in a facet), so a row is a facet when the
+    dimension is at least 1 and no proper mask strictly contains its mask.
+    Masks are visited by decreasing size, so each is checked only against
+    the maximal ones kept before it.
     """
     v = enumerate_vertices(h)
-    width = len(h.coordinates) + 1
-    points = v._integer_vectors
-    dim = _rank(points, width) - 1
-    facets: list[LinearInequality] = []
-    implicit: list[LinearInequality] = []
+    dim = _rank(v._integer_vectors, len(h.coordinates) + 1) - 1
+    full = (1 << len(v)) - 1
+    masks = []
     for ineq in h.inequalities:
-        g = _cone_row(h, ineq)
-        tight_dim = _rank((p for p in points if _dot(g, p) == 0), width) - 1
-        if tight_dim == dim:
-            implicit.append(ineq)
-        elif tight_dim == dim - 1 and dim >= 1:
-            facets.append(ineq)
+        tight, remainder = divmod(ineq.rhs.numerator * v._scale, ineq.rhs.denominator)
+        values = _scaled_values(v, ineq) if remainder == 0 else ()
+        masks.append(sum(1 << i for i, s in enumerate(values) if s == tight))
+    maximal: list[int] = []
+    if dim >= 1:
+        for m in sorted({m for m in masks if m != full}, key=int.bit_count, reverse=True):
+            if all(m & n != m for n in maximal):
+                maximal.append(m)
+    facets = [ineq for ineq, m in zip(h.inequalities, masks) if m in maximal]
+    implicit = [ineq for ineq, m in zip(h.inequalities, masks) if m == full]
     return v, dim, facets, implicit
 
 

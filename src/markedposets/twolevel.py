@@ -16,9 +16,9 @@ from typing import Iterable
 from .geometry import (
     HRepresentation,
     LinearInequality,
+    _scaled_values,
     classify_inequalities,
     enumerate_vertices,
-    evaluate_affine_values,
 )
 from .polytopes import build_chain_hrep, build_chain_order_hrep
 from .posets import (
@@ -48,13 +48,16 @@ def is_two_level_direct(h: HRepresentation) -> TwoLevelResult:
     """Check every facet functional for at most two distinct vertex values.
 
     The witness, when present, is the first violating facet in the canonical
-    inequality order together with its distinct value set.
+    inequality order together with its distinct value set.  Values are
+    compared as the integers a . (L x), L the vertices' common denominator;
+    only the witness's values become fractions.
     """
     v, _, facets, _ = classify_inequalities(h)
     for facet in facets:
-        values = tuple(sorted(set(evaluate_affine_values(v, facet))))
+        values = sorted(set(_scaled_values(v, facet)))
         if len(values) > 2:
-            return TwoLevelResult(False, TwoLevelWitness(facet, values))
+            return TwoLevelResult(False, TwoLevelWitness(
+                facet, tuple(Fraction(s, v._scale) for s in values)))
     return TwoLevelResult(True, None)
 
 
@@ -98,13 +101,14 @@ def _chain_spans(h: HRepresentation, chain: Iterable[str]) -> dict[str, Fraction
     Each coordinate in ``chain`` must take exactly the values {0, c} on the
     vertices, and every facet touching one must have a single gap |a|*c over
     its chain coordinates, take at most two values on the vertices, and have
-    rhs - min = gap.
+    rhs - min = gap.  All of it is read in the integers L x and a . (L x),
+    L the vertices' common denominator.
     """
     v = enumerate_vertices(h)
-    span: dict[str, Fraction] = {}
+    scale = v._scale
+    span: dict[str, int] = {}  # L c
     for c in chain:
-        j = v.coordinates.index(c)
-        values = sorted({p[j] for p in v.vertices})
+        values = sorted(set(v._columns[c]))
         if len(values) != 2 or values[0] != 0:
             return None
         span[c] = values[1]
@@ -115,10 +119,11 @@ def _chain_spans(h: HRepresentation, chain: Iterable[str]) -> dict[str, Fraction
             continue
         if len(gaps) != 1:
             return None
-        values = sorted(set(evaluate_affine_values(v, facet)))
-        if len(values) > 2 or facet.rhs - values[0] != gaps.pop():
+        values = sorted(set(_scaled_values(v, facet)))
+        rhs = facet.rhs
+        if len(values) > 2 or rhs.numerator * scale != (values[0] + gaps.pop()) * rhs.denominator:
             return None
-    return span
+    return {c: Fraction(s, scale) for c, s in span.items()}
 
 
 def chain_two_level_criterion(mp: MarkedPoset) -> ChainTwoLevelResult:

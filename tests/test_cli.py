@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from markedposets import MarkedPoset, Poset, cli, ehrhart, enumerate_vertices, polynomial
 from markedposets.cli import DocumentError, format_hrep, main
-from markedposets.corpus import _draw
+from markedposets.corpus import _draw, random_marked_poset
 from markedposets.geometry import HRepresentation, LinearInequality
 from markedposets.polytopes import build_chain_hrep, build_order_hrep
 
@@ -259,6 +259,127 @@ class TestDocumentOrder:
         original = self.outputs(doc)
         assert original[0][0] in (0, 1) and all(code == 0 for code, _, _ in original[2:])
         assert self.outputs(shuffled) == original
+
+
+def relabelled(doc, rng, keep_order):
+    """The document under fresh element ids, covers and elements in a new order, and the map back.
+
+    With ``keep_order`` the new ids sort like the old ones, so the coordinate
+    order is kept; otherwise it is shuffled too.
+    """
+    old = sorted(doc["elements"])
+    new = sorted(f"n{i}" for i in rng.sample(range(100, 1000), len(old)))
+    if not keep_order:
+        rng.shuffle(new)
+    to_new = dict(zip(old, new))
+    covers = [[to_new[p], to_new[q]] for p, q in doc["covers"]]
+    elements = [to_new[e] for e in doc["elements"]]
+    rng.shuffle(covers)
+    rng.shuffle(elements)
+    moved = {"name": doc["name"], "elements": elements, "covers": covers,
+             "marked": {to_new[a]: v for a, v in doc["marked"].items()}}
+    return moved, {b: a for a, b in to_new.items()}
+
+
+def mapped_back(obj, back):
+    """A parsed JSON answer with every id (as a value or a key) mapped through ``back``."""
+    if isinstance(obj, dict):
+        return {back.get(k, k): mapped_back(v, back) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [mapped_back(x, back) for x in obj]
+    return back.get(obj, obj) if isinstance(obj, str) else obj
+
+
+class TestRelabelling:
+    """Relabelling ids and permuting covers changes no verdict, no vertex and no facet."""
+
+    COMMANDS = [["two-level", "--family", "order", "--method", "both"],
+                ["two-level", "--family", "chain", "--method", "both"],
+                ["polytope", "--family", "order", "--emit", "vertices"],
+                ["polytope", "--family", "chain", "--emit", "vertices"],
+                ["polytope", "--family", "order", "--emit", "facets"],
+                ["polytope", "--family", "chain", "--emit", "facets"]]
+
+    @staticmethod
+    def answers(doc):
+        results = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "poset.json"
+            path.write_text(json.dumps(doc))
+            for argv in TestRelabelling.COMMANDS:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main([argv[0], str(path), *argv[1:], "--json"])
+                assert code == 0
+                results.append(json.loads(out.getvalue()))
+        return results
+
+    @staticmethod
+    def as_sets(answer):
+        """The parts of an answer that do not depend on the coordinate order."""
+        result = answer["result"]
+        if answer["command"] == "two-level":
+            return {k: v for k, v in result.items() if k != "witness"}
+        if answer["emit"] == "vertices":
+            return {tuple(sorted(zip(result["coordinates"], v))) for v in result["vertices"]}
+        return {(kind, tuple(sorted(row["coeffs"].items())), row["rhs"])
+                for kind in ("inequalities", "equalities") for row in result[kind]}
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32), keep_order=st.booleans())
+    def test_relabelled_document(self, seed, keep_order):
+        rng = random.Random(seed)
+        mp = random_marked_poset(rng, max_unmarked=4)
+        doc = {"name": "poset", "elements": list(mp.poset.elements),
+               "covers": [list(c) for c in mp.poset.covers],
+               "marked": {a: int(v) for a, v in mp.marking.items()}}
+        moved, back = relabelled(doc, rng, keep_order)
+        original = self.answers(doc)
+        answers = [mapped_back(a, back) for a in self.answers(moved)]
+        assert [self.as_sets(a) for a in answers] == [self.as_sets(a) for a in original]
+        if keep_order:
+            # the same coordinate order: the same bytes, witnesses included
+            assert ([json.dumps(a, sort_keys=True) for a in answers]
+                    == [json.dumps(a, sort_keys=True) for a in original])
+
+
+class TestParserReuse:
+    """``main`` builds its parser once; later calls answer byte for byte like a fresh one."""
+
+    COMMANDS = [
+        ["two-level", "--builtin", "pm:3,1", "--family", "order", "--method", "both"],
+        ["polytope", "--builtin", "figure1", "--emit", "hrep"],
+        ["two-level", "--builtin", "figure1", "--family", "order", "--method", "criterion"],
+        ["polytope", "--builtin", "figure1", "--family", "chain", "--emit", "facets", "--json"],
+        ["validate", "--builtin", "pm:2,1"],
+        ["ehrhart", "--builtin", "figure1", "--family", "order", "--method", "formula"],
+        ["nonsense"],
+        ["two-level", "--builtin", "figure1", "--family", "chain", "--method", "both", "--json"],
+        ["ehrhart", "--builtin", "diamond:2,2", "--family", "order", "--method", "formula"],
+        ["polytope", "--builtin", "figure1", "--family", "order", "--emit", "vertices"],
+        ["corpus", "--trials", "-1"],
+        ["validate", "--builtin", "figure1", "--json"],
+    ]
+
+    @staticmethod
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    def test_interleaved_commands_match_a_fresh_parser(self):
+        fresh = []
+        for argv in self.COMMANDS:
+            cli._parser.cache_clear()
+            fresh.append(self.run(argv))
+        assert {code for code, _, _ in fresh} == {0, 1, 2}
+        parser = cli._parser()
+        assert [self.run(argv) for argv in self.COMMANDS] == fresh
+        assert cli._parser() is parser
 
 
 class TestTwoLevel:

@@ -3,7 +3,8 @@
 Derived expectations are frozen from independent oracles implemented here:
 a two-constraint Cramer solver for 2D vertex candidates, the subset walk
 (solve every independent subset of d rows) for vertices in any dimension,
-a rational-elimination rank for facet classification, and a plain box scan
+the interval certificate and the ray walk for boundedness, a
+rational-elimination rank for facet classification, and a plain box scan
 for lattice points.
 """
 
@@ -44,8 +45,6 @@ from markedposets.geometry import (
     _count_points,
     _int_row,
     _IntEchelon,
-    _seed_equalities,
-    _walk_subsets,
     classify_inequalities,
 )
 
@@ -76,6 +75,134 @@ def oracle_vertices_2d(rows):
     return found
 
 
+def seed_equalities(ech, eq_rows):
+    for row in eq_rows:
+        r = ech.residual(row)
+        if not ech.push_residual(r) and r[ech.width] != 0:
+            raise EmptyPolytope("inconsistent equality constraints")
+
+
+def walk_subsets(ech, rows, target, visit):
+    """Call ``visit`` once per subset of ``rows`` that raises ``ech`` to rank ``target``.
+
+    Depth-first over independent subsets in index order.  A truthy ``visit``
+    stops the walk, leaving its subset stacked on ``ech``, and the walk
+    returns True.
+    """
+    def dfs(start):
+        if ech.rank == target:
+            return bool(visit())
+        for idx in range(start, len(rows) - (target - ech.rank) + 1):
+            if ech.push_residual(ech.residual(rows[idx])):
+                if dfs(idx + 1):
+                    return True
+                ech.rows.pop()
+        return False
+
+    return dfs(0)
+
+
+def interval_bound_certificate(h):
+    """Try to certify boundedness by propagating per-coordinate intervals.
+
+    Sound but incomplete: success proves the polyhedron bounded (and, as the
+    same propagation runs on the homogeneous rows, its recession cone {0}),
+    failure says nothing.
+    """
+    coords = h.coordinates
+    if not coords:
+        return True
+    rows = [(i.coeffs, i.rhs) for i in h.inequalities]
+    for e in h.equalities:
+        rows.append((e.coeffs, e.rhs))
+        neg = e.negated()
+        rows.append((neg.coeffs, neg.rhs))
+    lower = {c: None for c in coords}
+    upper = {c: None for c in coords}
+    for _ in range(len(coords) + 2):
+        changed = False
+        for coeffs, rhs in rows:
+            for target, a_t in coeffs.items():
+                budget = rhs
+                usable = True
+                for c, a in coeffs.items():
+                    if c == target:
+                        continue
+                    bound = lower[c] if a > 0 else upper[c]
+                    if bound is None:
+                        usable = False
+                        break
+                    budget -= a * bound
+                if not usable:
+                    continue
+                cand = budget / a_t
+                if a_t > 0:
+                    if upper[target] is None or cand < upper[target]:
+                        upper[target] = cand
+                        changed = True
+                else:
+                    if lower[target] is None or cand > lower[target]:
+                        lower[target] = cand
+                        changed = True
+        if all(lower[c] is not None and upper[c] is not None for c in coords):
+            return True
+        if not changed:
+            return False
+    return False
+
+
+def null_direction(ech):
+    """The kernel vector of ``ech``'s homogeneous rows that is 1 at the one free column."""
+    pivots = {p for p, _ in ech.rows}
+    x = [Fraction(0 if j in pivots else 1) for j in range(ech.width)]
+    for pivot, row in sorted(ech.rows, key=lambda t: -t[0]):
+        acc = Fraction(row[ech.width])
+        for j in range(pivot + 1, ech.width):
+            if row[j]:
+                acc -= row[j] * x[j]
+        x[pivot] = acc / row[pivot]
+    return x
+
+
+def reject_unbounded_by_rays(h):
+    """Raise UnboundedPolytope when the rows leave a recession direction.
+
+    Rows that do not span the space are rejected outright; otherwise every
+    independent subset of d - 1 homogeneous rows (the equalities first)
+    gives a candidate extreme ray of the recession cone, tried both ways.
+    """
+    d = len(h.coordinates)
+    ineq_vecs = [h._dense(i) + [0] for i in h.inequalities]
+    eq_vecs = [h._dense(e) + [0] for e in h.equalities]
+    probe = _IntEchelon(d)
+    for vec in ineq_vecs + eq_vecs:
+        probe.push_residual(probe.residual(vec))
+    if probe.rank < d:
+        raise UnboundedPolytope("constraints do not span the space; unbounded if feasible")
+
+    def is_ray(v):
+        if any(sum(a * x for a, x in zip(vec, v)) != 0 for vec in eq_vecs):
+            return False
+        return all(sum(a * x for a, x in zip(vec, v)) <= 0 for vec in ineq_vecs)
+
+    ech = _IntEchelon(d)
+    seed_equalities(ech, eq_vecs)
+
+    def found():
+        v = null_direction(ech)
+        return is_ray(v) or is_ray([-x for x in v])
+
+    if ech.rank < d and walk_subsets(ech, ineq_vecs, d - 1, found):
+        raise UnboundedPolytope("recession direction found")
+
+
+def oracle_vertices(h):
+    """The vertices, or the error, in the order of the checks: bounded, equalities, vertices."""
+    if not interval_bound_certificate(h):
+        reject_unbounded_by_rays(h)
+    return subset_walk_vertices(h)
+
+
 def subset_walk_vertices(h):
     """Every feasible solution of an independent subset of d rows, sorted.
 
@@ -84,7 +211,7 @@ def subset_walk_vertices(h):
     """
     d = len(h.coordinates)
     ech = _IntEchelon(d)
-    _seed_equalities(ech, [_int_row(h, e) for e in h.equalities])
+    seed_equalities(ech, [_int_row(h, e) for e in h.equalities])
     found = set()
 
     def solve():
@@ -94,7 +221,7 @@ def subset_walk_vertices(h):
             x[pivot] = (row[d] - rest) / Fraction(row[pivot])
         found.add(tuple(x))
 
-    _walk_subsets(ech, [_int_row(h, i) for i in h.inequalities], d, solve)
+    walk_subsets(ech, [_int_row(h, i) for i in h.inequalities], d, solve)
     feasible = sorted(x for x in found if contains(h, dict(zip(h.coordinates, x))))
     if not feasible:
         raise EmptyPolytope("no vertex satisfies all constraints")
@@ -274,19 +401,22 @@ class TestEnumerateVertices:
         with pytest.raises(DimensionTooLarge, match="set MPP_WORK_CAP to raise it"):
             enumerate_vertices(hrep2(TRAPEZOID))
 
-    def test_ray_walk_bounds_tetrahedron(self, monkeypatch):
-        # no single row bounds a coordinate, so the interval pass certifies nothing
+    def test_double_description_bounds_tetrahedron(self, monkeypatch):
+        # no single row bounds a coordinate, so no interval bound exists
         h = HRepresentation(["x", "y", "z"], [
             LinearInequality({"x": 1, "y": 1, "z": 1}, 2),
             LinearInequality({"x": 1, "y": -1, "z": -1}, 0),
             LinearInequality({"x": -1, "y": 1, "z": -1}, 0),
             LinearInequality({"x": -1, "y": -1, "z": 1}, 0),
         ])
-        # the ray walk tries C(4, 2) = 6 subsets; the double description holds at most 4 rays
-        monkeypatch.setenv("MPP_WORK_CAP", "5")
-        with pytest.raises(DimensionTooLarge, match=r"C\(4, 2\)"):
+        assert not interval_bound_certificate(h)
+        # the double description holds at most 4 rays, the tetrahedron's vertices
+        monkeypatch.setenv("MPP_WORK_CAP", "3")
+        with pytest.raises(DimensionTooLarge) as exc:
             enumerate_vertices(h)
-        monkeypatch.setenv("MPP_WORK_CAP", "6")
+        assert str(exc.value) == ("4 double-description rays exceed the work cap 3"
+                                  "; set MPP_WORK_CAP to raise it")
+        monkeypatch.setenv("MPP_WORK_CAP", "4")
         assert enumerate_vertices(h).vertices == (
             (0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
 
@@ -324,6 +454,133 @@ class TestEnumerateVertices:
             enumerate_vertices(build_chain_hrep(ladder(3)))
         assert str(exc.value).endswith(
             "double-description rays exceed the work cap 9; set MPP_WORK_CAP to raise it")
+
+
+def system(coords, ineqs, eqs=()):
+    """Rows given as (coefficients, rhs) pairs."""
+    return HRepresentation(coords, [LinearInequality(*r) for r in ineqs],
+                           [LinearInequality(*r) for r in eqs])
+
+
+def random_system(draw):
+    """1-3 coordinates, 0-6 inequalities and 0-2 equalities with no bounding box.
+
+    ``draw(lo, hi)`` gives an integer in [lo, hi].  The systems come out
+    bounded, unbounded (both ways) or empty (both ways).
+    """
+    coords = ["x", "y", "z"][:draw(1, 3)]
+
+    def rows(count):
+        drawn = [({c: draw(-2, 2) for c in coords}, Fraction(draw(-4, 4), draw(1, 3)))
+                 for _ in range(count)]
+        return [(a, b) for a, b in drawn if any(a.values())]
+
+    return system(coords, rows(draw(0, 6)), rows(draw(0, 2)))
+
+
+def outcome(decide, h):
+    """("vertices", vertices) or (error type name, message)."""
+    try:
+        result = decide(h)
+    except (EmptyPolytope, UnboundedPolytope) as exc:
+        return type(exc).__name__, str(exc)
+    return "vertices", getattr(result, "vertices", result)
+
+
+class TestBoundednessAndEmptiness:
+    """The double description decides both, unbounded before empty, as the oracle does."""
+
+    SPAN = "constraints do not span the space; unbounded if feasible"
+    RECESSION = "recession direction found"
+    INCONSISTENT = "inconsistent equality constraints"
+    NO_VERTEX = "no vertex satisfies all constraints"
+
+    @pytest.mark.parametrize("ineqs, eqs, error, message", [
+        # x = 0 and x = 1 with y free: unbounded before inconsistent
+        ([], [({"x": 1}, 0), ({"x": 1}, 1)], "UnboundedPolytope", SPAN),
+        ([({"y": 1}, 0)], [({"x": 1}, 0), ({"x": 1}, 1)], "UnboundedPolytope", RECESSION),
+        # 1 <= x <= 0 with y >= 0: unbounded before empty
+        ([({"x": 1}, 0), ({"x": -1}, -1), ({"y": -1}, 0)], [], "UnboundedPolytope", RECESSION),
+        ([({"x": -1}, 0), ({"y": -1}, 0)], [({"x": 1, "y": 1}, 1), ({"x": 1, "y": 1}, 0)],
+         "EmptyPolytope", INCONSISTENT),
+        # the last equality comes after x = 0 and y = 0 have fixed the point
+        ([({"x": -1}, 0)], [({"x": 1}, 0), ({"y": 1}, 0), ({"x": 1, "y": 1}, 1)],
+         "EmptyPolytope", INCONSISTENT),
+        ([({"x": 1}, 0), ({"x": -1}, -1), ({"y": 1}, 1), ({"y": -1}, 0)], [],
+         "EmptyPolytope", NO_VERTEX),
+    ])
+    def test_pinned_order(self, ineqs, eqs, error, message):
+        h = system(["x", "y"], ineqs, eqs)
+        assert outcome(oracle_vertices, h) == (error, message)
+        assert outcome(enumerate_vertices, h) == (error, message)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_unboxed_systems_match_oracles(self, data):
+        h = random_system(lambda lo, hi: data.draw(st.integers(lo, hi)))
+        expected = outcome(oracle_vertices, h)
+        assert outcome(enumerate_vertices, h) == expected
+        if expected[0] == "vertices":
+            assert_matches_oracles(h)
+
+    def test_seeded_systems_reach_every_outcome(self):
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(300):
+            h = random_system(rng.randint)
+            expected = outcome(oracle_vertices, h)
+            assert outcome(enumerate_vertices, h) == expected
+            seen.add(("equalities" if h.equalities else "none") if expected[0] == "vertices"
+                     else expected[1])
+        assert seen == {"equalities", "none", self.SPAN, self.RECESSION, self.INCONSISTENT,
+                        self.NO_VERTEX}
+
+
+class TestClassifyDegenerate:
+    """Facets from tight-vertex masks on the cases where a mask is not a facet's."""
+
+    @staticmethod
+    def classify(rows, eqs=(), coords=("x", "y")):
+        h = system(coords, rows, eqs)
+        v, dim, facets, implicit = classify_inequalities(h)
+        assert (dim, facets, implicit) == oracle_classify(h, v.vertices)
+        return dim, facets, implicit
+
+    @staticmethod
+    def rows(*pairs):
+        return [LinearInequality(*r) for r in pairs]
+
+    def test_point(self):
+        # x = y = 0 as four rows, and x + y <= 1, which no vertex meets
+        dim, facets, implicit = self.classify([
+            ({"x": 1}, 0), ({"x": -1}, 0), ({"y": 1}, 0), ({"y": -1}, 0), ({"x": 1, "y": 1}, 1)])
+        assert (dim, facets) == (0, [])
+        assert implicit == self.rows(({"x": -1}, 0), ({"y": -1}, 0), ({"y": 1}, 0), ({"x": 1}, 0))
+
+    def test_implicit_rows(self):
+        # the segment x = y, 0 <= x <= 1, its line given by two inequalities; y <= 2 is slack
+        dim, facets, implicit = self.classify([
+            ({"x": 1, "y": -1}, 0), ({"x": -1, "y": 1}, 0), ({"x": -1}, 0), ({"x": 1}, 1),
+            ({"y": 1}, 2)])
+        assert dim == 1
+        assert facets == self.rows(({"x": -1}, 0), ({"x": 1}, 1))
+        assert implicit == self.rows(({"x": -1, "y": 1}, 0), ({"x": 1, "y": -1}, 0))
+
+    def test_pyramid_apex_row_is_redundant(self):
+        # a square pyramid with apex (1/2, 1/2, 1); z <= 1 is tight at the apex alone
+        sides = [({"x": -2, "z": 1}, 0), ({"x": 2, "z": 1}, 2),
+                 ({"y": -2, "z": 1}, 0), ({"y": 2, "z": 1}, 2)]
+        dim, facets, implicit = self.classify(sides + [({"z": -1}, 0), ({"z": 1}, 1)],
+                                              coords=("x", "y", "z"))
+        assert dim == 3 and implicit == []
+        assert sorted(facets, key=repr) == sorted(self.rows(*sides, ({"z": -1}, 0)), key=repr)
+
+    def test_equal_masks_are_both_facets(self):
+        # on the segment x = y, x >= 0 and y >= 0 are tight at the same vertex
+        dim, facets, implicit = self.classify(
+            [({"x": -1}, 0), ({"y": -1}, 0), ({"x": 1}, 1)], [({"x": 1, "y": -1}, 0)])
+        assert dim == 1 and implicit == []
+        assert facets == self.rows(({"x": -1}, 0), ({"y": -1}, 0), ({"x": 1}, 1))
 
 
 def corpus_hreps(seed):
