@@ -32,8 +32,8 @@ from .errors import (
 from .geometry import (
     HRepresentation,
     UnivariatePolynomial,
-    affine_dimension,
     count_lattice_points,
+    _convolve,
     _count_points,
     _work_cap,
     enumerate_vertices,
@@ -64,10 +64,10 @@ def ehrhart_by_counting(h: HRepresentation) -> UnivariatePolynomial:
     interpolation points.
     """
     v = enumerate_vertices(h)
-    for p in v.vertices:
-        if any(x.denominator != 1 for x in p):
-            raise NonIntegralVertices(f"vertex {p} is not integral")
-    dim = affine_dimension(v)
+    if v.scale != 1:
+        p = next(p for p in v.vertices if any(x.denominator != 1 for x in p))
+        raise NonIntegralVertices(f"vertex {p} is not integral")
+    dim = v._dimension
     top = dim // 2
     sign = -1 if dim % 2 else 1
     points = [(-m, sign * _count_points(h, m, 1)) for m in range(1, dim - top + 1)]
@@ -139,16 +139,6 @@ def _segment_factor(delta: int, descents: int, k: int) -> tuple[int, ...]:
         shift = k - descents - j
         coeffs = [shift * a + delta * b for a, b in zip(coeffs + [0], [0, *coeffs])]
     return tuple(coeffs)
-
-
-def _convolve(a: list[int], b: tuple[int, ...]) -> list[int]:
-    """The coefficients of the product of two integer polynomials."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def ehrhart_formula_marked_order(

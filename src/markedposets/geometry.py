@@ -7,9 +7,11 @@ the homogenized cone, under a hard work cap on the rays it holds; its cost
 follows the vertex count rather than the number of constraint subsets, and
 the same cone settles boundedness and emptiness.  The test suite keeps the
 plain subset walk (solve every independent subset of d rows, keep the
-feasible solutions) as its oracle.  The hot paths run fraction-free on
-integer rows and on the vertices over one common denominator; rationals
-appear only at solution time and in reported values.
+feasible solutions) as its oracle.  A vertex set is stored as one common
+denominator L and the integer vectors L x, which the double description
+yields directly; facet values, dimensions, counting boxes and rows all stay
+in integers.  Rationals appear only in an inequality's right-hand side and
+in reported values (vertex coordinates, affine values, polynomials).
 """
 
 from __future__ import annotations
@@ -161,36 +163,48 @@ class HRepresentation:
 
 @dataclass(frozen=True)
 class VRepresentation:
-    """A deduplicated, lexicographically sorted set of exact vertices."""
+    """A vertex set as the common denominator L and the integer vectors L x.
+
+    L is the least common denominator of every vertex coordinate, and the
+    vectors are deduplicated and sorted, which sorts the vertices
+    lexicographically.  ``vertices`` is the rational view, built on first
+    read.  Build one from rational points with :meth:`from_points`.
+    """
 
     coordinates: tuple[str, ...]
-    vertices: tuple[Point, ...]
+    scale: int
+    vectors: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_points(cls, coordinates: Iterable[str], points: Iterable[Point]) -> "VRepresentation":
+        """The vertex set of rational points (ints or Fractions), deduplicated and sorted."""
+        points = list(points)
+        scale = math.lcm(*(x.denominator for p in points for x in p))
+        vectors = {tuple(x.numerator * (scale // x.denominator) for x in p) for p in points}
+        return cls(tuple(coordinates), scale, tuple(sorted(vectors)))
 
     @cached_property
-    def _integer_vectors(self) -> list[list[int]]:
-        """Each vertex x as the integer vector (L x, L), L = ``_scale``."""
-        return _homogenized(self.vertices)
-
-    @cached_property
-    def _scale(self) -> int:
-        """L, the least common denominator of every vertex coordinate."""
-        return self._integer_vectors[0][-1] if self.vertices else 1
+    def vertices(self) -> tuple[Point, ...]:
+        return tuple(tuple(Fraction(x, self.scale) for x in p) for p in self.vectors)
 
     @cached_property
     def _columns(self) -> dict[str, list[int]]:
         """Each coordinate's values L x over the vertices, in vertex order."""
-        return {c: [p[j] for p in self._integer_vectors] for j, c in enumerate(self.coordinates)}
+        return {c: [p[j] for p in self.vectors] for j, c in enumerate(self.coordinates)}
 
     @cached_property
-    def _box(self) -> list[tuple[Fraction, Fraction]]:
-        """Each coordinate's least and greatest value over the vertices."""
-        return [(min(values), max(values)) for values in zip(*self.vertices)]
+    def _dimension(self) -> int:
+        """The affine dimension: the rank of the vectors (L x, L), minus 1 (-1 when empty)."""
+        ech = _IntEchelon(len(self.coordinates) + 1)
+        for p in self.vectors:
+            ech.push_residual(ech.residual([*p, self.scale]))
+        return ech.rank - 1
 
     def point_maps(self) -> list[dict[str, Fraction]]:
         return [dict(zip(self.coordinates, v)) for v in self.vertices]
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.vectors)
 
 
 def contains(h: HRepresentation, point: Mapping[str, Fraction]) -> bool:
@@ -203,6 +217,7 @@ def contains(h: HRepresentation, point: Mapping[str, Fraction]) -> bool:
 # fraction-free linear algebra on integer rows [a_1 .. a_d | rhs]
 
 def _row_gcd(row: Sequence[int]) -> int:
+    # not math.gcd(*row): that scans every entry, the loop stops at the first gcd of 1
     g = 0
     for x in row:
         g = math.gcd(g, x)
@@ -251,10 +266,14 @@ class _IntEchelon:
 
 
 def _int_row(h: HRepresentation, ineq: LinearInequality, dilation: int = 1) -> list[int]:
-    """The constraint with its rhs times ``dilation``, as an all-integer augmented row."""
-    rhs = ineq.rhs * dilation
-    row = [a * rhs.denominator for a in h._dense(ineq)]
-    row.append(rhs.numerator)
+    """The constraint with its rhs times ``dilation``, as an all-integer augmented row.
+
+    The row a.x <= (p/q) n becomes (q a).x <= p n; it need not be primitive
+    when n shares a factor with q, which leaves its integer solutions alone.
+    """
+    q = ineq.rhs.denominator
+    row = [a * q for a in h._dense(ineq)]
+    row.append(ineq.rhs.numerator * dilation)
     return row
 
 
@@ -388,12 +407,14 @@ def enumerate_vertices(h: HRepresentation) -> VRepresentation:
     The rays come from the double description method (``_double_description``),
     which also settles boundedness and emptiness: UnboundedPolytope when the
     rows leave lineality or a ray has t = 0, then EmptyPolytope for
-    inconsistent equalities, and EmptyPolytope here when no ray is left.  The
-    test suite holds the result to the subset walk, which solves every
-    independent subset of d rows and keeps the feasible solutions, and the
-    errors to an interval certificate plus a ray walk over the recession
-    cone.  Raises DimensionTooLarge past the work cap; results are cached on
-    the representation.
+    inconsistent equalities, and EmptyPolytope here when no ray is left.  Each
+    ray is primitive, so its t is the least common denominator of its vertex,
+    and the vertex set is stored as L = lcm(t) and the vectors (L / t) x, with
+    no rational built.  The test suite holds the result to the subset walk,
+    which solves every independent subset of d rows and keeps the feasible
+    solutions, and the errors to an interval certificate plus a ray walk over
+    the recession cone.  Raises DimensionTooLarge past the work cap; results
+    are cached on the representation.
     """
     if h._vertex_cache is not None:
         return h._vertex_cache
@@ -401,37 +422,23 @@ def enumerate_vertices(h: HRepresentation) -> VRepresentation:
     rays = _double_description(h)
     if not rays:
         raise EmptyPolytope("no vertex satisfies all constraints")
-    # over a common denominator the points sort like their integer numerators
     scale = math.lcm(*(r[d] for r in rays))
-    rays.sort(key=lambda r: [x * (scale // r[d]) for x in r[:d]])
-    vertices = tuple(tuple(Fraction(x, r[d]) for x in r[:d]) for r in rays)
-    result = VRepresentation(h.coordinates, vertices)
+    vectors = sorted(tuple(x * (scale // r[d]) for x in r[:d]) for r in rays)
+    result = VRepresentation(h.coordinates, scale, tuple(vectors))
     h._vertex_cache = result
     return result
 
 
-def _rank(rows: Iterable[Sequence[int]], width: int) -> int:
-    ech = _IntEchelon(width)
-    for row in rows:
-        ech.push_residual(ech.residual(row))
-    return ech.rank
-
-
-def _homogenized(points: Iterable[Point]) -> list[list[int]]:
-    """Each point x as the integer vector (L x, L), L the least common denominator of all points."""
-    points = list(points)
-    scale = math.lcm(*(x.denominator for p in points for x in p))
-    return [[x.numerator * (scale // x.denominator) for x in p] + [scale] for p in points]
-
-
 def affine_dimension(v: VRepresentation | Iterable[Point]) -> int:
-    """Dimension of the affine hull of a vertex set (-1 for empty, 0 for a point)."""
-    points = v._integer_vectors if isinstance(v, VRepresentation) else _homogenized(v)
-    return _rank(points, len(points[0]) if points else 0) - 1
+    """Dimension of the affine hull of a vertex set or of points (-1 for none, 0 for one)."""
+    if not isinstance(v, VRepresentation):
+        points = list(v)
+        v = VRepresentation.from_points(map(str, range(len(points[0]) if points else 0)), points)
+    return v._dimension
 
 
 def _scaled_values(v: VRepresentation, ineq: LinearInequality) -> list[int]:
-    """a . (L x) at every vertex x, in vertex order, for the row a . x <= b (L = ``v._scale``)."""
+    """a . (L x) at every vertex x, in vertex order, for the row a . x <= b (L = ``v.scale``)."""
     terms = iter(ineq.coeffs.items())
     c, a = next(terms)
     values = [a * x for x in v._columns[c]]
@@ -442,7 +449,7 @@ def _scaled_values(v: VRepresentation, ineq: LinearInequality) -> list[int]:
 
 def evaluate_affine_values(v: VRepresentation, ineq: LinearInequality) -> tuple[Fraction, ...]:
     """The multiset (as a sorted tuple) of the functional's values on the vertices."""
-    return tuple(Fraction(s, v._scale) for s in sorted(_scaled_values(v, ineq)))
+    return tuple(Fraction(s, v.scale) for s in sorted(_scaled_values(v, ineq)))
 
 
 def classify_inequalities(
@@ -452,7 +459,7 @@ def classify_inequalities(
 
     Returns (vertices, polytope dimension, facet inequalities, inequalities
     tight on every vertex).  Inequalities in neither list are redundant.  The
-    dimension is one rank of the vertices' integer vectors (L x, L), minus 1.
+    dimension is the vertex set's (one rank of the vectors (L x, L), minus 1).
     Each row's mask holds a bit per vertex where a . (L x) = b L.  A row is
     implicit when its mask is every vertex.  In any H-representation a row
     defines a facet exactly when its tight vertex set is proper and maximal
@@ -463,11 +470,11 @@ def classify_inequalities(
     the maximal ones kept before it.
     """
     v = enumerate_vertices(h)
-    dim = _rank(v._integer_vectors, len(h.coordinates) + 1) - 1
+    dim = v._dimension
     full = (1 << len(v)) - 1
     masks = []
     for ineq in h.inequalities:
-        tight, remainder = divmod(ineq.rhs.numerator * v._scale, ineq.rhs.denominator)
+        tight, remainder = divmod(ineq.rhs.numerator * v.scale, ineq.rhs.denominator)
         values = _scaled_values(v, ineq) if remainder == 0 else ()
         masks.append(sum(1 << i for i, s in enumerate(values) if s == tight))
     maximal: list[int] = []
@@ -522,7 +529,9 @@ def _count_points(h: HRepresentation, dilation: int, shrink: int) -> int:
     equality rows.  Implicit rows are looked up only when the polytope is not
     full-dimensional: a row can be tight everywhere even when the equalities
     alone already cut the polytope's affine hull out, as y <= 0 is beside
-    y = 0.
+    y = 0.  Everything runs in integers: the rows come from ``_int_row``, and
+    each coordinate's box is its least and greatest L x over the vertices,
+    times n / L, rounded inward.
     """
     v = enumerate_vertices(h)
     if dilation == 0:
@@ -534,7 +543,7 @@ def _count_points(h: HRepresentation, dilation: int, shrink: int) -> int:
     n = dilation
     eq_rows = [_int_row(h, e, n) for e in h.equalities]
     implicit: list[LinearInequality] = []
-    if shrink and affine_dimension(v) < d:
+    if shrink and v._dimension < d:
         implicit = classify_inequalities(h)[3]
     rows = []
     for ineq in h.inequalities:
@@ -549,9 +558,9 @@ def _count_points(h: HRepresentation, dilation: int, shrink: int) -> int:
 
     box_lo = []
     box_hi = []
-    for lo, hi in v._box:
-        box_lo.append(_ceil_div(lo.numerator * n, lo.denominator))
-        box_hi.append(hi.numerator * n // hi.denominator)
+    for values in v._columns.values():
+        box_lo.append(_ceil_div(min(values) * n, v.scale))
+        box_hi.append(max(values) * n // v.scale)
         if box_lo[-1] > box_hi[-1]:
             return 0
 
@@ -605,6 +614,16 @@ def _count_points(h: HRepresentation, dilation: int, shrink: int) -> int:
 # ---------------------------------------------------------------------------
 # univariate polynomials over Q
 
+def _convolve(a: Sequence, b: Sequence) -> list:
+    """The coefficients of the product of two polynomials (integer or rational)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 @dataclass(frozen=True)
 class UnivariatePolynomial:
     """A rational polynomial in the dilation variable, constant term first."""
@@ -636,15 +655,7 @@ class UnivariatePolynomial:
     def __mul__(self, other: "UnivariatePolynomial | int | Fraction") -> "UnivariatePolynomial":
         if isinstance(other, (int, Fraction)):
             return UnivariatePolynomial(tuple(c * other for c in self.coefficients))
-        if not self.coefficients or not other.coefficients:
-            return ZERO_POLYNOMIAL
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a:
-                for j, b in enumerate(other.coefficients):
-                    if b:
-                        out[i + j] += a * b
-        return UnivariatePolynomial(tuple(out))
+        return UnivariatePolynomial(tuple(_convolve(self.coefficients, other.coefficients)))
 
     __rmul__ = __mul__
 
@@ -658,9 +669,6 @@ class UnivariatePolynomial:
         if not self.coefficients:
             return "0"
         return ", ".join(str(c) for c in self.coefficients)
-
-
-ZERO_POLYNOMIAL = UnivariatePolynomial(())
 
 
 def polynomial(coeffs: Iterable[int | Fraction]) -> UnivariatePolynomial:

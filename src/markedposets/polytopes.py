@@ -216,7 +216,7 @@ def order_vertices_combinatorial(mp: MarkedPoset) -> VRepresentation:
             stack.pop()
         else:
             break
-    return VRepresentation(tuple(mp.unmarked), tuple(sorted(set(vertices))))
+    return VRepresentation.from_points(mp.unmarked, vertices)
 
 
 def order_facets_combinatorial(mp: MarkedPoset) -> list[LinearInequality]:

@@ -57,7 +57,7 @@ def is_two_level_direct(h: HRepresentation) -> TwoLevelResult:
         values = sorted(set(_scaled_values(v, facet)))
         if len(values) > 2:
             return TwoLevelResult(False, TwoLevelWitness(
-                facet, tuple(Fraction(s, v._scale) for s in values)))
+                facet, tuple(Fraction(s, v.scale) for s in values)))
     return TwoLevelResult(True, None)
 
 
@@ -105,7 +105,6 @@ def _chain_spans(h: HRepresentation, chain: Iterable[str]) -> dict[str, Fraction
     L the vertices' common denominator.
     """
     v = enumerate_vertices(h)
-    scale = v._scale
     span: dict[str, int] = {}  # L c
     for c in chain:
         values = sorted(set(v._columns[c]))
@@ -121,9 +120,9 @@ def _chain_spans(h: HRepresentation, chain: Iterable[str]) -> dict[str, Fraction
             return None
         values = sorted(set(_scaled_values(v, facet)))
         rhs = facet.rhs
-        if len(values) > 2 or rhs.numerator * scale != (values[0] + gaps.pop()) * rhs.denominator:
+        if len(values) > 2 or rhs.numerator * v.scale != (values[0] + gaps.pop()) * rhs.denominator:
             return None
-    return {c: Fraction(s, scale) for c, s in span.items()}
+    return {c: Fraction(s, v.scale) for c, s in span.items()}
 
 
 def chain_two_level_criterion(mp: MarkedPoset) -> ChainTwoLevelResult:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import re
 import tempfile
 from collections import Counter
 from fractions import Fraction
@@ -172,7 +173,16 @@ class TestCounting:
     def test_non_integral_vertices_refused(self):
         h = HRepresentation(
             ["x"], [LinearInequality({"x": -1}, 0), LinearInequality({"x": 2}, 1)])
-        with pytest.raises(NonIntegralVertices):
+        with pytest.raises(NonIntegralVertices,
+                           match=re.escape("vertex (Fraction(1, 2),) is not integral")):
+            ehrhart_by_counting(h)
+
+    def test_non_integral_message_names_the_first_vertex(self):
+        # vertices (0, 0) < (0, 1/3) < (1/2, 0): two are not integral, the first is named
+        h = HRepresentation(["x", "y"], [LinearInequality({"x": -1}, 0), LinearInequality({"y": -1}, 0),
+                                         LinearInequality({"x": 2, "y": 3}, 1)])
+        with pytest.raises(NonIntegralVertices,
+                           match=re.escape("vertex (Fraction(0, 1), Fraction(1, 3)) is not integral")):
             ehrhart_by_counting(h)
 
     def test_rows_tight_on_a_thin_polytope(self):

@@ -24,8 +24,11 @@ from markedposets import (
     EmptyPolytope,
     HRepresentation,
     LinearInequality,
+    MarkedPoset,
+    NonIntegralVertices,
     UnboundedPolytope,
     UnivariatePolynomial,
+    VRepresentation,
     affine_dimension,
     affine_image,
     build_chain_hrep,
@@ -33,11 +36,13 @@ from markedposets import (
     build_order_hrep,
     contains,
     count_lattice_points,
+    ehrhart_by_counting,
     enumerate_vertices,
     evaluate_affine_values,
     interpolate_polynomial,
     irredundant,
     is_two_level_direct,
+    order_vertices_combinatorial,
     polynomial,
 )
 from markedposets.corpus import all_chain_order_partitions, corpus, random_unimodular_map
@@ -284,6 +289,49 @@ def assert_matches_oracles(h):
     assert direct.two_level == (witness is None)
     if witness:
         assert (direct.witness.facet, direct.witness.values) == witness
+
+
+def homogenized(points):
+    """Each point x as the integer vector (L x, L), L the least common denominator of all points."""
+    points = list(points)
+    scale = math.lcm(*(x.denominator for p in points for x in p))
+    return [[x.numerator * (scale // x.denominator) for x in p] + [scale] for p in points]
+
+
+def fraction_box(points):
+    """Each coordinate's least and greatest value over the points."""
+    return [(min(values), max(values)) for values in zip(*points)]
+
+
+def first_non_integral(points):
+    """The first point with a non-integral coordinate, or None."""
+    return next((p for p in points if any(x.denominator != 1 for x in p)), None)
+
+
+def integer_rank(rows, width):
+    ech = _IntEchelon(width)
+    for row in rows:
+        ech.push_residual(ech.residual(row))
+    return ech.rank
+
+
+def assert_vertex_form(h):
+    """The stored (L, L x) of ``h``'s vertex set against the Fraction derivations of its points."""
+    v = enumerate_vertices(h)
+    points = v.vertices
+    vectors = homogenized(points)
+    assert v.scale == (vectors[0][-1] if vectors else 1)
+    assert [[*p, v.scale] for p in v.vectors] == vectors
+    assert [(Fraction(min(c), v.scale), Fraction(max(c), v.scale))
+            for c in v._columns.values()] == fraction_box(points)
+    first = first_non_integral(points)
+    assert (first is None) == (v.scale == 1)
+    if first is not None:
+        with pytest.raises(NonIntegralVertices, match=re.escape(f"vertex {first} is not integral")):
+            ehrhart_by_counting(h)
+    dim = integer_rank(vectors, len(h.coordinates) + 1) - 1
+    assert v._dimension == dim == affine_dimension(v) == affine_dimension(points)
+    assert VRepresentation.from_points(v.coordinates, points) == v
 
 
 def oracle_count_box(rows, dilation, box):
@@ -624,6 +672,65 @@ class TestAgainstOracles:
             return
         assert_matches_oracles(h)
         assert enumerate_vertices(h).vertices == expected
+        assert_vertex_form(h)
+
+
+def divided_marks(mp, k):
+    return MarkedPoset(mp.poset, {a: x / k for a, x in mp.marking.items()})
+
+
+class TestVertexForm:
+    """One common denominator and integer vectors, held to the Fraction derivations."""
+
+    @pytest.mark.parametrize("seed", [20250808, 3, 7])
+    def test_corpus_with_marks_divided_by_three(self, seed):
+        rng = random.Random(seed)
+        scales = set()
+        for mp in corpus(seed, 200, max_unmarked=5):
+            mp = divided_marks(mp, 3)
+            order = build_order_hrep(mp)
+            part = rng.choice(list(all_chain_order_partitions(mp)))
+            for h in (order, build_chain_hrep(mp), build_chain_order_hrep(mp, part)):
+                assert_vertex_form(h)
+                scales.add(enumerate_vertices(h).scale)
+            assert order_vertices_combinatorial(mp) == enumerate_vertices(order)
+        assert scales == {1, 3}
+
+    def test_rebuilt_from_points(self):
+        v = VRepresentation.from_points(["x", "y"], [(Fraction(1, 2), 0), (0, Fraction(1, 3)),
+                                                     (Fraction(1, 2), Fraction(0))])
+        assert (v.scale, v.vectors) == (6, ((0, 2), (3, 0)))
+        assert v.vertices == ((0, Fraction(1, 3)), (Fraction(1, 2), 0))
+        assert VRepresentation.from_points(["x", "y"], []) == VRepresentation(("x", "y"), 1, ())
+
+
+class TestNoFractionInHotPath:
+    """The vertex, facet and counting layers build no Fraction on these inputs."""
+
+    @pytest.mark.parametrize("call", [
+        enumerate_vertices,
+        classify_inequalities,
+        is_two_level_direct,
+        lambda h: count_lattice_points(h, 3),
+        lambda h: _count_points(h, 2, 1),
+    ], ids=["enumerate_vertices", "classify_inequalities", "is_two_level_direct",
+            "count_lattice_points", "interior_count"])
+    def test_no_fraction_built(self, monkeypatch, ladder, figure_one, call):
+        # fresh H-reps, built before the patch, so that no vertex cache hides work
+        hreps = [build(mp) for mp in (ladder(3), figure_one)
+                 for build in (build_order_hrep, build_chain_hrep)]
+        built = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        for h in hreps:
+            call(h)
+        monkeypatch.undo()
+        assert built == []
 
 
 class TestIrredundant:
@@ -738,6 +845,34 @@ class TestCountLatticePoints:
         h = HRepresentation(["x"], [LinearInequality({"x": 2}, 1), LinearInequality({"x": -2}, -1)])
         assert count_lattice_points(h, 1) == 0
         assert count_lattice_points(h, 2) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_rhs_denominators_shared_with_the_dilation(self, data):
+        # every rhs has denominator 2 or 3, so most dilations 1..6 share a factor with one
+        coords = ["x", "y", "z"][:data.draw(st.integers(2, 3))]
+        rhs = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([2, 3]))
+        bound = st.builds(Fraction, st.integers(1, 4), st.sampled_from([2, 3]))
+        upper = [data.draw(bound) for _ in coords]
+        lower = [data.draw(bound) for _ in coords]
+        rows = [LinearInequality({c: 1}, b) for c, b in zip(coords, upper)]
+        rows += [LinearInequality({c: -1}, b) for c, b in zip(coords, lower)]
+        for _ in range(data.draw(st.integers(0, 3))):
+            coeffs = {c: data.draw(st.integers(-2, 2)) for c in coords}
+            if any(coeffs.values()):
+                rows.append(LinearInequality(coeffs, data.draw(rhs)))
+        h = HRepresentation(coords, rows)
+        for n in range(1, 7):
+            bounds = [(r.coeffs, r.rhs * n) for r in rows]
+            box = [range(-math.floor(lo * n), math.floor(hi * n) + 1) for lo, hi in zip(lower, upper)]
+            scan = sum(1 for x in itertools.product(*box)
+                       if all(sum(a * x[coords.index(c)] for c, a in coeffs.items()) <= b
+                              for coeffs, b in bounds))
+            try:
+                count = count_lattice_points(h, n)
+            except EmptyPolytope:
+                count = 0
+            assert count == scan
 
     def test_negative_dilation_rejected(self):
         with pytest.raises(ValueError):
