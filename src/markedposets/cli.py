@@ -23,8 +23,8 @@ from .ehrhart import (
     pm_family,
 )
 from .errors import MarkedPosetError
-from .geometry import HRepresentation, enumerate_vertices, irredundant
-from .polytopes import build_chain_hrep, build_chain_order_hrep, build_order_hrep
+from .geometry import HRepresentation, enumerate_vertices
+from .polytopes import _facets, build_chain_hrep, build_chain_order_hrep, build_order_hrep
 from .posets import ChainOrderPartition, MarkedPoset, Poset, validate_marked
 from .twolevel import (
     chain_order_two_level_criterion,
@@ -198,7 +198,7 @@ def cmd_polytope(args) -> int:
         }
     else:
         if args.emit == "facets":
-            h = irredundant(h)
+            h = _facets(mp, h)
         text = lambda: format_hrep(h)
         result = _hrep_payload(h)
     payload = {"command": "polytope", "input": name,

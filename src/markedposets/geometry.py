@@ -121,6 +121,7 @@ class HRepresentation:
         self.equalities: tuple[LinearInequality, ...] = self._canonical(
             [self._sign_normalized(e) for e in eqs])
         self._vertex_cache: VRepresentation | None = None
+        self._classify_cache: tuple | None = None
 
     def _dense(self, row: LinearInequality) -> list[int]:
         """The row's coefficients in declared coordinate order."""
@@ -467,8 +468,12 @@ def classify_inequalities(
     other proper face lies in a facet), so a row is a facet when the
     dimension is at least 1 and no proper mask strictly contains its mask.
     Masks are visited by decreasing size, so each is checked only against
-    the maximal ones kept before it.
+    the maximal ones kept before it.  The result is cached on the
+    representation, like its vertices, and every caller gets the same
+    lists: read them, do not change them.
     """
+    if h._classify_cache is not None:
+        return h._classify_cache
     v = enumerate_vertices(h)
     dim = v._dimension
     full = (1 << len(v)) - 1
@@ -484,7 +489,8 @@ def classify_inequalities(
                 maximal.append(m)
     facets = [ineq for ineq, m in zip(h.inequalities, masks) if m in maximal]
     implicit = [ineq for ineq, m in zip(h.inequalities, masks) if m == full]
-    return v, dim, facets, implicit
+    h._classify_cache = v, dim, facets, implicit
+    return h._classify_cache
 
 
 def irredundant(h: HRepresentation) -> HRepresentation:

@@ -12,7 +12,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DimensionTooLarge, InfeasibleMarking, PointOutsidePolytope
-from .geometry import HRepresentation, LinearInequality, VRepresentation, _work_cap, contains
+from .geometry import (HRepresentation, LinearInequality, VRepresentation, _work_cap, contains,
+                       irredundant)
 from .posets import (
     ChainOrderPartition,
     MarkedPoset,
@@ -21,6 +22,7 @@ from .posets import (
     _saturated_chains,
     _up_sets,
     require_strict_regular,
+    validate_marked,
 )
 
 DEFAULT_ASSIGNMENT_CAP = 10**7
@@ -33,7 +35,11 @@ def _hrep(mp: MarkedPoset, chain: frozenset[str]) -> HRepresentation:
     interior (r >= 0 elements) lies in ``chain`` and whose ends are marked or
     outside ``chain``, with marked ends substituted.  A chain between two
     marked ends with r = 0 degenerates to a marking consistency check.
+    Memoised on ``mp`` by ``chain``: a command that asks for one polytope
+    twice enumerates its vertices and classifies its rows once.
     """
+    if chain in mp._hreps:
+        return mp._hreps[chain]
     inequalities = [LinearInequality({p: -1}, 0) for p in sorted(chain)]
     for a, interior, b in _saturated_chains(mp.poset, frozenset(mp.poset.elements) - chain):
         coeffs = dict.fromkeys(interior, 1)
@@ -50,7 +56,56 @@ def _hrep(mp: MarkedPoset, chain: frozenset[str]) -> HRepresentation:
             inequalities.append(LinearInequality(coeffs, rhs))
         elif rhs < 0:
             raise InfeasibleMarking(f"chain {a!r} < ... < {b!r} has negative slack {rhs}")
-    return HRepresentation(mp.unmarked, inequalities)
+    mp._hreps[chain] = HRepresentation(mp.unmarked, inequalities)
+    return mp._hreps[chain]
+
+
+def _facets(mp: MarkedPoset, h: HRepresentation) -> HRepresentation:
+    """The irredundant form of ``h = _hrep(mp, chain)``: ``h`` itself when ``mp`` is strict regular.
+
+    Other input goes to ``irredundant``, which needs the vertices.  Proof,
+    for a strict regular ``mp`` and any chain part C; E holds the marked and
+    the order elements, and L(e), U(e) are the greatest mark below e and the
+    least mark above it (L < U off the marked elements, by strictness).  It
+    builds, per row, a point of the polytope tight on that row and strict on
+    every other.  The mean of these points is strict on every row, so the
+    polytope is full-dimensional; each row is then a facet, and no two rows
+    are the same.  Each point is y = phi(x) for a point x of the marked
+    order polytope, phi the transfer map: y_p = x_p - M_p on C, where M_p is
+    the largest x over the lower covers of p, and y = x on the order
+    elements.  At phi(x) the row -y_p <= 0 has slack y_p, and the row of a
+    chain a < p_1 < ... < p_k < b (ends in E, p_i in C) has slack
+    (x_b - x_{p_k}) + sum_i (M_{p_i} - x_{p_{i-1}}), with p_0 = a.  Every
+    term is >= 0, so phi(x) lies in the polytope.  Below, eps > 0 times the
+    number of elements is less than every gap between two distinct marks.
+
+    - Regularity at a cover s < t with an unmarked end says that contracting
+      it leaves a strict marking: the new comparabilities are the marked
+      u <= t, s <= v, and a cover closes no cycle.  So some x has x_s = x_t
+      and increases strictly on every other cover (on the contracted Hasse
+      diagram, x_e = the max over marked u below e of marking(u) + eps *
+      longest path from u to e).  Every cover below has an unmarked end.
+    - Row -y_p <= 0: take that x for any cover r < p.  Then y_p = 0, and
+      every other row has a positive term: from a cover into C other than
+      r < p, or from the last cover of its chain, which ends in E.
+    - Row of a chain with k = 0, a cover a < b: take that x for a < b; every
+      other row has a positive term the same way.
+    - Row of a chain with k >= 1: let g(e) = U(p_j) - (k - j) eps for the
+      largest j with p_j <= e (-inf when there is none) and x' = max(L,
+      min(U, g)).  x' is order-preserving, it is the marking on marked
+      elements, x'_{p_j} = g(p_j) off them, and x'_b = x'_{p_k} = U(p_k),
+      as regularity at p_k < b gives L(b) <= U(p_k).  Every lower cover
+      r != p_{i-1} of p_i has x'_r < x'_{p_{i-1}}: r lies above no p_j with
+      j >= i - 1, and L(r) < U(p_{i-1}) is regularity at p_{i-1} < p_i.
+      Take x = (1 - t) x' + t x'' for a small t > 0, x'' that x for p_k < b.
+      It increases strictly on every cover but p_k < b, where it is
+      constant, and keeps x_r < x_{p_{i-1}}, so M_{p_i} = x_{p_{i-1}} along
+      the chain and its row is tight.  Another chain has a positive term:
+      x_b - x_{p_k} if its last cover differs, else some M_{p_i} above
+      x_{p_{i-1}} where it leaves the path p_{k-1}, p_{k-2}, ... back.
+    """
+    report = validate_marked(mp)
+    return h if report.strict and report.regular else irredundant(h)
 
 
 def build_order_hrep(mp: MarkedPoset) -> HRepresentation:
@@ -223,7 +278,8 @@ def order_facets_combinatorial(mp: MarkedPoset) -> list[LinearInequality]:
     """The facet list of the marked order polytope read off the covers.
 
     One inequality per cover involving an unmarked element; for a strict
-    regular marked poset this equals the irredundant geometric description.
+    regular marked poset this equals the irredundant geometric description
+    (proved for all three families in ``_facets``).
     """
     require_strict_regular(mp, "order_facets_combinatorial")
     return list(build_order_hrep(mp).inequalities)

@@ -239,6 +239,7 @@ class MarkedPoset:
                         f"marking is not order-preserving on {a!r} < {b!r}")
         self.unmarked: tuple[str, ...] = tuple(
             sorted(e for e in poset.elements if e not in self.marked))
+        self._hreps: dict = {}  # polytopes._hrep's memo, keyed by the chain part
 
     def value(self, a: str) -> Fraction:
         return self.marking[a]

@@ -230,7 +230,10 @@ class TestDocumentOrder:
             path.write_text(json.dumps(doc))
             for argv in (["validate"], ["polytope", "--family", "order", "--emit", "hrep"],
                          ["polytope", "--family", "chain", "--emit", "hrep"],
-                         ["polytope", "--family", "chain-order", "--emit", "hrep"]):
+                         ["polytope", "--family", "chain-order", "--emit", "hrep"],
+                         ["polytope", "--family", "order", "--emit", "facets"],
+                         ["polytope", "--family", "chain", "--emit", "facets"],
+                         ["polytope", "--family", "chain-order", "--emit", "facets"]):
                 for mode in ([], ["--json"]):
                     out, err = io.StringIO(), io.StringIO()
                     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -239,11 +242,12 @@ class TestDocumentOrder:
         return results
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32), data=st.data())
-    def test_shuffled_document(self, seed, data):
-        # regular or not: validate lists every violation it finds
+    @given(seed=st.integers(0, 2**32), regular=st.booleans(), data=st.data())
+    def test_shuffled_document(self, seed, regular, data):
+        # regular or not: validate lists every violation it finds, and facets
+        # come from the poset on strict regular draws, from the vertices else
         rng = random.Random(seed)
-        mp = None
+        mp = random_marked_poset(rng, max_unmarked=5) if regular else None
         while mp is None:
             mp = _draw(rng, 6, 0, 3, 1)
         chain = sorted(e for e in mp.unmarked if rng.random() < 0.5)

@@ -734,6 +734,10 @@ class TestNoFractionInHotPath:
 
 
 class TestIrredundant:
+    def test_classification_cached_on_the_representation(self):
+        h = hrep2(UNIT_SQUARE + [(1, 1, 2)])
+        assert classify_inequalities(h) is classify_inequalities(h)
+
     def test_figure_one_system_drops_chain_sum(self):
         h = hrep2(UNIT_SQUARE + [(1, 1, 2)])
         reduced = irredundant(h)

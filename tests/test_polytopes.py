@@ -1,9 +1,14 @@
 """Builders for the three polytope families and face-partition combinatorics."""
 
+import contextlib
+import io
+import json
 import random
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,9 +24,11 @@ from markedposets import (
     build_chain_hrep,
     build_chain_order_hrep,
     build_order_hrep,
+    cli,
     contains,
     enumerate_vertices,
     face_partition_of_point,
+    geometry,
     irredundant,
     is_face_partition,
     maximal_marked_chains,
@@ -30,12 +37,14 @@ from markedposets import (
     polytopes,
 )
 from markedposets.corpus import (
+    _draw,
     all_chain_order_partitions,
     corpus,
     random_convex_points,
     random_marked_poset,
 )
 from markedposets.ehrhart import pm_family
+from markedposets.posets import _saturated_chains, _topological_order, validate_marked
 
 
 def ineq(coeffs, rhs):
@@ -400,6 +409,188 @@ class TestOrderFacetsCombinatorial:
             reduced = irredundant(build_order_hrep(mp))
             assert not reduced.equalities
             assert set(facets) == set(reduced.inequalities)
+
+
+def document(mp, part):
+    """The JSON document of ``mp`` with the chain-order partition ``part``."""
+    return {"elements": list(mp.poset.elements), "covers": [list(c) for c in mp.poset.covers],
+            "marked": {a: int(v) for a, v in mp.marking.items()},
+            "partition": {"chain": sorted(part.chain), "order": sorted(part.order)}}
+
+
+def cli_json(doc, *argv):
+    """The parsed ``--json`` answer of one in-process ``mpp`` command on ``doc``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "poset.json"
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([argv[0], str(path), *argv[1:], "--json"])
+    assert code == 0
+    return json.loads(out.getvalue())
+
+
+def family_hreps(mp, part):
+    """The three families' H-representations, by CLI family name."""
+    return {"order": build_order_hrep(mp), "chain": build_chain_hrep(mp),
+            "chain-order": build_chain_order_hrep(mp, part)}
+
+
+class TestFacetsFromThePoset:
+    """On strict regular input every built row is a facet (``polytopes._facets``); elsewhere the DD decides."""
+
+    @pytest.mark.parametrize("seed", [20250808, 3, 7])
+    def test_every_built_row_is_a_facet(self, seed):
+        for mp in corpus(seed, 200, max_unmarked=5):
+            for part in all_chain_order_partitions(mp):
+                h = build_chain_order_hrep(mp, part)
+                assert irredundant(h) == h
+
+    @pytest.mark.parametrize("seed", [20250808, 3, 7])
+    def test_cli_facets_match_the_irredundant_route(self, seed):
+        for mp in corpus(seed, 200, max_unmarked=5)[::20]:
+            parts = list(all_chain_order_partitions(mp))
+            part = parts[len(parts) // 2]
+            for family, h in family_hreps(mp, part).items():
+                answer = cli_json(document(mp, part), "polytope", "--family", family,
+                                  "--emit", "facets")
+                assert answer["result"] == cli._hrep_payload(irredundant(h))
+
+    def test_irregular_input_drops_every_redundant_row(self):
+        # strict irregular draws: the built rows may be redundant, and the
+        # facets must still come from the vertices
+        redundant = dict.fromkeys(["order", "chain", "chain-order"], 0)
+        for seed in (11, 12, 13, 14):
+            rng = random.Random(seed)
+            for _ in range(40):
+                mp = _draw(rng, 6, 0, 4, 1)
+                if mp is None:
+                    continue
+                report = validate_marked(mp)
+                if not report.strict or report.regular:
+                    continue
+                part = ChainOrderPartition.of(mp, mp.unmarked[::2])
+                for family, h in family_hreps(mp, part).items():
+                    answer = cli_json(document(mp, part), "polytope", "--family", family,
+                                      "--emit", "facets")
+                    assert answer["result"] == cli._hrep_payload(irredundant(h))
+                    redundant[family] += len(answer["result"]["inequalities"]) < len(h.inequalities)
+        # 47 of the 66 strict irregular draws, in each family
+        assert min(redundant.values()) >= 40
+
+
+def contracted_point(mp, s, t, eps):
+    """A point of the order polytope with x_s = x_t that increases strictly on every other cover.
+
+    On the Hasse diagram with the cover s < t contracted, x_e is the largest
+    mark(u) + eps * (longest path from u to e) over the marked u below e.
+    """
+    rep = {e: s if e == t else e for e in mp.poset.elements}
+    succ = {e: set() for e in set(rep.values())}
+    for p, q in mp.poset.covers:
+        if (p, q) != (s, t):
+            succ[rep[p]].add(rep[q])
+    order = _topological_order(succ, succ)
+    x = {}
+    for u in mp.marked:
+        length = {rep[u]: 0}
+        for e in order:
+            for f in succ[e] if e in length else ():
+                length[f] = max(length.get(f, 0), length[e] + 1)
+        for e, n in length.items():
+            x[e] = max(x.get(e, n * eps + mp.value(u)), n * eps + mp.value(u))
+    return {e: x[rep[e]] for e in mp.poset.elements}
+
+
+def transfer(mp, chain, x):
+    """phi(x): x_p less the largest x over the lower covers of p on the chain part, x elsewhere."""
+    return {p: x[p] - max(x[r] for r in mp.poset.lower_covers(p)) if p in chain else x[p]
+            for p in mp.unmarked}
+
+
+def facet_witnesses(mp, chain):
+    """The points that ``polytopes._facets``' proof builds, one per row of ``_hrep(mp, chain)``."""
+    poset, n = mp.poset, len(mp.poset.elements)
+    eps = Fraction(1, 2 * n + 2)
+    t = eps / (4 * (max(mp.marking.values()) - min(mp.marking.values()) + 2))
+    lo = {e: max(mp.value(a) for a in mp.marked if poset.leq(a, e)) for e in poset.elements}
+    hi = {e: min(mp.value(a) for a in mp.marked if poset.leq(e, a)) for e in poset.elements}
+    for p in sorted(chain):
+        yield transfer(mp, chain, contracted_point(mp, poset.lower_covers(p)[0], p, eps))
+    for a, interior, b in _saturated_chains(poset, frozenset(poset.elements) - chain):
+        if not interior:
+            if not {a, b} <= mp.marked:
+                yield transfer(mp, chain, contracted_point(mp, a, b, eps))
+            continue
+        path, k = (a, *interior), len(interior)
+        x = {}
+        for e in poset.elements:
+            j = max((j for j, p in enumerate(path) if poset.leq(p, e)), default=None)
+            g = lo[e] if j is None else hi[path[j]] - (k - j) * eps
+            x[e] = max(lo[e], min(hi[e], g))
+        tight = contracted_point(mp, interior[-1], b, eps)
+        yield transfer(mp, chain, {e: (1 - t) * x[e] + t * tight[e] for e in x})
+
+
+class TestFacetWitnesses:
+    """The proof in ``polytopes._facets``, run: each of its points is tight on one row, a different one each."""
+
+    @pytest.mark.parametrize("seed", [20250808, 3, 7])
+    def test_each_row_has_its_point(self, seed):
+        for mp in corpus(seed, 60, max_unmarked=5):
+            for part in all_chain_order_partitions(mp):
+                h = build_chain_order_hrep(mp, part)
+                tight_rows = []
+                for y in facet_witnesses(mp, part.chain):
+                    slack = [row.rhs - row.evaluate(y) for row in h.inequalities]
+                    assert min(slack) == 0 and slack.count(0) == 1
+                    tight_rows.append(slack.index(0))
+                assert sorted(tight_rows) == list(range(len(h.inequalities)))
+
+
+class TestOnePolytopePerCommand:
+    """Each command runs the double description (DD) on each polytope at most once."""
+
+    @pytest.fixture
+    def dd_calls(self, monkeypatch):
+        calls = []
+        dd = geometry._double_description
+
+        def spy(h):
+            calls.append(h)
+            return dd(h)
+
+        monkeypatch.setattr(geometry, "_double_description", spy)
+        return calls
+
+    @pytest.mark.parametrize("family", ["order", "chain", "chain-order"])
+    def test_two_level_both_runs_one_double_description(self, dd_calls, ladder, family):
+        mp = ladder(3)
+        part = ChainOrderPartition.of(mp, ["x1", "y0", "y2"])
+        answer = cli_json(document(mp, part), "two-level", "--family", family, "--method", "both")
+        assert answer["result"]["agree"] is True
+        assert len(dd_calls) == 1
+
+    @pytest.mark.parametrize("family", ["order", "chain", "chain-order"])
+    def test_facets_of_strict_regular_input_run_none(self, dd_calls, ladder, family):
+        mp = ladder(3)
+        part = ChainOrderPartition.of(mp, ["x1", "y0", "y2"])
+        answer = cli_json(document(mp, part), "polytope", "--family", family, "--emit", "facets")
+        assert answer["result"] == cli._hrep_payload(family_hreps(mp, part)[family])
+        assert dd_calls == []
+
+    def test_facets_of_irregular_input_run_one(self, dd_calls, capsys):
+        assert cli.main(["polytope", "--builtin", "figure1", "--family", "chain",
+                         "--emit", "facets"]) == 0
+        assert len(dd_calls) == 1
+
+    def test_facets_of_strict_regular_input_pass_any_work_cap(self, monkeypatch, capsys):
+        # a cap too small for the DD stops the vertices, not the facets
+        monkeypatch.setenv("MPP_WORK_CAP", "1")
+        argv = ["polytope", "--builtin", "diamond:0,2", "--family", "chain", "--emit"]
+        assert cli.main(argv + ["vertices"]) == 1
+        assert "exceed the work cap 1" in capsys.readouterr().err
+        assert cli.main(argv + ["facets"]) == 0
 
 
 class TestChainZeroVertex:
