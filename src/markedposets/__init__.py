@@ -22,7 +22,6 @@ from .geometry import (
     contains,
     count_lattice_points,
     enumerate_vertices,
-    evaluate_affine_values,
     interpolate_polynomial,
     irredundant,
     polynomial,
@@ -35,7 +34,6 @@ from .posets import (
     Poset,
     augment_marked_order,
     canonical_labeling,
-    hasse_components,
     induced_subposet,
     linear_extensions,
     maximal_marked_chains,

@@ -137,11 +137,11 @@ def _hrep_payload(h: HRepresentation) -> dict:
     return {
         "coordinates": list(h.coordinates),
         "inequalities": [
-            {"coeffs": {c: a for c, a in i.coeffs.items()}, "rhs": str(i.rhs)}
+            {"coeffs": dict(i.coeffs), "rhs": str(i.rhs)}
             for i in h.inequalities
         ],
         "equalities": [
-            {"coeffs": {c: a for c, a in e.coeffs.items()}, "rhs": str(e.rhs)}
+            {"coeffs": dict(e.coeffs), "rhs": str(e.rhs)}
             for e in h.equalities
         ],
     }

@@ -11,7 +11,10 @@ feasible solutions) as its oracle.  A vertex set is stored as one common
 denominator L and the integer vectors L x, which the double description
 yields directly; facet values, dimensions, counting boxes and rows all stay
 in integers.  Rationals appear only in an inequality's right-hand side and
-in reported values (vertex coordinates, affine values, polynomials).
+in reported values (vertex coordinates, affine values, polynomials).  A row
+with integer coefficients keeps them and its ``Fraction`` right-hand side as
+given, and an H-representation orders its rows by sorting, not hashing, so
+building one does no ``Fraction`` arithmetic per row.
 """
 
 from __future__ import annotations
@@ -52,14 +55,17 @@ class LinearInequality:
     Coefficients are rescaled on construction by a positive rational so they
     become integers with gcd 1 (the direction of the inequality is never
     flipped); the right-hand side scales along and may stay fractional.
+    Integer coefficients with gcd 1 and a ``Fraction`` right-hand side, the
+    rows of every built H-representation, make no ``Fraction``: the
+    coefficients are only sorted by id, and the right-hand side is kept.
     """
 
     __slots__ = ("coeffs", "rhs")
 
     def __init__(self, coeffs: Mapping[str, int | Fraction], rhs: int | Fraction):
-        if all(isinstance(v, int) for v in coeffs.values()):  # no Fraction per coefficient
+        if {int}.issuperset(map(type, coeffs.values())):  # exact ints, not bool
             scale = 1
-            ints = {c: v for c, v in coeffs.items() if v != 0}
+            ints = coeffs if all(coeffs.values()) else {c: v for c, v in coeffs.items() if v}
         else:
             exact = {c: Fraction(v) for c, v in coeffs.items() if v != 0}
             scale = math.lcm(*(v.denominator for v in exact.values()))
@@ -67,8 +73,9 @@ class LinearInequality:
         if not ints:
             raise ValueError("inequality needs at least one nonzero coefficient")
         g = math.gcd(*ints.values())
-        self.coeffs: dict[str, int] = {c: v // g for c, v in sorted(ints.items())}
-        rhs = Fraction(rhs)
+        items = sorted(ints.items())
+        self.coeffs: dict[str, int] = dict(items) if g == 1 else {c: v // g for c, v in items}
+        rhs = rhs if type(rhs) is Fraction else Fraction(rhs)
         self.rhs: Fraction = rhs if scale == g == 1 else rhs * scale / g
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
@@ -97,8 +104,10 @@ class HRepresentation:
     Inequalities are deduplicated and kept sorted by their dense coefficient
     rows in declared coordinate order, then by rhs, so two H-representations
     of the same system compare equal.  That order is computed sparsely, from
-    each row's nonzeros alone (``_sparse_key``).  Equalities are additionally
-    sign-normalized (first nonzero coefficient positive).
+    each row's nonzeros alone (``_sparse_key``): the (key, row) pairs are
+    sorted by key and a row whose key equals the one before is dropped, so no
+    key is hashed.  Equalities are additionally sign-normalized (first nonzero
+    coefficient positive).
     """
 
     def __init__(
@@ -113,10 +122,10 @@ class HRepresentation:
             raise ValueError("duplicate coordinate ids")
         ineqs = list(inequalities)
         eqs = list(equalities)
-        for row in ineqs + eqs:
-            unknown = [c for c in row.coeffs if c not in self._column]
-            if unknown:
-                raise ValueError(f"constraint references undeclared coordinates {sorted(unknown)}")
+        for row in (*ineqs, *eqs):
+            if not row.coeffs.keys() <= self._column.keys():
+                unknown = sorted(row.coeffs.keys() - self._column.keys())
+                raise ValueError(f"constraint references undeclared coordinates {unknown}")
         self.inequalities: tuple[LinearInequality, ...] = self._canonical(ineqs)
         self.equalities: tuple[LinearInequality, ...] = self._canonical(
             [self._sign_normalized(e) for e in eqs])
@@ -130,21 +139,26 @@ class HRepresentation:
             dense[self._column[c]] = a
         return dense
 
-    def _sparse_key(self, row: LinearInequality) -> tuple:
+    def _sparse_key(self, row: LinearInequality) -> list:
         """A key that sorts and compares like ``(*self._dense(row), row.rhs)``.
 
-        Each nonzero a in column j becomes (1, -j, a) if a > 0, else (-1, j, a),
-        in column order, then a (0,) terminator stands for the zeros after the
-        last one.  At the first column where two dense rows differ, the entry
-        of the row with the larger value there sorts higher: a positive entry
-        beats any later entry or the terminator, a negative one loses to them.
+        Each nonzero a in column j becomes the pair n - j, a if a > 0, else
+        j - n, a (n columns), in column order; then a 0 stands for the zeros
+        after the last one, and the rhs ends the key.  At the first column
+        where two dense rows differ, the entry of the row with the larger
+        value there sorts higher: a positive entry beats any later entry or
+        the 0, a negative one loses to them.
         """
-        entries = sorted((self._column[c], a) for c, a in row.coeffs.items())
-        return (*((1, -j, a) if a > 0 else (-1, j, a) for j, a in entries), (0,), row.rhs)
+        n = len(self.coordinates)
+        key = []
+        for j, a in sorted(zip(map(self._column.__getitem__, row.coeffs), row.coeffs.values())):
+            key += (n - j, a) if a > 0 else (j - n, a)
+        return key + [0, row.rhs]
 
     def _canonical(self, rows: list[LinearInequality]) -> tuple[LinearInequality, ...]:
-        unique = {self._sparse_key(row): row for row in rows}
-        return tuple(unique[k] for k in sorted(unique))
+        """The rows sorted by key, one per key: equal keys end up side by side."""
+        pairs = sorted(zip(map(self._sparse_key, rows), rows), key=lambda pair: pair[0])
+        return tuple(row for i, (key, row) in enumerate(pairs) if not i or key != pairs[i - 1][0])
 
     def _sign_normalized(self, row: LinearInequality) -> LinearInequality:
         lead = row.coeffs[min(row.coeffs, key=self._column.__getitem__)]
@@ -446,11 +460,6 @@ def _scaled_values(v: VRepresentation, ineq: LinearInequality) -> list[int]:
     for c, a in terms:
         values = [s + a * x for s, x in zip(values, v._columns[c])]
     return values
-
-
-def evaluate_affine_values(v: VRepresentation, ineq: LinearInequality) -> tuple[Fraction, ...]:
-    """The multiset (as a sorted tuple) of the functional's values on the vertices."""
-    return tuple(Fraction(s, v.scale) for s in sorted(_scaled_values(v, ineq)))
 
 
 def classify_inequalities(

@@ -7,6 +7,7 @@ equalities.  Coordinates are the unmarked element ids in lexicographic order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -40,22 +41,24 @@ def _hrep(mp: MarkedPoset, chain: frozenset[str]) -> HRepresentation:
     """
     if chain in mp._hreps:
         return mp._hreps[chain]
-    inequalities = [LinearInequality({p: -1}, 0) for p in sorted(chain)]
+    # marks as integers over one common denominator; each distinct rhs is one Fraction
+    scale = math.lcm(*(v.denominator for v in mp.marking.values()))
+    level = {a: v.numerator * (scale // v.denominator) for a, v in mp.marking.items()}
+    rhs_of: dict[int, Fraction] = {0: Fraction(0)}
+    inequalities = [LinearInequality({p: -1}, rhs_of[0]) for p in sorted(chain)]
     for a, interior, b in _saturated_chains(mp.poset, frozenset(mp.poset.elements) - chain):
         coeffs = dict.fromkeys(interior, 1)
-        rhs = Fraction(0)
-        if a in mp.marked:
-            rhs -= mp.value(a)
-        else:
+        if a not in level:
             coeffs[a] = 1
-        if b in mp.marked:
-            rhs += mp.value(b)
-        else:
+        if b not in level:
             coeffs[b] = -1
+        gap = level.get(b, 0) - level.get(a, 0)
+        if gap not in rhs_of:
+            rhs_of[gap] = Fraction(gap, scale)
         if coeffs:
-            inequalities.append(LinearInequality(coeffs, rhs))
-        elif rhs < 0:
-            raise InfeasibleMarking(f"chain {a!r} < ... < {b!r} has negative slack {rhs}")
+            inequalities.append(LinearInequality(coeffs, rhs_of[gap]))
+        elif gap < 0:
+            raise InfeasibleMarking(f"chain {a!r} < ... < {b!r} has negative slack {rhs_of[gap]}")
     mp._hreps[chain] = HRepresentation(mp.unmarked, inequalities)
     return mp._hreps[chain]
 

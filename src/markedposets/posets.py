@@ -331,11 +331,6 @@ def require_strict(mp: MarkedPoset, operation: str) -> None:
         raise PreconditionViolated(f"{operation} requires a strict marking")
 
 
-def hasse_components(mp: MarkedPoset) -> list[tuple[str, ...]]:
-    """Connected components of the undirected Hasse diagram, sorted by least id."""
-    return _components(mp.poset.elements, mp.poset.covers)
-
-
 def maximal_marked_chains(mp: MarkedPoset) -> list[tuple[str, tuple[str, ...], str]]:
     """Saturated chains a < p_1 < ... < p_k < b with marked ends, unmarked interior.
 

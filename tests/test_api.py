@@ -14,8 +14,8 @@ PUBLIC_NAMES = {
     "augment_marked_order", "build_chain_hrep", "build_chain_order_hrep", "build_order_hrep",
     "canonical_labeling", "chain_order_two_level_criterion", "chain_two_level_criterion",
     "contains", "count_lattice_points", "count_restricted_extensions", "ehrhart_by_counting",
-    "ehrhart_formula_marked_order", "enumerate_vertices", "evaluate_affine_values",
-    "face_partition_of_point", "hasse_components", "induced_subposet",
+    "ehrhart_formula_marked_order", "enumerate_vertices",
+    "face_partition_of_point", "induced_subposet",
     "interpolate_polynomial", "irredundant", "is_face_partition", "is_two_level_direct",
     "linear_extensions", "maximal_marked_chains", "order_facets_combinatorial",
     "order_two_level_criterion", "order_vertices_combinatorial", "pm_closed_form",

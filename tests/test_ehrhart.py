@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import markedposets.ehrhart as ehrhart_module
 from markedposets import (
+    ChainOrderPartition,
     ExtensionExplosion,
     HRepresentation,
     LinearInequality,
@@ -440,6 +441,114 @@ class TestFamilyEquality:
             for part in all_chain_order_partitions(mp):
                 h = build_chain_order_hrep(mp, part)
                 assert ehrhart_by_counting(h) == base
+
+
+def dilate_points(mp, h, n):
+    """The lattice points of the n-th dilate of ``h``, a polytope of ``mp``, sorted, as tuples.
+
+    A depth-first scan in coordinate order: each row bounds its last coordinate
+    once the ones before it are set.  Every coordinate also lies in the box
+    [n min(0, m), n (M - min(0, m))], m and M the least and greatest marks: an
+    order coordinate lies between two marks, a chain coordinate between 0 and
+    a difference of two marks.
+    """
+    marks = [int(mp.value(a)) for a in mp.marked]
+    lo, hi = n * min(0, *marks), n * (max(marks) - min(0, *marks))
+    closing = [[] for _ in h.coordinates]  # (earlier terms, own coefficient, n * rhs) per row
+    for row in h.inequalities:
+        *rest, (last, a) = sorted((h._column[c], a) for c, a in row.coeffs.items())
+        assert (n * row.rhs).denominator == 1
+        closing[last].append((rest, a, int(n * row.rhs)))
+    points = []
+
+    def scan(j, x):
+        low, high = lo, hi
+        for rest, a, b in closing[j]:
+            slack = b - sum(c * x[k] for k, c in rest)
+            if a > 0:
+                high = min(high, slack // a)
+            else:
+                low = max(low, -(slack // -a))
+        if j == len(closing) - 1:
+            points.extend(x + (v,) for v in range(low, high + 1))
+        else:
+            for v in range(low, high + 1):
+                scan(j + 1, x + (v,))
+
+    scan(0, ())
+    return points
+
+
+def transfer_maps(mp, chain, n):
+    """The transfer map phi of nO(P, lambda) to the chain-order dilate, and its inverse psi.
+
+    Both act on tuples over ``mp.unmarked``.  phi: y_p = x_p - max{x_q : q covered
+    by p} for p in ``chain`` (a marked q counts as n lambda(q)), y_p = x_p
+    elsewhere.  psi adds the maximum back, in topological order, so that the x
+    of every lower cover is known by then.
+    """
+    marked = sorted(mp.marked)
+    index = {p: j for j, p in enumerate((*mp.unmarked, *marked))}
+    tail = tuple(int(n * mp.value(a)) for a in marked)
+    below = [(index[p], [index[q] for q in mp.poset.lower_covers(p)])
+             for p in mp.poset.topological_order() if p in chain]
+
+    def phi(x):
+        full, y = x + tail, list(x)
+        for j, covered in below:
+            y[j] -= max(map(full.__getitem__, covered))
+        return tuple(y)
+
+    def psi(y):
+        x = list(y + tail)
+        for j, covered in below:
+            x[j] += max(map(x.__getitem__, covered))
+        return tuple(x[:len(y)])
+
+    return phi, psi
+
+
+def check_transfer(mp, part, n, order_points):
+    """phi sends the points of nO one to one onto the scanned points of the chain-order
+    dilate, and psi sends them back; returns the latter."""
+    points = dilate_points(mp, build_chain_order_hrep(mp, part), n)
+    phi, psi = transfer_maps(mp, part.chain, n)
+    image = list(map(phi, order_points))
+    assert sorted(image) == points  # the scan lists each point once, so phi is one to one
+    assert list(map(psi, image)) == order_points
+    return points
+
+
+class TestTransferMap:
+    """The families share one Ehrhart polynomial because the transfer map is a bijection
+    on the lattice points of every dilate: checked point by point, for the order and
+    chain families and every chain-order partition."""
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_seeded_corpus(self, seed):
+        for mp in corpus(seed, 60, max_unmarked=4):
+            for n in (1, 2, 3):
+                order_points = dilate_points(mp, build_order_hrep(mp), n)
+                for part in all_chain_order_partitions(mp):
+                    check_transfer(mp, part, n, order_points)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(1, 3), data=st.data())
+    def test_relabelling(self, seed, n, data):
+        mp = random_marked_poset(random.Random(seed), max_unmarked=4)
+        elements = list(mp.poset.elements)
+        rename = dict(zip(elements, data.draw(st.permutations([f"v{i}" for i in range(len(elements))]))))
+        relabelled = MarkedPoset(Poset([rename[e] for e in elements],
+                                       [(rename[p], rename[q]) for p, q in mp.poset.covers]),
+                                 {rename[a]: v for a, v in mp.marking.items()})
+        chain = data.draw(st.sets(st.sampled_from(mp.unmarked)))
+        named = []
+        for m, part in ((mp, ChainOrderPartition.of(mp, chain)),
+                        (relabelled, ChainOrderPartition.of(relabelled, {rename[p] for p in chain}))):
+            points = check_transfer(m, part, n, dilate_points(m, build_order_hrep(m), n))
+            names = m.unmarked if m is relabelled else [rename[p] for p in m.unmarked]
+            named.append({frozenset(zip(names, y)) for y in points})
+        assert named[0] == named[1]
 
 
 class TestPmFamily:

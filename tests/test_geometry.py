@@ -26,6 +26,7 @@ from markedposets import (
     LinearInequality,
     MarkedPoset,
     NonIntegralVertices,
+    Poset,
     UnboundedPolytope,
     UnivariatePolynomial,
     VRepresentation,
@@ -38,7 +39,6 @@ from markedposets import (
     count_lattice_points,
     ehrhart_by_counting,
     enumerate_vertices,
-    evaluate_affine_values,
     interpolate_polynomial,
     irredundant,
     is_two_level_direct,
@@ -50,6 +50,7 @@ from markedposets.geometry import (
     _count_points,
     _int_row,
     _IntEchelon,
+    _scaled_values,
     classify_inequalities,
 )
 
@@ -704,6 +705,23 @@ class TestVertexForm:
         assert VRepresentation.from_points(["x", "y"], []) == VRepresentation(("x", "y"), 1, ())
 
 
+def fractions_built(monkeypatch, call):
+    """The arguments of every ``Fraction`` that ``call()`` builds, and its result."""
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    try:
+        result = call()
+    finally:
+        monkeypatch.undo()
+    return built, result
+
+
 class TestNoFractionInHotPath:
     """The vertex, facet and counting layers build no Fraction on these inputs."""
 
@@ -719,18 +737,35 @@ class TestNoFractionInHotPath:
         # fresh H-reps, built before the patch, so that no vertex cache hides work
         hreps = [build(mp) for mp in (ladder(3), figure_one)
                  for build in (build_order_hrep, build_chain_hrep)]
-        built = []
-        new = Fraction.__new__
-
-        def counting_new(cls, *args, **kwargs):
-            built.append(args)
-            return new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", counting_new)
-        for h in hreps:
-            call(h)
-        monkeypatch.undo()
+        built, _ = fractions_built(monkeypatch, lambda: [call(h) for h in hreps])
         assert built == []
+
+
+class TestNoFractionPerRow:
+    """The H-rep layer builds a Fraction per distinct right-hand side, not per row."""
+
+    @staticmethod
+    def chain(n):
+        """e000 < ... < e(n-1), marked 1/2 and 7/3 at the ends: n - 1 rows."""
+        e = [f"e{i:03d}" for i in range(n)]
+        return MarkedPoset(Poset(e, list(zip(e, e[1:]))),
+                           {e[0]: Fraction(1, 2), e[-1]: Fraction(7, 3)})
+
+    @staticmethod
+    def antichain(n):
+        """n - 2 unmarked elements between bot (1/2) and top (7/3): 2(n - 2) rows."""
+        x = [f"x{i:03d}" for i in range(n - 2)]
+        covers = [("bot", e) for e in x] + [(e, "top") for e in x]
+        return MarkedPoset(Poset(["bot", "top", *x], covers),
+                           {"bot": Fraction(1, 2), "top": Fraction(7, 3)})
+
+    @pytest.mark.parametrize("shape", ["chain", "antichain"])
+    def test_fraction_count_bounded_by_the_marks(self, monkeypatch, shape):
+        mp = getattr(self, shape)(300)
+        built, h = fractions_built(monkeypatch, lambda: build_order_hrep(mp))
+        assert len(h.inequalities) >= 299
+        # the rhs of a row is one of 0, lambda(b), -lambda(a), lambda(b) - lambda(a)
+        assert len(built) <= (len(mp.marked) + 1) ** 2
 
 
 class TestIrredundant:
@@ -782,24 +817,30 @@ class TestAffineDimension:
 
 
 class TestEvaluateAffineValues:
+    """A row's values on the vertices, as ``_scaled_values`` gives them: a . (L x) at every
+    vertex x, in vertex order (L = ``v.scale``)."""
+
     def test_square_x(self):
         v = enumerate_vertices(hrep2(UNIT_SQUARE))
-        assert evaluate_affine_values(v, LinearInequality({"x": 1}, 1)) == (0, 0, 1, 1)
+        assert v.scale == 1
+        assert _scaled_values(v, LinearInequality({"x": 1}, 1)) == [0, 0, 1, 1]
 
     def test_simplex_sum(self):
         v = enumerate_vertices(hrep2(SIMPLEX))
-        assert evaluate_affine_values(v, LinearInequality({"x": 1, "y": 1}, 1)) == (0, 1, 1)
+        assert _scaled_values(v, LinearInequality({"x": 1, "y": 1}, 1)) == [0, 1, 1]
 
     def test_trapezoid_difference(self):
+        # vertices (0, 1), (0, 2), (1, 1), (2, 2)
         v = enumerate_vertices(hrep2(TRAPEZOID))
-        values = evaluate_affine_values(v, LinearInequality({"x": 1, "y": -1}, 0))
-        assert values == (-2, -1, 0, 0)
+        assert _scaled_values(v, LinearInequality({"x": 1, "y": -1}, 0)) == [-1, -2, 0, 0]
 
     def test_fractional_vertices(self):
-        # vertices (0, 0), (1/2, 0), (0, 1/3)
+        # vertices (0, 0), (0, 1/3), (1/2, 0): L = 6, values 3x + y = 0, 1/3, 3/2
         v = enumerate_vertices(hrep2([(-1, 0, 0), (0, -1, 0), (2, 3, 1)]))
-        values = evaluate_affine_values(v, LinearInequality({"x": 3, "y": 1}, 2))
-        assert values == (0, Fraction(1, 3), Fraction(3, 2))
+        assert v.scale == 6
+        values = _scaled_values(v, LinearInequality({"x": 3, "y": 1}, 2))
+        assert values == [0, 2, 9]
+        assert [Fraction(s, v.scale) for s in values] == [0, Fraction(1, 3), Fraction(3, 2)]
 
 
 class TestCountLatticePoints:
@@ -992,6 +1033,11 @@ class TestNormalization:
             HRepresentation(["x"], [LinearInequality({"z": 1}, 1)])
         with pytest.raises(ValueError):
             HRepresentation(["x"], [], [LinearInequality({"x": 1, "z": -1}, 0)])
+        # the unknown ids, sorted
+        with pytest.raises(ValueError, match=re.escape(
+                "constraint references undeclared coordinates ['w', 'z']")):
+            HRepresentation(["x", "y"], [LinearInequality({"y": 1}, 0),
+                                         LinearInequality({"z": 2, "x": 1, "w": -1}, 3)])
 
     def test_rows_sorted_in_declared_coordinate_order(self):
         h = HRepresentation(

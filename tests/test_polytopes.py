@@ -169,16 +169,51 @@ def chain_hrep_by_rule(mp):
     return HRepresentation(mp.unmarked, rows)
 
 
+def large_shapes(n):
+    """A chain, an antichain, a fence and a tied antichain (bot and top both 0), n elements each."""
+    x = [f"x{i:03d}" for i in range(n - 2)]
+    spread = [("bot", e) for e in x] + [(e, "top") for e in x]
+    zigzag = [("bot", e) if i % 2 == 0 else (e, "top") for i, e in enumerate(x)]
+    zigzag += [(x[i], x[i + 1]) if i % 2 == 0 else (x[i + 1], x[i]) for i in range(n - 3)]
+    return [long_chain(n),
+            MarkedPoset(Poset(["bot", "top", *x], spread), {"bot": 0, "top": 1}),
+            MarkedPoset(Poset(["bot", "top", *x], zigzag), {"bot": 0, "top": 3}),
+            MarkedPoset(Poset(["bot", "top", *x], spread), {"bot": 0, "top": 0})]
+
+
+def rational_marks(mp):
+    """The same poset with every mark mapped by lambda -> (2/3) lambda + 1/2."""
+    return MarkedPoset(mp.poset, {a: Fraction(2, 3) * v + Fraction(1, 2)
+                                  for a, v in mp.marking.items()})
+
+
 class TestBuildersAgainstRules:
     """The one builder, at both ends of the chain/order split, against the plain row rules."""
 
+    @staticmethod
+    def check(mp):
+        order, chain = order_hrep_by_rule(mp), chain_hrep_by_rule(mp)
+        assert build_order_hrep(mp) == order
+        assert build_chain_order_hrep(mp, ChainOrderPartition.of(mp, ())) == order
+        assert build_chain_hrep(mp) == chain
+        assert build_chain_order_hrep(mp, ChainOrderPartition.of(mp, mp.unmarked)) == chain
+        for h in (build_order_hrep(mp), build_chain_hrep(mp)):
+            for row in h.inequalities:
+                assert all(type(a) is int for a in row.coeffs.values())
+                assert type(row.rhs) is Fraction
+
     def test_seeded_corpus(self):
         for mp in corpus(20250808, trials=200, max_unmarked=7):
-            order, chain = order_hrep_by_rule(mp), chain_hrep_by_rule(mp)
-            assert build_order_hrep(mp) == order
-            assert build_chain_order_hrep(mp, ChainOrderPartition.of(mp, ())) == order
-            assert build_chain_hrep(mp) == chain
-            assert build_chain_order_hrep(mp, ChainOrderPartition.of(mp, mp.unmarked)) == chain
+            self.check(mp)
+
+    def test_seeded_corpus_rational_marks(self):
+        for mp in corpus(20250808, trials=200, max_unmarked=7):
+            self.check(rational_marks(mp))
+
+    def test_large_shapes(self):
+        for mp in large_shapes(200):
+            self.check(mp)
+            self.check(rational_marks(mp))
 
 
 class TestBuildChainOrder:

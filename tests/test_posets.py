@@ -12,13 +12,13 @@ from markedposets import (
     Poset,
     augment_marked_order,
     canonical_labeling,
-    hasse_components,
     linear_extensions,
     maximal_marked_chains,
     validate_marked,
 )
 from markedposets.corpus import _draw, corpus
-from markedposets.posets import _members, _topological_order, _up_sets, induced_subposet
+from markedposets.posets import (_components, _members, _topological_order, _up_sets,
+                                 induced_subposet)
 
 ORACLE_SEEDS = (20250808, 3, 7)
 
@@ -270,18 +270,20 @@ class TestValidateAgainstOracle:
 
 
 class TestHasseComponents:
+    """``_components`` on the covers: the connected pieces of the undirected Hasse diagram."""
+
     def test_two_chains(self):
         p = Poset(["a", "x", "b", "c", "y", "d"],
                   [("a", "x"), ("x", "b"), ("c", "y"), ("y", "d")])
-        mp = MarkedPoset(p, {"a": 0, "b": 1, "c": 0, "d": 1})
-        assert hasse_components(mp) == [("a", "b", "x"), ("c", "d", "y")]
+        assert _components(p.elements, p.covers) == [("a", "b", "x"), ("c", "d", "y")]
 
     def test_diamond_connected(self, diamond_02):
-        assert hasse_components(diamond_02) == [("bot", "top", "x", "y")]
+        p = diamond_02.poset
+        assert _components(p.elements, p.covers) == [("bot", "top", "x", "y")]
 
     def test_single_point(self):
-        mp = MarkedPoset(Poset(["a"], []), {"a": 5})
-        assert hasse_components(mp) == [("a",)]
+        p = Poset(["a"], [])
+        assert _components(p.elements, p.covers) == [("a",)]
 
 
 class TestMaximalMarkedChains:

@@ -156,10 +156,11 @@ class TestChainCriterion:
         # the chain-sum facet x+y <= 3 takes {0, 2, 3}; the reported witness
         # is the first violating facet in canonical order (-y <= 0 here)
         assert len(direct.witness.values) == 3
-        from markedposets import LinearInequality, enumerate_vertices, evaluate_affine_values
-        sum_values = evaluate_affine_values(
-            enumerate_vertices(h), LinearInequality({"x": 1, "y": 1}, 3))
-        assert tuple(sorted(set(sum_values))) == (0, 2, 3)
+        from markedposets import LinearInequality, enumerate_vertices
+        from markedposets.geometry import _scaled_values
+        v = enumerate_vertices(h)
+        sum_values = _scaled_values(v, LinearInequality({"x": 1, "y": 1}, 3))
+        assert sorted({Fraction(s, v.scale) for s in sum_values}) == [0, 2, 3]
 
     def test_zero_one_marked_chain_polytopes(self):
         # all marks 0/1 with one global min and max: plain chain polytope
