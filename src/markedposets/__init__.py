@@ -4,7 +4,6 @@ from .errors import (
     DimensionTooLarge,
     EmptyPolytope,
     ExtensionExplosion,
-    InfeasibleMarking,
     MarkedPosetError,
     NonIntegralVertices,
     PointOutsidePolytope,
@@ -18,7 +17,6 @@ from .geometry import (
     UnivariatePolynomial,
     VRepresentation,
     affine_dimension,
-    affine_image,
     contains,
     count_lattice_points,
     enumerate_vertices,

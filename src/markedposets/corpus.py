@@ -11,9 +11,7 @@ reproducible from a seed.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .geometry import VRepresentation
 from .posets import MarkedPoset, Poset, validate_marked
 
 
@@ -84,53 +82,3 @@ def corpus(seed: int, trials: int, max_unmarked: int = 5,
     rng = random.Random(seed)
     return [random_marked_poset(rng, max_unmarked, mark_lo, mark_hi) for _ in range(trials)]
 
-
-def random_convex_points(
-    rng: random.Random, v: VRepresentation, count: int
-) -> list[dict[str, Fraction]]:
-    """Random exact convex combinations of the vertex set."""
-    points = []
-    for _ in range(count):
-        weights = [Fraction(rng.randint(0, 4)) for _ in v.vertices]
-        if sum(weights) == 0:
-            weights[rng.randrange(len(weights))] = Fraction(1)
-        total = sum(weights)
-        combo = [
-            sum(w * vert[j] for w, vert in zip(weights, v.vertices)) / total
-            for j in range(len(v.coordinates))
-        ]
-        points.append(dict(zip(v.coordinates, combo)))
-    return points
-
-
-def random_unimodular_map(
-    rng: random.Random, dimension: int
-) -> tuple[list[list[int]], list[int]]:
-    """A random integer matrix of determinant +-1 and an integer shift."""
-    matrix = [[1 if i == j else 0 for j in range(dimension)] for i in range(dimension)]
-    for _ in range(2 * dimension + 2):
-        op = rng.randrange(3)
-        i = rng.randrange(dimension)
-        j = rng.randrange(dimension)
-        if op == 0 and i != j:
-            f = rng.choice([-2, -1, 1, 2])
-            for col in range(dimension):
-                matrix[i][col] += f * matrix[j][col]
-        elif op == 1:
-            matrix[i], matrix[j] = matrix[j], matrix[i]
-        else:
-            matrix[i] = [-v for v in matrix[i]]
-    shift = [rng.randint(-3, 3) for _ in range(dimension)]
-    return matrix, shift
-
-
-def all_chain_order_partitions(mp: MarkedPoset):
-    """Every split of the unmarked elements into chain and order parts."""
-    from itertools import combinations
-
-    from .posets import ChainOrderPartition
-
-    unmarked = list(mp.unmarked)
-    for r in range(len(unmarked) + 1):
-        for chain in combinations(unmarked, r):
-            yield ChainOrderPartition.of(mp, chain)

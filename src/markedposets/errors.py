@@ -5,10 +5,6 @@ class MarkedPosetError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class InfeasibleMarking(MarkedPosetError):
-    """A substituted marking constraint is unsatisfiable (e.g. a chain with negative slack)."""
-
-
 class UnboundedPolytope(MarkedPosetError):
     """The inequality system admits a recession direction (or cannot be certified bounded)."""
 

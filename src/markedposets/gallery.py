@@ -27,15 +27,3 @@ def diamond(lo: int = 0, hi: int = 2) -> MarkedPoset:
     )
     return MarkedPoset(poset, {"bot": lo, "top": hi})
 
-
-def fenced_chain() -> MarkedPoset:
-    """A chain 0 < x < y < 2 with an extra mark 1 entering below y.
-
-    The smallest strict regular example whose marked order polytope is not
-    2-level (two minimal elements in one component).
-    """
-    poset = Poset(
-        ["a", "m", "b", "x", "y"],
-        [("a", "x"), ("x", "y"), ("m", "y"), ("y", "b")],
-    )
-    return MarkedPoset(poset, {"a": 0, "m": 1, "b": 2})

@@ -32,7 +32,7 @@ from .errors import (
     UnboundedPolytope,
 )
 
-DEFAULT_SUBSET_CAP = 10**7
+DEFAULT_RAY_CAP = 10**7
 
 Point = tuple[Fraction, ...]
 
@@ -209,14 +209,24 @@ class VRepresentation:
 
     @cached_property
     def _dimension(self) -> int:
-        """The affine dimension: the rank of the vectors (L x, L), minus 1 (-1 when empty)."""
-        ech = _IntEchelon(len(self.coordinates) + 1)
-        for p in self.vectors:
-            ech.push_residual(ech.residual([*p, self.scale]))
-        return ech.rank - 1
+        """The affine dimension: the rank of the vectors (L x, L), minus 1 (-1 when empty).
 
-    def point_maps(self) -> list[dict[str, Fraction]]:
-        return [dict(zip(self.coordinates, v)) for v in self.vertices]
+        Fraction-free elimination: each vector is reduced against the kept
+        rows, and a nonzero remainder is kept, divided by its gcd, with its
+        first nonzero column as pivot.
+        """
+        kept: list[tuple[int, list[int]]] = []
+        for p in self.vectors:
+            r = [*p, self.scale]
+            for pivot, row in kept:
+                if f := r[pivot]:
+                    r = [x * row[pivot] - f * y for x, y in zip(r, row)]
+            for pivot, x in enumerate(r):
+                if x:
+                    g = _row_gcd(r)
+                    kept.append((pivot, [y // g for y in r]))
+                    break
+        return len(kept) - 1
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -239,45 +249,6 @@ def _row_gcd(row: Sequence[int]) -> int:
         if g == 1:
             break
     return g or 1
-
-
-class _IntEchelon:
-    """Incremental integer row echelon; the stacked ``rows`` may be popped from the end.
-
-    Rows represent linear *equations* (scaling by -1 is immaterial), stored
-    primitive.  Each incoming row is reduced against the stack fraction-free;
-    a push succeeds only when the coefficient part stays nonzero, so stacked
-    rows are independent in their coefficient columns.
-    """
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: list[tuple[int, list[int]]] = []
-
-    def residual(self, row: Sequence[int]) -> list[int]:
-        r = list(row)
-        for pivot, brow in self.rows:
-            f = r[pivot]
-            if f:
-                bp = brow[pivot]
-                r = [x * bp - f * y for x, y in zip(r, brow)]
-        return r
-
-    def push_residual(self, r: list[int]) -> bool:
-        pivot = -1
-        for j in range(self.width):
-            if r[j]:
-                pivot = j
-                break
-        if pivot < 0:
-            return False
-        g = _row_gcd(r)
-        self.rows.append((pivot, [x // g for x in r]))
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
 
 def _int_row(h: HRepresentation, ineq: LinearInequality, dilation: int = 1) -> list[int]:
@@ -345,7 +316,7 @@ def _double_description(h: HRepresentation) -> list[list[int]]:
     Raises DimensionTooLarge once the rays held exceed the work cap.
     """
     d = len(h.coordinates)
-    cap = _work_cap(DEFAULT_SUBSET_CAP)
+    cap = _work_cap(DEFAULT_RAY_CAP)
 
     rows = ([([(d, 1)], False)] + [(_cone_row(h, e), True) for e in h.equalities]
             + [(_cone_row(h, i), False) for i in h.inequalities])
@@ -728,46 +699,3 @@ def interpolate_polynomial(points: Sequence[tuple[int | Fraction, int | Fraction
     return UnivariatePolynomial(tuple(Fraction(c * dx ** k, denominator)
                                       for k, c in enumerate(numerator)))
 
-
-# ---------------------------------------------------------------------------
-# exact affine images (used by invariance tests and the corpus harness)
-
-def invert_matrix(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
-    d = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(d)]
-           + [Fraction(1 if j == i else 0) for j in range(d)] for i in range(d)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        lead = aug[col][col]
-        aug[col] = [x / lead for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[d:] for row in aug]
-
-
-def affine_image(
-    h: HRepresentation,
-    matrix: Sequence[Sequence[int | Fraction]],
-    shift: Sequence[int | Fraction],
-) -> HRepresentation:
-    """The H-representation of {M x + t : x in P} for invertible M."""
-    d = len(h.coordinates)
-    inv = invert_matrix(matrix)
-    t = [Fraction(s) for s in shift]
-
-    def transform(row: LinearInequality) -> LinearInequality:
-        a = h._dense(row)
-        new_a = [sum(a[i] * inv[i][j] for i in range(d)) for j in range(d)]
-        offset = sum(new_a[j] * t[j] for j in range(d))
-        return LinearInequality(dict(zip(h.coordinates, new_a)), row.rhs + offset)
-
-    return HRepresentation(
-        h.coordinates,
-        [transform(i) for i in h.inequalities],
-        [transform(e) for e in h.equalities],
-    )

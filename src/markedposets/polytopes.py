@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DimensionTooLarge, InfeasibleMarking, PointOutsidePolytope
+from .errors import DimensionTooLarge, PointOutsidePolytope
 from .geometry import (HRepresentation, LinearInequality, VRepresentation, _work_cap, contains,
                        irredundant)
 from .posets import (
@@ -34,8 +34,9 @@ def _hrep(mp: MarkedPoset, chain: frozenset[str]) -> HRepresentation:
 
     Nonnegativity on ``chain``, plus one inequality per saturated chain whose
     interior (r >= 0 elements) lies in ``chain`` and whose ends are marked or
-    outside ``chain``, with marked ends substituted.  A chain between two
-    marked ends with r = 0 degenerates to a marking consistency check.
+    outside ``chain``, with marked ends substituted.  A cover between two
+    marked elements gives no row: ``MarkedPoset`` accepts only
+    order-preserving markings, so its condition always holds.
     Memoised on ``mp`` by ``chain``: a command that asks for one polytope
     twice enumerates its vertices and classifies its rows once.
     """
@@ -57,8 +58,6 @@ def _hrep(mp: MarkedPoset, chain: frozenset[str]) -> HRepresentation:
             rhs_of[gap] = Fraction(gap, scale)
         if coeffs:
             inequalities.append(LinearInequality(coeffs, rhs_of[gap]))
-        elif gap < 0:
-            raise InfeasibleMarking(f"chain {a!r} < ... < {b!r} has negative slack {rhs_of[gap]}")
     mp._hreps[chain] = HRepresentation(mp.unmarked, inequalities)
     return mp._hreps[chain]
 

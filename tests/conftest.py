@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from markedposets import MarkedPoset, Poset
-from markedposets.gallery import crossing_chains, diamond, fenced_chain
+from markedposets.gallery import crossing_chains, diamond
 
 
 @pytest.fixture(autouse=True)
@@ -53,7 +53,16 @@ def figure_one():
 
 @pytest.fixture
 def trapezoid_poset():
-    return fenced_chain()
+    """A chain 0 < x < y < 2 with an extra mark 1 entering below y.
+
+    The smallest strict regular example whose marked order polytope is not
+    2-level (two minimal elements in one component).
+    """
+    poset = Poset(
+        ["a", "m", "b", "x", "y"],
+        [("a", "x"), ("x", "y"), ("m", "y"), ("y", "b")],
+    )
+    return MarkedPoset(poset, {"a": 0, "m": 1, "b": 2})
 
 
 def frac(x) -> Fraction:

@@ -1,0 +1,104 @@
+"""Test-only constructions: exact affine images, random points and maps, partition sweeps."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import combinations
+from typing import Sequence
+
+from markedposets import (
+    ChainOrderPartition,
+    HRepresentation,
+    LinearInequality,
+    MarkedPoset,
+    VRepresentation,
+)
+
+
+def invert_matrix(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
+    d = len(matrix)
+    aug = [[Fraction(matrix[i][j]) for j in range(d)]
+           + [Fraction(1 if j == i else 0) for j in range(d)] for i in range(d)]
+    for col in range(d):
+        pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        lead = aug[col][col]
+        aug[col] = [x / lead for x in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[d:] for row in aug]
+
+
+def affine_image(
+    h: HRepresentation,
+    matrix: Sequence[Sequence[int | Fraction]],
+    shift: Sequence[int | Fraction],
+) -> HRepresentation:
+    """The H-representation of {M x + t : x in P} for invertible M."""
+    d = len(h.coordinates)
+    inv = invert_matrix(matrix)
+    t = [Fraction(s) for s in shift]
+
+    def transform(row: LinearInequality) -> LinearInequality:
+        a = h._dense(row)
+        new_a = [sum(a[i] * inv[i][j] for i in range(d)) for j in range(d)]
+        offset = sum(new_a[j] * t[j] for j in range(d))
+        return LinearInequality(dict(zip(h.coordinates, new_a)), row.rhs + offset)
+
+    return HRepresentation(
+        h.coordinates,
+        [transform(i) for i in h.inequalities],
+        [transform(e) for e in h.equalities],
+    )
+
+
+def random_convex_points(
+    rng: random.Random, v: VRepresentation, count: int
+) -> list[dict[str, Fraction]]:
+    """Random exact convex combinations of the vertex set."""
+    points = []
+    for _ in range(count):
+        weights = [Fraction(rng.randint(0, 4)) for _ in v.vertices]
+        if sum(weights) == 0:
+            weights[rng.randrange(len(weights))] = Fraction(1)
+        total = sum(weights)
+        combo = [
+            sum(w * vert[j] for w, vert in zip(weights, v.vertices)) / total
+            for j in range(len(v.coordinates))
+        ]
+        points.append(dict(zip(v.coordinates, combo)))
+    return points
+
+
+def random_unimodular_map(
+    rng: random.Random, dimension: int
+) -> tuple[list[list[int]], list[int]]:
+    """A random integer matrix of determinant +-1 and an integer shift."""
+    matrix = [[1 if i == j else 0 for j in range(dimension)] for i in range(dimension)]
+    for _ in range(2 * dimension + 2):
+        op = rng.randrange(3)
+        i = rng.randrange(dimension)
+        j = rng.randrange(dimension)
+        if op == 0 and i != j:
+            f = rng.choice([-2, -1, 1, 2])
+            for col in range(dimension):
+                matrix[i][col] += f * matrix[j][col]
+        elif op == 1:
+            matrix[i], matrix[j] = matrix[j], matrix[i]
+        else:
+            matrix[i] = [-v for v in matrix[i]]
+    shift = [rng.randint(-3, 3) for _ in range(dimension)]
+    return matrix, shift
+
+
+def all_chain_order_partitions(mp: MarkedPoset):
+    """Every split of the unmarked elements into chain and order parts."""
+    unmarked = list(mp.unmarked)
+    for r in range(len(unmarked) + 1):
+        for chain in combinations(unmarked, r):
+            yield ChainOrderPartition.of(mp, chain)

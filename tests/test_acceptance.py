@@ -12,7 +12,6 @@ import pytest
 
 from markedposets import (
     LinearInequality,
-    affine_image,
     build_chain_hrep,
     build_chain_order_hrep,
     build_order_hrep,
@@ -31,13 +30,14 @@ from markedposets import (
     pm_closed_form,
     pm_family,
 )
-from markedposets.corpus import (
+from markedposets.corpus import corpus
+from markedposets.gallery import crossing_chains
+from helpers import (
+    affine_image,
     all_chain_order_partitions,
-    corpus,
     random_convex_points,
     random_unimodular_map,
 )
-from markedposets.gallery import crossing_chains
 
 CORPUS_SEED = 20250808
 
@@ -170,8 +170,8 @@ def test_criterion_8_face_partition_consistency(corpus200):
         for point in random_convex_points(rng, v, 5):
             ok &= is_face_partition(mp, face_partition_of_point(mp, point))
             points_checked += 1
-        for vertex in v.point_maps():
-            ok &= face_partition_of_point(mp, vertex).free_blocks == ()
+        for x in v.vertices:
+            ok &= face_partition_of_point(mp, dict(zip(v.coordinates, x))).free_blocks == ()
     report(8, ok, f"{points_checked} random points give face partitions; "
                   f"every vertex partition has zero free blocks",
            time.time() - t0, 60.0)

@@ -7,10 +7,10 @@ import markedposets
 PUBLIC_NAMES = {
     "ChainOrderPartition", "ChainTwoLevelResult", "DimensionTooLarge", "EmptyPolytope",
     "ExtensionExplosion", "ExtensionWord", "FacePartition", "HRepresentation",
-    "InfeasibleMarking", "LinearInequality", "MarkedPoset", "MarkedPosetError",
+    "LinearInequality", "MarkedPoset", "MarkedPosetError",
     "MarkingReport", "NonIntegralVertices", "PointOutsidePolytope", "Poset",
     "PreconditionViolated", "TwoLevelResult", "UnboundedPolytope", "UnivariatePolynomial",
-    "VRepresentation", "VerificationFailed", "affine_dimension", "affine_image",
+    "VRepresentation", "VerificationFailed", "affine_dimension",
     "augment_marked_order", "build_chain_hrep", "build_chain_order_hrep", "build_order_hrep",
     "canonical_labeling", "chain_order_two_level_criterion", "chain_two_level_criterion",
     "contains", "count_lattice_points", "count_restricted_extensions", "ehrhart_by_counting",

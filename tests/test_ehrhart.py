@@ -38,11 +38,12 @@ from markedposets import (
     restricted_linear_extensions,
 )
 from markedposets.cli import main
-from markedposets.corpus import all_chain_order_partitions, corpus, random_marked_poset
+from markedposets.corpus import corpus, random_marked_poset
 from markedposets.ehrhart import _segment_factor, _signature_sum
 from markedposets.errors import VerificationFailed
 from markedposets.geometry import _count_points, affine_dimension, enumerate_vertices
 from markedposets.posets import augment_marked_order
+from helpers import all_chain_order_partitions
 from test_geometry import fraction_lagrange
 
 ORACLE_SEEDS = (20250808, 3, 7)

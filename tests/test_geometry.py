@@ -31,7 +31,6 @@ from markedposets import (
     UnivariatePolynomial,
     VRepresentation,
     affine_dimension,
-    affine_image,
     build_chain_hrep,
     build_chain_order_hrep,
     build_order_hrep,
@@ -45,14 +44,14 @@ from markedposets import (
     order_vertices_combinatorial,
     polynomial,
 )
-from markedposets.corpus import all_chain_order_partitions, corpus, random_unimodular_map
+from markedposets.corpus import corpus
 from markedposets.geometry import (
     _count_points,
     _int_row,
-    _IntEchelon,
     _scaled_values,
     classify_inequalities,
 )
+from helpers import affine_image, all_chain_order_partitions, random_unimodular_map
 
 
 def hrep2(rows):
@@ -79,6 +78,45 @@ def oracle_vertices_2d(rows):
         if all(ax * x + ay * y <= b for ax, ay, b in rows):
             found.add((x, y))
     return found
+
+
+class _IntEchelon:
+    """Incremental integer row echelon; the stacked ``rows`` may be popped from the end.
+
+    Rows represent linear *equations* (scaling by -1 is immaterial), stored
+    primitive.  Each incoming row is reduced against the stack fraction-free;
+    a push succeeds only when the coefficient part stays nonzero, so stacked
+    rows are independent in their coefficient columns.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.rows: list[tuple[int, list[int]]] = []
+
+    def residual(self, row):
+        r = list(row)
+        for pivot, brow in self.rows:
+            f = r[pivot]
+            if f:
+                bp = brow[pivot]
+                r = [x * bp - f * y for x, y in zip(r, brow)]
+        return r
+
+    def push_residual(self, r) -> bool:
+        pivot = -1
+        for j in range(self.width):
+            if r[j]:
+                pivot = j
+                break
+        if pivot < 0:
+            return False
+        g = math.gcd(*r)
+        self.rows.append((pivot, [x // g for x in r]))
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
 
 
 def seed_equalities(ech, eq_rows):

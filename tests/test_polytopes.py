@@ -36,15 +36,10 @@ from markedposets import (
     order_vertices_combinatorial,
     polytopes,
 )
-from markedposets.corpus import (
-    _draw,
-    all_chain_order_partitions,
-    corpus,
-    random_convex_points,
-    random_marked_poset,
-)
+from markedposets.corpus import _draw, corpus, random_marked_poset
 from markedposets.ehrhart import pm_family
 from markedposets.posets import _saturated_chains, _topological_order, validate_marked
+from helpers import all_chain_order_partitions, random_convex_points
 
 
 def ineq(coeffs, rhs):
@@ -321,9 +316,19 @@ class TestIsFacePartition:
         fp = FacePartition.of(mp, [{"a", "y"}, {"x"}, {"b"}])
         assert not is_face_partition(mp, fp)
 
+    def test_marked_blocks_must_increase_strictly(self):
+        # a < x < b with a and b both marked 1: the block {a} lies below {b}
+        mp = MarkedPoset(Poset(["a", "x", "b"], [("a", "x"), ("x", "b")]), {"a": 1, "b": 1})
+        assert not is_face_partition(mp, FacePartition.of(mp, [{"a"}, {"x"}, {"b"}]))
+
     def test_not_a_partition_raises(self, segment):
         with pytest.raises(ValueError):
             is_face_partition(segment, FacePartition.of(segment, [{"a", "x"}]))
+        # FacePartition.of takes min() of every block, so build the empty block directly
+        with pytest.raises(ValueError, match="empty block"):
+            is_face_partition(segment, FacePartition((frozenset(), frozenset("abx")), ()))
+        with pytest.raises(ValueError, match="element 'x' appears in two blocks"):
+            is_face_partition(segment, FacePartition.of(segment, [{"a", "x"}, {"x", "b"}]))
         # of several unknown ids the least is named, whatever the string hashing
         with pytest.raises(ValueError, match="unknown element 'q'"):
             is_face_partition(segment, FacePartition.of(segment, [{"a", "x", "s", "q", "r"}, {"b"}]))
@@ -348,7 +353,8 @@ class TestIsFacePartition:
             for point in random_convex_points(rng, v, 3):
                 fp = face_partition_of_point(mp, point)
                 face_vertices = []
-                for vertex in v.point_maps():
+                for x in v.vertices:
+                    vertex = dict(zip(v.coordinates, x))
                     full = {a: mp.value(a) for a in mp.marked} | vertex
                     if all(len({full[e] for e in block}) == 1 for block in fp.blocks):
                         face_vertices.append(tuple(vertex[c] for c in v.coordinates))
@@ -417,8 +423,8 @@ class TestOrderVerticesCombinatorial:
         for _ in range(8):
             mp = random_marked_poset(rng, max_unmarked=4)
             v = enumerate_vertices(build_order_hrep(mp))
-            for point in v.point_maps():
-                assert face_partition_of_point(mp, point).free_blocks == ()
+            for x in v.vertices:
+                assert face_partition_of_point(mp, dict(zip(v.coordinates, x))).free_blocks == ()
 
 
 class TestOrderFacetsCombinatorial:

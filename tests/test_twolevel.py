@@ -13,7 +13,6 @@ from markedposets import (
     MarkedPoset,
     Poset,
     PreconditionViolated,
-    affine_image,
     build_chain_hrep,
     build_chain_order_hrep,
     build_order_hrep,
@@ -25,14 +24,9 @@ from markedposets import (
     order_vertices_combinatorial,
     validate_marked,
 )
-from markedposets.corpus import (
-    _draw,
-    all_chain_order_partitions,
-    corpus,
-    random_marked_poset,
-    random_unimodular_map,
-)
+from markedposets.corpus import _draw, corpus, random_marked_poset
 from markedposets.posets import _regularize, restrict_marked
+from helpers import affine_image, all_chain_order_partitions, random_unimodular_map
 
 
 def hrep2(rows):
