@@ -67,51 +67,41 @@ def parse_document(data: object, fallback_name: str = "poset"):
             isinstance(k, str) and isinstance(v, int) and not isinstance(v, bool)
             for k, v in marked.items()):
         raise DocumentError("marked must map element ids to integers")
+    # a ValueError of the poset, the marking or the partition leaves as a
+    # DocumentError with the same message
     try:
         mp = MarkedPoset(Poset(elements, [tuple(c) for c in covers]), marked)
+        partition = None
+        if "partition" in data:
+            raw = data["partition"]
+            if not isinstance(raw, dict) or set(raw) - PARTITION_KEYS:
+                raise DocumentError("partition must be an object with keys chain, order")
+            chain = raw.get("chain", [])
+            order = raw.get("order", [])
+            if not all(isinstance(part, list) and all(isinstance(e, str) for e in part)
+                       for part in (chain, order)):
+                raise DocumentError("partition parts must list element ids")
+            partition = ChainOrderPartition(frozenset(chain), frozenset(order))
+            partition.validate(mp)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-
-    partition = None
-    if "partition" in data:
-        raw = data["partition"]
-        if not isinstance(raw, dict) or set(raw) - PARTITION_KEYS:
-            raise DocumentError("partition must be an object with keys chain, order")
-        chain = raw.get("chain", [])
-        order = raw.get("order", [])
-        if not all(isinstance(part, list) and all(isinstance(e, str) for e in part)
-                   for part in (chain, order)):
-            raise DocumentError("partition parts must list element ids")
-        partition = ChainOrderPartition(frozenset(chain), frozenset(order))
-        try:
-            partition.validate(mp)
-        except ValueError as exc:
-            raise DocumentError(str(exc)) from exc
     return name, mp, partition
-
-
-def _builtin_pair(request: str, form: str) -> tuple[int, int]:
-    """The two integers after the colon of ``request``, whose form is ``kind:form``."""
-    kind, _, args = request.partition(":")
-    try:
-        first, second = (int(v) for v in args.split(","))
-    except ValueError:
-        raise DocumentError(f"builtin {request!r} must have the form {kind}:{form}"
-                            " with two integers") from None
-    return first, second
 
 
 def _builtin(request: str):
     kind, _, args = request.partition(":")
     if kind == "figure1":
         return "figure1", gallery.crossing_chains(), None
-    if kind == "diamond":
-        lo, hi = _builtin_pair(request, "lo,hi") if args else (0, 2)
-        return f"diamond:{lo},{hi}", gallery.diamond(lo, hi), None
-    if kind == "pm":
-        m, c = _builtin_pair(request, "m,c")
-        return f"pm:{m},{c}", pm_family(m, c), None
-    raise DocumentError(f"unknown builtin {request!r}")
+    if kind not in ("diamond", "pm"):
+        raise DocumentError(f"unknown builtin {request!r}")
+    try:
+        first, second = map(int, args.split(",")) if args or kind == "pm" else (0, 2)
+    except ValueError:
+        form = "lo,hi" if kind == "diamond" else "m,c"
+        raise DocumentError(f"builtin {request!r} must have the form {kind}:{form}"
+                            " with two integers") from None
+    build = gallery.diamond if kind == "diamond" else pm_family
+    return f"{kind}:{first},{second}", build(first, second), None
 
 
 def _load(args) -> tuple[str, MarkedPoset, ChainOrderPartition | None]:
@@ -126,25 +116,17 @@ def _load(args) -> tuple[str, MarkedPoset, ChainOrderPartition | None]:
 
 def format_hrep(h: HRepresentation) -> str:
     lines = ["coords " + " ".join(h.coordinates)]
-    for ineq in h.inequalities:
-        lines.append(f"ineq {' '.join(map(str, h._dense(ineq)))} <= {ineq.rhs}")
-    for eq in h.equalities:
-        lines.append(f"eq {' '.join(map(str, h._dense(eq)))} == {eq.rhs}")
+    for kind, relation, rows in (("ineq", "<=", h.inequalities), ("eq", "==", h.equalities)):
+        lines.extend(f"{kind} {' '.join(map(str, h._dense(row)))} {relation} {row.rhs}"
+                     for row in rows)
     return "\n".join(lines)
 
 
 def _hrep_payload(h: HRepresentation) -> dict:
-    return {
-        "coordinates": list(h.coordinates),
-        "inequalities": [
-            {"coeffs": dict(i.coeffs), "rhs": str(i.rhs)}
-            for i in h.inequalities
-        ],
-        "equalities": [
-            {"coeffs": dict(e.coeffs), "rhs": str(e.rhs)}
-            for e in h.equalities
-        ],
-    }
+    payload: dict = {"coordinates": list(h.coordinates)}
+    for key, rows in (("inequalities", h.inequalities), ("equalities", h.equalities)):
+        payload[key] = [{"coeffs": dict(row.coeffs), "rhs": str(row.rhs)} for row in rows]
+    return payload
 
 
 def _family_hrep(mp, partition, family: str) -> HRepresentation:
@@ -157,33 +139,41 @@ def _family_hrep(mp, partition, family: str) -> HRepresentation:
     return build_chain_order_hrep(mp, partition)
 
 
-def _emit(args, payload: dict, text) -> None:
-    """Print the JSON payload, or the text report; a callable ``text`` is rendered only then."""
+def _report(args, result, text, code: int = 0, **fields) -> int:
+    """Print the report of one command and return its exit code ``code``.
+
+    With ``--json`` the report is ``{"command": ..., **fields, "result": result}``;
+    else it is ``text``, which, when callable, is rendered only then.
+    """
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps({"command": args.command, **fields, "result": result}, sort_keys=True))
     else:
         print(text() if callable(text) else text)
+    return code
+
+
+def _compare(args, lines: list, result: dict, key: str, same: bool, words) -> int:
+    """Under ``--method both``, report whether the two routes agree; the exit code.
+
+    ``words`` are the text verdicts for agreement and disagreement, ``key``
+    the result field that holds it.
+    """
+    if args.method != "both":
+        return 0
+    lines.append(words[0] if same else words[1])
+    result[key] = same
+    return 0 if same else 1
 
 
 def cmd_validate(args) -> int:
     name, mp, _ = _load(args)
     report = validate_marked(mp)
-    ok = report.strict and report.regular
-    text_lines = [f"poset: {name}", f"strict: {str(report.strict).lower()}",
-                  f"regular: {str(report.regular).lower()}"]
-    for violation in report.violations:
-        text_lines.append("violation: " + " ".join(str(part) for part in violation))
-    payload = {
-        "command": "validate",
-        "input": name,
-        "result": {
-            "strict": report.strict,
-            "regular": report.regular,
-            "violations": [list(map(str, violation)) for violation in report.violations],
-        },
-    }
-    _emit(args, payload, "\n".join(text_lines))
-    return 0 if ok else 1
+    violations = [list(map(str, violation)) for violation in report.violations]
+    text = "\n".join([f"poset: {name}", f"strict: {str(report.strict).lower()}",
+                      f"regular: {str(report.regular).lower()}",
+                      *("violation: " + " ".join(parts) for parts in violations)])
+    result = {"strict": report.strict, "regular": report.regular, "violations": violations}
+    return _report(args, result, text, 0 if report.strict and report.regular else 1, input=name)
 
 
 def cmd_polytope(args) -> int:
@@ -201,10 +191,7 @@ def cmd_polytope(args) -> int:
             h = _facets(mp, h)
         text = lambda: format_hrep(h)
         result = _hrep_payload(h)
-    payload = {"command": "polytope", "input": name,
-               "family": args.family, "emit": args.emit, "result": result}
-    _emit(args, payload, text)
-    return 0
+    return _report(args, result, text, input=name, family=args.family, emit=args.emit)
 
 
 def cmd_two_level(args) -> int:
@@ -222,7 +209,7 @@ def cmd_two_level(args) -> int:
             values = ", ".join(str(v) for v in outcome.witness.values)
             lines.append(f"witness: {outcome.witness.facet!r} values {{{values}}}")
             result["witness"] = {
-                "facet": {c: a for c, a in outcome.witness.facet.coeffs.items()},
+                "facet": dict(outcome.witness.facet.coeffs),
                 "rhs": str(outcome.witness.facet.rhs),
                 "values": [str(v) for v in outcome.witness.values],
             }
@@ -243,16 +230,9 @@ def cmd_two_level(args) -> int:
             criterion = chain_order_two_level_criterion(mp, partition)
         lines.append(f"criterion: {str(criterion).lower()}")
         result["criterion"] = criterion
-    code = 0
-    if args.method == "both":
-        agree = direct == criterion
-        lines.append("AGREE" if agree else "DISAGREE")
-        result["agree"] = agree
-        code = 0 if agree else 1
-    payload = {"command": "two-level", "input": name,
-               "family": args.family, "method": args.method, "result": result}
-    _emit(args, payload, "\n".join(lines))
-    return code
+    code = _compare(args, lines, result, "agree", direct == criterion, ("AGREE", "DISAGREE"))
+    return _report(args, result, "\n".join(lines), code,
+                   input=name, family=args.family, method=args.method)
 
 
 def cmd_ehrhart(args) -> int:
@@ -272,16 +252,9 @@ def cmd_ehrhart(args) -> int:
         count_poly = ehrhart_by_counting(h)
         lines.append(f"count: {count_poly}")
         result["count"] = [str(c) for c in count_poly.coefficients]
-    code = 0
-    if args.method == "both":
-        match = formula_poly == count_poly
-        lines.append("MATCH" if match else "MISMATCH")
-        result["match"] = match
-        code = 0 if match else 1
-    payload = {"command": "ehrhart", "input": name,
-               "family": args.family, "method": args.method, "result": result}
-    _emit(args, payload, "\n".join(lines))
-    return code
+    code = _compare(args, lines, result, "match", formula_poly == count_poly, ("MATCH", "MISMATCH"))
+    return _report(args, result, "\n".join(lines), code,
+                   input=name, family=args.family, method=args.method)
 
 
 def cmd_corpus(args) -> int:
@@ -292,40 +265,31 @@ def cmd_corpus(args) -> int:
     rng = random.Random(args.seed)
     lines = []
     trials = []
-    failures = 0
     for index in range(args.trials):
         mp = random_marked_poset(rng, max_unmarked=args.max_unmarked)
-        checks: list[tuple[str, bool]] = []
         order_h = build_order_hrep(mp)
         chain_h = build_chain_hrep(mp)
-        checks.append((
-            "order-two-level",
-            is_two_level_direct(order_h).two_level == order_two_level_criterion(mp),
-        ))
-        checks.append((
-            "chain-two-level",
-            is_two_level_direct(chain_h).two_level == chain_two_level_criterion(mp).two_level,
-        ))
+        checks = {
+            "order-two-level":
+                is_two_level_direct(order_h).two_level == order_two_level_criterion(mp),
+            "chain-two-level":
+                is_two_level_direct(chain_h).two_level == chain_two_level_criterion(mp).two_level,
+        }
         order_poly = ehrhart_by_counting(order_h)
         chain_poly = ehrhart_by_counting(chain_h)
-        formula_poly = ehrhart_formula_marked_order(mp)
-        checks.append(("formula-vs-count", formula_poly == order_poly))
-        checks.append(("order-chain-ehrhart", order_poly == chain_poly))
-        ok = all(flag for _, flag in checks)
-        if not ok:
-            failures += 1
-        failing = " ".join(cname for cname, flag in checks if not flag)
-        suffix = "ok" if ok else f"FAIL {failing}"
+        checks["formula-vs-count"] = ehrhart_formula_marked_order(mp) == order_poly
+        checks["order-chain-ehrhart"] = order_poly == chain_poly
+        failing = [check for check, ok in checks.items() if not ok]
+        suffix = f"FAIL {' '.join(failing)}" if failing else "ok"
         lines.append(f"trial {index}: unmarked={len(mp.unmarked)} {suffix}")
-        trials.append({"trial": index, "unmarked": len(mp.unmarked), "ok": ok,
-                       "failed_checks": failing.split() if failing else []})
-    passed = args.trials - failures
+        trials.append({"trial": index, "unmarked": len(mp.unmarked), "ok": not failing,
+                       "failed_checks": failing})
+    passed = sum(trial["ok"] for trial in trials)
     lines.append(f"{passed}/{args.trials} pass")
-    payload = {"command": "corpus", "input": {"seed": args.seed, "trials": args.trials,
-                                              "max_unmarked": args.max_unmarked},
-               "result": {"passed": passed, "trials": trials}}
-    _emit(args, payload, "\n".join(lines))
-    return 0 if failures == 0 else 1
+    return _report(args, {"passed": passed, "trials": trials}, "\n".join(lines),
+                   0 if passed == args.trials else 1,
+                   input={"seed": args.seed, "trials": args.trials,
+                          "max_unmarked": args.max_unmarked})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,12 +344,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MarkedPosetError, RecursionError) as exc:
+    except (MarkedPosetError, RecursionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, (ValueError, OSError)) else 1
 
 
 if __name__ == "__main__":

@@ -197,6 +197,13 @@ def _signature_sum(signatures: Mapping[tuple[tuple[int, int, int], ...], int],
     return UnivariatePolynomial(tuple(Fraction(c, denominator) for c in total))
 
 
+def _check_pm_arguments(m: int, c: int) -> None:
+    if m < 3:
+        raise ValueError("family needs m >= 3")
+    if c < 1:
+        raise ValueError("mark spacing c must be a positive integer")
+
+
 def pm_family(m: int, c: int) -> MarkedPoset:
     """The ladder-with-a-loose-rung family of marked posets.
 
@@ -205,10 +212,7 @@ def pm_family(m: int, c: int) -> MarkedPoset:
     x_m, free of the rest, which makes the Ehrhart polynomial collapse to a
     closed form.
     """
-    if m < 3:
-        raise ValueError("family needs m >= 3")
-    if c < 1:
-        raise ValueError("mark spacing c must be a positive integer")
+    _check_pm_arguments(m, c)
     a = [f"a{i}" for i in range(1, m + 1)]
     x = [f"x{i}" for i in range(1, m + 1)]
     relations = [(a[0], x[0]), (x[0], a[1]), (x[0], x[1]), (x[1], x[m - 1])]
@@ -223,9 +227,6 @@ def pm_family(m: int, c: int) -> MarkedPoset:
 
 def pm_closed_form(m: int, c: int) -> UnivariatePolynomial:
     """(m-2)*n*c*(n*c+1)^(m-1) + (n*c+1)^(m-1), expanded."""
-    if m < 3:
-        raise ValueError("family needs m >= 3")
-    if c < 1:
-        raise ValueError("mark spacing c must be a positive integer")
+    _check_pm_arguments(m, c)
     base = polynomial([1, c]) ** (m - 1)
     return base * polynomial([0, (m - 2) * c]) + base

@@ -74,19 +74,19 @@ def order_two_level_criterion(mp: MarkedPoset) -> bool:
     input.
     """
     require_strict_regular(mp, "order_two_level_criterion")
-    poset = mp.poset
-    coupling = [(p, q) for p, q in poset.covers if p not in mp.marked and q not in mp.marked]
-    for piece in map(frozenset, _components(mp.unmarked, coupling)):
-        below: set = set()
-        above: set = set()
-        for p, q in poset.covers:
-            if q in piece and p in mp.marked:
-                below.add(mp.value(p))
-            elif p in piece and q in mp.marked:
-                above.add(mp.value(q))
-        if len(below) != 1 or len(above) != 1:
-            return False
-    return True
+    covers = mp.poset.covers
+    coupling = [(p, q) for p, q in covers if p not in mp.marked and q not in mp.marked]
+    pieces = _components(mp.unmarked, coupling)
+    piece_of = {e: index for index, piece in enumerate(pieces) for e in piece}
+    below: list[set] = [set() for _ in pieces]
+    above: list[set] = [set() for _ in pieces]
+    # one pass over the covers: each one between a mark and a piece bounds that piece
+    for p, q in covers:
+        if q in piece_of and p in mp.marked:
+            below[piece_of[q]].add(mp.value(p))
+        elif p in piece_of and q in mp.marked:
+            above[piece_of[p]].add(mp.value(q))
+    return all(len(b) == 1 and len(a) == 1 for b, a in zip(below, above))
 
 
 @dataclass(frozen=True)

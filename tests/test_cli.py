@@ -139,12 +139,44 @@ class TestValidate:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # every subcommand, each --emit and --method: (argv, its top-level keys, its result keys)
+    JSON_REPORTS = [
+        (["validate", "--builtin", "figure1"], "input", "regular strict violations"),
+        *((["polytope", "--builtin", "figure1", "--family", "chain", "--emit", emit],
+           "emit family input", keys)
+          for emit, keys in [("hrep", "coordinates equalities inequalities"),
+                             ("vertices", "coordinates vertices"),
+                             ("facets", "coordinates equalities inequalities")]),
+        (["two-level", "--builtin", "pm:3,1", "--family", "order", "--method", "direct"],
+         "family input method", "direct witness"),
+        (["two-level", "--builtin", "figure1", "--family", "chain", "--method", "criterion"],
+         "family input method", "criterion scaling"),
+        (["two-level", "--builtin", "pm:3,1", "--family", "order", "--method", "both"],
+         "family input method", "agree criterion direct witness"),
+        (["ehrhart", "--builtin", "pm:3,1", "--family", "order", "--method", "formula"],
+         "family input method", "formula"),
+        (["ehrhart", "--builtin", "pm:3,1", "--family", "order", "--method", "count"],
+         "family input method", "count"),
+        (["ehrhart", "--builtin", "pm:3,1", "--family", "chain", "--method", "both"],
+         "family input method", "count formula match"),
+        (["corpus", "--seed", "1", "--trials", "2", "--max-unmarked", "3"], "input",
+         "passed trials"),
+    ]
+
     def test_json_mode(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--builtin", "figure1", "--json")
         payload = json.loads(out)
         assert payload["command"] == "validate"
         assert payload["result"]["strict"] is True
         assert payload["result"]["regular"] is False
+        for argv, fields, result_keys in self.JSON_REPORTS:
+            code, out, err = run_cli(capsys, *argv, "--json")
+            assert code in (0, 1) and err == ""
+            payload = json.loads(out)
+            assert payload["command"] == argv[0]
+            assert sorted(payload) == sorted(["command", "result", *fields.split()])
+            assert sorted(payload["result"]) == result_keys.split()
+            assert out == json.dumps(payload, sort_keys=True) + "\n"
 
 
 class TestPolytope:
@@ -458,6 +490,18 @@ class TestEhrhart:
                                "--family", "chain", "--method", "both")
         assert code == 0
         assert "note:" in out and "MATCH" in out
+
+    def test_formula_needs_no_partition(self, capsys):
+        # only the count builds the chain-order polytope, so only it needs a partition
+        code, out, err = run_cli(capsys, "ehrhart", "--builtin", "diamond",
+                                 "--family", "chain-order", "--method", "formula")
+        assert code == 0 and err == ""
+        assert out == ("note: formula computed on the order member; "
+                       "the families share one Ehrhart polynomial\nformula: 1, 4, 4\n")
+        code, out, err = run_cli(capsys, "ehrhart", "--builtin", "diamond",
+                                 "--family", "chain-order", "--method", "count")
+        assert code == 2 and out == ""
+        assert err == "error: family chain-order requires a partition\n"
 
     def test_non_integral_marking_count_fails(self, capsys, tmp_path):
         # marked values must be integers already at the document level

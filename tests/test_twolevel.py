@@ -96,6 +96,29 @@ class TestOrderCriterion:
         assert order_two_level_criterion(mp)
         assert is_two_level_direct(build_order_hrep(mp)).two_level
 
+    def test_wide_antichain(self):
+        # the 900-dimensional unit cube: 900 one-element pieces between marks 0 and 1
+        xs = [f"x{i:03d}" for i in range(900)]
+        p = Poset(["a", "b", *xs], [("a", x) for x in xs] + [(x, "b") for x in xs])
+        assert order_two_level_criterion(MarkedPoset(p, {"a": 0, "b": 1}))
+
+    @pytest.mark.parametrize("singletons", [3, 300])
+    def test_one_disagreeing_piece_among_many(self, singletons):
+        # one-element pieces between marks 0 and 2, and one trapezoid piece
+        # u < v entered from below by marks 0 and 1, its ids sorted among theirs
+        xs = [f"x{i:03d}" for i in range(singletons)]
+        u, v = f"x{singletons // 2:03d}u", f"x{singletons // 2:03d}v"
+        covers = [("a", x) for x in xs] + [(x, "b") for x in xs]
+        covers += [("a", u), (u, v), (v, "b")]
+        marks = {"a": 0, "m": 1, "b": 2}
+        agreeing = MarkedPoset(Poset(["a", "m", "b", u, v, *xs], covers), marks)
+        mp = MarkedPoset(Poset(["a", "m", "b", u, v, *xs], covers + [("m", v)]), marks)
+        assert order_two_level_criterion(agreeing)
+        assert not order_two_level_criterion(mp)
+        if singletons < 5:
+            assert is_two_level_direct(build_order_hrep(agreeing)).two_level
+            assert not is_two_level_direct(build_order_hrep(mp)).two_level
+
     def test_requires_regularity(self):
         p = Poset(["a", "m", "p", "t"], [("a", "p"), ("m", "p"), ("p", "t")])
         mp = MarkedPoset(p, {"a": 0, "m": 1, "t": 2})
