@@ -91,6 +91,8 @@ def parse_document(data: object, fallback_name: str = "poset"):
 def _builtin(request: str):
     kind, _, args = request.partition(":")
     if kind == "figure1":
+        if args:
+            raise DocumentError(f"builtin {request!r} must have the form figure1 with no arguments")
         return "figure1", gallery.crossing_chains(), None
     if kind not in ("diamond", "pm"):
         raise DocumentError(f"unknown builtin {request!r}")
@@ -240,6 +242,8 @@ def cmd_ehrhart(args) -> int:
     lines = []
     result: dict = {}
     formula_poly = count_poly = None
+    # the count's polytope first: a missing partition fails before any formula work
+    h = _family_hrep(mp, partition, args.family) if args.method != "formula" else None
     if args.method in ("formula", "both"):
         formula_poly = ehrhart_formula_marked_order(mp)
         if args.family != "order":
@@ -247,8 +251,7 @@ def cmd_ehrhart(args) -> int:
                          "the families share one Ehrhart polynomial")
         lines.append(f"formula: {formula_poly}")
         result["formula"] = [str(c) for c in formula_poly.coefficients]
-    if args.method in ("count", "both"):
-        h = _family_hrep(mp, partition, args.family)
+    if h is not None:
         count_poly = ehrhart_by_counting(h)
         lines.append(f"count: {count_poly}")
         result["count"] = [str(c) for c in count_poly.coefficients]

@@ -44,7 +44,6 @@ from .posets import (
     ExtensionWord,
     MarkedPoset,
     Poset,
-    canonical_labeling,
     check_natural_labeling,
     linear_extensions,
     require_strict_regular,
@@ -80,20 +79,18 @@ def ehrhart_by_counting(h: HRepresentation) -> UnivariatePolynomial:
     return poly
 
 
-def _tie_break_poset(mp: MarkedPoset, labeling: Mapping[str, int] | None) -> tuple[Poset, dict[str, int]]:
+def _tie_break_poset(mp: MarkedPoset, labeling: Mapping[str, int] | None) -> Poset:
     """The poset with every marked element in one chain, ordered by mark.
 
     Ties are broken by the reference labeling (by id for the canonical one),
     so the extension stream counts each family of order-preserving maps once.
+    A given labeling is checked on ``mp`` first, so the sort never meets an
+    element it does not label; ``linear_extensions`` checks it on the result.
     """
     if labeling is not None:
         check_natural_labeling(mp.poset, labeling)
     marked = sorted(mp.marked, key=lambda a: (mp.value(a), a if labeling is None else labeling[a]))
-    tie_poset = Poset.from_relations(mp.poset.elements, [*mp.poset.covers, *zip(marked, marked[1:])])
-    if labeling is None:
-        return tie_poset, canonical_labeling(tie_poset)
-    check_natural_labeling(tie_poset, labeling)
-    return tie_poset, dict(labeling)
+    return Poset.from_relations(mp.poset.elements, [*mp.poset.covers, *zip(marked, marked[1:])])
 
 
 def restricted_linear_extensions(
@@ -104,8 +101,7 @@ def restricted_linear_extensions(
     Equal-mark marked elements are kept in one canonical relative order, so
     each word of unmarked segments appears exactly once.
     """
-    tie_poset, lab = _tie_break_poset(mp, labeling)
-    return linear_extensions(tie_poset, lab)
+    return linear_extensions(_tie_break_poset(mp, labeling), labeling)
 
 
 def _capped_extensions(mp: MarkedPoset, labeling: Mapping[str, int] | None) -> Iterator[ExtensionWord]:

@@ -242,13 +242,7 @@ def contains(h: HRepresentation, point: Mapping[str, Fraction]) -> bool:
 # fraction-free linear algebra on integer rows [a_1 .. a_d | rhs]
 
 def _row_gcd(row: Sequence[int]) -> int:
-    # not math.gcd(*row): that scans every entry, the loop stops at the first gcd of 1
-    g = 0
-    for x in row:
-        g = math.gcd(g, x)
-        if g == 1:
-            break
-    return g or 1
+    return math.gcd(*row) or 1
 
 
 def _int_row(h: HRepresentation, ineq: LinearInequality, dilation: int = 1) -> list[int]:
@@ -273,9 +267,9 @@ def _cone_row(h: HRepresentation, ineq: LinearInequality) -> list[tuple[int, int
 
     The row is >= 0 (= 0) at (x, 1) for every point x of the polytope.
     """
-    row = _int_row(h, ineq)
-    d = len(row) - 1
-    return [(j, -a) for j, a in enumerate(row[:d]) if a] + ([(d, row[d])] if row[d] else [])
+    q, b = ineq.rhs.denominator, ineq.rhs.numerator
+    row = [(h._column[c], -a * q) for c, a in ineq.coeffs.items()]
+    return row + [(len(h.coordinates), b)] if b else row
 
 
 def _eliminate(a: int, v: Sequence[int], s: int, l: Sequence[int]) -> list[int]:

@@ -18,10 +18,9 @@ from .geometry import (HRepresentation, LinearInequality, VRepresentation, _work
 from .posets import (
     ChainOrderPartition,
     MarkedPoset,
+    Poset,
     _components,
-    _members,
     _saturated_chains,
-    _up_sets,
     require_strict_regular,
     validate_marked,
 )
@@ -144,13 +143,6 @@ class FacePartition:
         return cls(normalized, free)
 
 
-def _full_point(mp: MarkedPoset, x: Mapping[str, Fraction]) -> dict[str, Fraction]:
-    values = {a: mp.value(a) for a in mp.marked}
-    for p in mp.unmarked:
-        values[p] = Fraction(x[p])
-    return values
-
-
 def face_partition_of_point(mp: MarkedPoset, x: Mapping[str, Fraction]) -> FacePartition:
     """The partition gluing comparable elements with equal coordinate values.
 
@@ -162,7 +154,7 @@ def face_partition_of_point(mp: MarkedPoset, x: Mapping[str, Fraction]) -> FaceP
     point = {p: Fraction(x[p]) for p in mp.unmarked}
     if not contains(order_hrep, point):
         raise PointOutsidePolytope("point violates the order constraints")
-    values = _full_point(mp, point)
+    values = {**mp.marking, **point}
     glued = [(p, q) for p, q in mp.poset.covers if values[p] == values[q]]
     return FacePartition.of(mp, _components(mp.poset.elements, glued))
 
@@ -172,7 +164,15 @@ def is_face_partition(mp: MarkedPoset, fp: FacePartition) -> bool:
 
     Checks the three characterizing conditions: blocks connected as induced
     subposets, the induced block relation antisymmetric, and the quotient
-    marking well-defined, order-compatible and strict.
+    marking well-defined, order-compatible and strict.  The last two are read
+    off the quotient marked poset: ``Poset.from_relations`` rejects a cycle
+    between blocks, ``MarkedPoset`` rejects marks that decrease, and
+    ``validate_marked`` decides strictness.  Its check that extremes are
+    marked never fires: a minimal (maximal) block of an acyclic quotient
+    holds a minimal (maximal) element of P, and that element is marked.  (Take
+    e minimal (maximal) within the block: a cover below (above) e would lie
+    in the block, against the choice of e, or in another block, which would
+    then lie below (above) this one.)
     """
     poset = mp.poset
     block_of: dict[str, int] = {}
@@ -193,30 +193,16 @@ def is_face_partition(mp: MarkedPoset, fp: FacePartition) -> bool:
     if len(_components(poset.elements, comparable_within_blocks)) != len(fp.blocks):
         return False
 
-    k = len(fp.blocks)
-    succ: dict[int, set[int]] = {i: set() for i in range(k)}
-    for p, q in poset.covers:
-        bp, bq = block_of[p], block_of[q]
-        if bp != bq:
-            succ[bp].add(bq)
-    try:
-        order, above, _ = _up_sets(range(k), succ)
-    except ValueError:  # the block relation has a cycle: not antisymmetric
-        return False
-
-    block_marks: list[set[Fraction]] = [set() for _ in range(k)]
+    links = [(block_of[p], block_of[q]) for p, q in poset.covers if block_of[p] != block_of[q]]
+    marks: dict[int, Fraction] = {}
     for a in mp.marked:
-        block_marks[block_of[a]].add(mp.value(a))
-    for i in range(k):
-        if len(block_marks[i]) > 1:
+        if marks.setdefault(block_of[a], mp.value(a)) != mp.value(a):
             return False
-    for i, reach in zip(order, above):
-        if not block_marks[i]:
-            continue
-        for j in _members(reach, order):
-            if block_marks[j] and min(block_marks[i]) >= min(block_marks[j]):
-                return False
-    return True
+    try:
+        quotient = MarkedPoset(Poset.from_relations(range(len(fp.blocks)), links), marks)
+    except ValueError:  # a cycle between blocks, or marks that decrease along the quotient
+        return False
+    return validate_marked(quotient).strict
 
 
 def order_vertices_combinatorial(mp: MarkedPoset) -> VRepresentation:

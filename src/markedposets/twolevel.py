@@ -116,11 +116,9 @@ def _chain_spans(h: HRepresentation, chain: Iterable[str]) -> dict[str, Fraction
         gaps = {abs(a) * span[c] for c, a in facet.coeffs.items() if c in span}
         if not gaps:
             continue
-        if len(gaps) != 1:
-            return None
         values = sorted(set(_scaled_values(v, facet)))
         rhs = facet.rhs
-        if len(values) > 2 or rhs.numerator * v.scale != (values[0] + gaps.pop()) * rhs.denominator:
+        if len(values) > 2 or any(rhs.numerator * v.scale != (values[0] + g) * rhs.denominator for g in gaps):
             return None
     return {c: Fraction(s, v.scale) for c, s in span.items()}
 

@@ -503,6 +503,15 @@ class TestEhrhart:
         assert code == 2 and out == ""
         assert err == "error: family chain-order requires a partition\n"
 
+    def test_missing_partition_fails_before_the_formula(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "ehrhart_formula_marked_order", lambda *a, **k: calls.append(a))
+        code, out, err = run_cli(capsys, "ehrhart", "--builtin", "pm:9,1",
+                                 "--family", "chain-order", "--method", "both")
+        assert code == 2 and out == ""
+        assert err == "error: family chain-order requires a partition\n"
+        assert calls == []
+
     def test_non_integral_marking_count_fails(self, capsys, tmp_path):
         # marked values must be integers already at the document level
         doc = dict(SEGMENT_DOC, marked={"a": 0, "b": True})
@@ -654,3 +663,10 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert err == f"error: builtin '{builtin}' must have the form {form} with two integers\n"
+
+    @pytest.mark.parametrize("builtin", ["figure1:7,7", "figure1:x"])
+    def test_figure1_takes_no_arguments(self, capsys, builtin):
+        code, out, err = run_cli(capsys, "validate", "--builtin", builtin)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: builtin '{builtin}' must have the form figure1 with no arguments\n"

@@ -36,6 +36,7 @@ from markedposets import (
     pm_family,
     polynomial,
     restricted_linear_extensions,
+    validate_marked,
 )
 from markedposets.cli import main
 from markedposets.corpus import corpus, random_marked_poset
@@ -255,6 +256,17 @@ class TestCountingReach:
         assert ehrhart_by_counting(build_order_hrep(mp)) == ehrhart_formula_marked_order(mp)
 
 
+def two_chains():
+    """a < x < b and c < y < d, marked 0, 2 and 1, 3: strict regular, a and c incomparable."""
+    return MarkedPoset(Poset(["a", "x", "b", "c", "y", "d"],
+                             [("a", "x"), ("x", "b"), ("c", "y"), ("y", "d")]),
+                       {"a": 0, "b": 2, "c": 1, "d": 3})
+
+
+# natural on two_chains(), not on its tie-break poset
+TWO_CHAINS_LABELING = {"c": 1, "y": 2, "d": 3, "a": 4, "x": 5, "b": 6}
+
+
 class TestFormula:
     def test_segment(self, segment):
         assert ehrhart_formula_marked_order(segment) == polynomial([1, 1])
@@ -319,6 +331,31 @@ class TestFormula:
         del labeling[mp.unmarked[0]]
         with pytest.raises(ValueError, match="bijection"):
             ehrhart_formula_marked_order(mp, labeling=labeling)
+
+    @pytest.mark.parametrize("labeling", [
+        # without a marked element, which the tie-break sort reads
+        {e: n for e, n in TWO_CHAINS_LABELING.items() if e != "a"},
+        # with an id the poset does not have
+        {**{e: n for e, n in TWO_CHAINS_LABELING.items() if e != "x"}, "q": 5},
+        # with two elements labelled 2
+        {**TWO_CHAINS_LABELING, "c": 2},
+    ])
+    def test_labeling_not_a_bijection_rejected(self, labeling):
+        # the check on mp runs before the tie-break sort, so no KeyError escapes it
+        for run in (ehrhart_formula_marked_order, restricted_linear_extensions):
+            with pytest.raises(ValueError, match="^labeling is not a bijection onto 1..n$"):
+                run(two_chains(), labeling=labeling)
+
+    def test_labeling_natural_on_mp_only_rejected(self):
+        # a < c in the tie-break poset (marks 0 < 1), but c is labelled before a
+        mp = two_chains()
+        assert validate_marked(mp).strict and validate_marked(mp).regular
+        message = re.escape("labeling is not order-preserving on cover ('a', 'c')")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ehrhart_formula_marked_order(mp, labeling=TWO_CHAINS_LABELING)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            next(restricted_linear_extensions(mp, TWO_CHAINS_LABELING))
+        assert str(ehrhart_formula_marked_order(mp)) == "1, 4, 4"
 
     def test_degree_and_constant_term(self):
         rng = random.Random(53)

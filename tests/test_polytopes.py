@@ -38,7 +38,8 @@ from markedposets import (
 )
 from markedposets.corpus import _draw, corpus, random_marked_poset
 from markedposets.ehrhart import pm_family
-from markedposets.posets import _saturated_chains, _topological_order, validate_marked
+from markedposets.posets import (_components, _members, _saturated_chains, _topological_order,
+                                 _up_sets, validate_marked)
 from helpers import all_chain_order_partitions, random_convex_points
 
 
@@ -291,6 +292,49 @@ class TestFacePartitionOfPoint:
             face_partition_of_point(segment, {"x": Fraction(2)})
 
 
+def face_partition_by_block_graph(mp, fp):
+    """The block-graph decision that ``is_face_partition`` made before it built the quotient.
+
+    Its own closure walk over the block relation and its own mark loops; the
+    partition must be valid.
+    """
+    block_of = {e: i for i, block in enumerate(fp.blocks) for e in block}
+    poset = mp.poset
+    inside = [(e, f) for block in fp.blocks for e in block for f in block
+              if e < f and poset.comparable(e, f)]
+    if len(_components(poset.elements, inside)) != len(fp.blocks):
+        return False
+    k = len(fp.blocks)
+    succ = {i: set() for i in range(k)}
+    for p, q in poset.covers:
+        if block_of[p] != block_of[q]:
+            succ[block_of[p]].add(block_of[q])
+    try:
+        order, above, _ = _up_sets(range(k), succ)
+    except ValueError:
+        return False
+    block_marks = [set() for _ in range(k)]
+    for a in mp.marked:
+        block_marks[block_of[a]].add(mp.value(a))
+    if any(len(marks) > 1 for marks in block_marks):
+        return False
+    for i, reach in zip(order, above):
+        for j in _members(reach, order):
+            if block_marks[i] and block_marks[j] and min(block_marks[i]) >= min(block_marks[j]):
+                return False
+    return True
+
+
+def random_partition(rng, mp):
+    """Blocks glued along random covers (connected, often a face), or random labels (rarely)."""
+    elements = mp.poset.elements
+    if rng.random() < 0.5:
+        return FacePartition.of(mp, _components(elements, [c for c in mp.poset.covers
+                                                           if rng.random() < 0.3]))
+    label = {e: rng.randrange(rng.randint(1, len(elements))) for e in elements}
+    return FacePartition.of(mp, [{e for e in elements if label[e] == i} for i in set(label.values())])
+
+
 class TestIsFacePartition:
     def test_singletons_always_face(self, trapezoid_poset):
         fp = FacePartition.of(
@@ -320,6 +364,31 @@ class TestIsFacePartition:
         # a < x < b with a and b both marked 1: the block {a} lies below {b}
         mp = MarkedPoset(Poset(["a", "x", "b"], [("a", "x"), ("x", "b")]), {"a": 1, "b": 1})
         assert not is_face_partition(mp, FacePartition.of(mp, [{"a"}, {"x"}, {"b"}]))
+
+    def test_marks_decreasing_between_blocks_rejected(self):
+        # c < x with c marked 3 and x glued to a, marked 0: the quotient's marks
+        # decrease along {c} < {a, x}, which MarkedPoset refuses
+        mp = MarkedPoset(Poset(["a", "b", "c", "x"], [("a", "x"), ("c", "x"), ("x", "b")]),
+                         {"a": 0, "c": 3, "b": 5})
+        assert not is_face_partition(mp, FacePartition.of(mp, [{"a", "x"}, {"c"}, {"b"}]))
+        assert is_face_partition(mp, FacePartition.of(mp, [{"a"}, {"c", "x"}, {"b"}]))
+
+    def test_agrees_with_block_graph_decision(self):
+        # corpus posets (strict regular) and raw draws (irregular), each also
+        # with its marks halved (order-preserving, often not strict)
+        posets = [mp for seed in (20250808, 3, 7) for mp in corpus(seed, 20)]
+        rng = random.Random(11)
+        draws = (_draw(rng, 5, 0, 4, 1) for _ in range(120))
+        posets += [mp for mp in draws if mp is not None]
+        posets += [MarkedPoset(mp.poset, {a: v // 2 for a, v in mp.marking.items()}) for mp in posets]
+        rng = random.Random(12)
+        outcomes = []
+        for mp in posets:
+            for _ in range(20):
+                fp = random_partition(rng, mp)
+                outcomes.append(is_face_partition(mp, fp))
+                assert outcomes[-1] == face_partition_by_block_graph(mp, fp), fp
+        assert 0.05 < sum(outcomes) / len(outcomes) < 0.95
 
     def test_not_a_partition_raises(self, segment):
         with pytest.raises(ValueError):

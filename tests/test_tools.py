@@ -1,12 +1,26 @@
-"""The line counter in ``tools/code_lines.py``, on sources whose count is known."""
+"""The tools in ``tools/``: the line counter on sources whose count is known, and the output digest."""
 
 import importlib.util
+import sys
+import types
 from pathlib import Path
 
+import pytest
+
+from markedposets import cli
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-_spec = importlib.util.spec_from_file_location("code_lines", TOOLS / "code_lines.py")
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = load_tool("code_lines")
+output_digest = load_tool("output_digest")
 
 SOURCE = '''\
 """Module docstring,
@@ -62,3 +76,54 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
     assert code_lines.main([str(first), str(second)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         f"{SOURCE_CODE_LINES:6d} {first}", f"{1:6d} {second}", f"{SOURCE_CODE_LINES + 1:6d} total"]
+
+
+def fake_main(code=0, out="", err="", raises=None):
+    """A stand-in for ``cli.main`` that writes ``out`` and ``err`` and returns ``code``."""
+    def main(argv):
+        print(out, end="")
+        print(err, end="", file=sys.stderr)
+        if raises is not None:
+            raise raises
+        return code
+    return main
+
+
+def test_digest_is_stable_for_one_command():
+    argv = ["validate", "--builtin", "figure1", "--json"]
+    assert output_digest.digest(cli.main, argv, "/docs") == output_digest.digest(cli.main, argv, "/docs")
+
+
+@pytest.mark.parametrize("other", [
+    fake_main(code=1, out="out", err="err"),
+    fake_main(out="out!", err="err"),
+    fake_main(out="out", err="err!"),
+    fake_main(out="outerr"),  # the same bytes, split differently between the streams
+    fake_main(out="out", err="err", raises=SystemExit(2)),
+    fake_main(out="out", err="err", raises=ValueError("bad")),
+])
+def test_digest_changes_with_exit_code_stdout_or_stderr(other):
+    base = output_digest.digest(fake_main(out="out", err="err"), [], "/docs")
+    assert output_digest.digest(other, [], "/docs") != base
+
+
+def test_document_paths_are_shortened_to_file_names(monkeypatch, capsys, tmp_path):
+    # the document folder is a fresh temporary one per run: neither the
+    # printed command nor its hash may depend on it
+    def echo(argv):
+        print(f"read {argv[1]}")
+        return 0
+
+    def build_commands(lib, workload, seed, docs, tiny):
+        return [types.SimpleNamespace(argv=["validate", str(docs / "d.json")])]
+
+    monkeypatch.setattr(output_digest.workloads, "WORKLOADS", ["crossval"])
+    monkeypatch.setattr(output_digest.run, "fresh_import",
+                        lambda: types.SimpleNamespace(cli=types.SimpleNamespace(main=echo)))
+    monkeypatch.setattr(output_digest.run, "build_commands", build_commands)
+    assert output_digest.main(["--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = [output_digest.digest(echo, ["validate", str(tmp_path / "crossval" / "d.json"), *extra],
+                                     str(tmp_path)) for extra in ([], ["--json"])]
+    assert lines == [f"crossval: validate d.json {expected[0]}",
+                     f"crossval: validate d.json --json {expected[1]}"]

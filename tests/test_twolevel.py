@@ -26,6 +26,7 @@ from markedposets import (
 )
 from markedposets.corpus import _draw, corpus, random_marked_poset
 from markedposets.posets import _regularize, restrict_marked
+from markedposets.twolevel import _chain_spans
 from helpers import affine_image, all_chain_order_partitions, random_unimodular_map
 
 
@@ -134,6 +135,13 @@ class TestOrderCriterion:
 
 
 class TestChainCriterion:
+    def test_spans_reject_a_facet_with_two_gaps(self):
+        # the segment from (0, 0) to (1, 1): x and y take {0, 1}, and the facet
+        # -x + 2y <= 1 has gaps {1, 2}; values {0, 1} match the rhs for gap 1 only
+        h = hrep2([(-1, 0, 0), (0, -1, 0), (1, -1, 0), (-1, 1, 0), (-1, 2, 1)])
+        assert enumerate_vertices(h).vertices == ((0, 0), (1, 1))
+        assert _chain_spans(h, ["x", "y"]) is None
+
     def test_figure_one(self, figure_one):
         result = chain_two_level_criterion(figure_one)
         assert result.two_level
