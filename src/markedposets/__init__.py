@@ -16,7 +16,6 @@ from .geometry import (
     LinearInequality,
     UnivariatePolynomial,
     VRepresentation,
-    affine_dimension,
     contains,
     count_lattice_points,
     enumerate_vertices,
@@ -30,11 +29,9 @@ from .posets import (
     MarkedPoset,
     MarkingReport,
     Poset,
-    augment_marked_order,
     canonical_labeling,
     induced_subposet,
     linear_extensions,
-    maximal_marked_chains,
     restrict_marked,
     validate_marked,
 )

@@ -107,12 +107,17 @@ def _builtin(request: str):
 
 
 def _load(args) -> tuple[str, MarkedPoset, ChainOrderPartition | None]:
+    if args.builtin and args.file:
+        raise DocumentError("give either a file or --builtin, not both")
     if args.builtin:
         return _builtin(args.builtin)
     if not args.file:
         raise DocumentError("either a file or --builtin is required")
     with open(args.file) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise DocumentError("document is nested too deeply to parse") from None
     return parse_document(data, fallback_name=os.path.basename(args.file))
 
 

@@ -47,10 +47,7 @@ def _draw(rng: random.Random, max_unmarked: int, mark_lo: int, mark_hi: int,
         for j in range(i + 1, n)
         if rng.random() < p_edge
     ]
-    try:
-        poset = Poset.from_relations(names, relations)
-    except ValueError:
-        return None
+    poset = Poset.from_relations(names, relations)
 
     marked = set(poset.minimals()) | set(poset.maximals())
     interior = [e for e in names if e not in marked]
@@ -71,10 +68,7 @@ def _draw(rng: random.Random, max_unmarked: int, mark_lo: int, mark_hi: int,
         if floor > mark_hi:
             return None
         marking[a] = rng.randint(floor, mark_hi)
-    try:
-        return MarkedPoset(poset, marking)
-    except ValueError:
-        return None
+    return MarkedPoset(poset, marking)
 
 
 def corpus(seed: int, trials: int, max_unmarked: int = 5,

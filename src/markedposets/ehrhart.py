@@ -66,7 +66,7 @@ def ehrhart_by_counting(h: HRepresentation) -> UnivariatePolynomial:
     if v.scale != 1:
         p = next(p for p in v.vertices if any(x.denominator != 1 for x in p))
         raise NonIntegralVertices(f"vertex {p} is not integral")
-    dim = v._dimension
+    dim = v.dimension
     top = dim // 2
     sign = -1 if dim % 2 else 1
     points = [(-m, sign * _count_points(h, m, 1)) for m in range(1, dim - top + 1)]

@@ -208,7 +208,7 @@ class VRepresentation:
         return {c: [p[j] for p in self.vectors] for j, c in enumerate(self.coordinates)}
 
     @cached_property
-    def _dimension(self) -> int:
+    def dimension(self) -> int:
         """The affine dimension: the rank of the vectors (L x, L), minus 1 (-1 when empty).
 
         Fraction-free elimination: each vector is reduced against the kept
@@ -409,14 +409,6 @@ def enumerate_vertices(h: HRepresentation) -> VRepresentation:
     return result
 
 
-def affine_dimension(v: VRepresentation | Iterable[Point]) -> int:
-    """Dimension of the affine hull of a vertex set or of points (-1 for none, 0 for one)."""
-    if not isinstance(v, VRepresentation):
-        points = list(v)
-        v = VRepresentation.from_points(map(str, range(len(points[0]) if points else 0)), points)
-    return v._dimension
-
-
 def _scaled_values(v: VRepresentation, ineq: LinearInequality) -> list[int]:
     """a . (L x) at every vertex x, in vertex order, for the row a . x <= b (L = ``v.scale``)."""
     terms = iter(ineq.coeffs.items())
@@ -449,7 +441,7 @@ def classify_inequalities(
     if h._classify_cache is not None:
         return h._classify_cache
     v = enumerate_vertices(h)
-    dim = v._dimension
+    dim = v.dimension
     full = (1 << len(v)) - 1
     masks = []
     for ineq in h.inequalities:
@@ -523,7 +515,7 @@ def _count_points(h: HRepresentation, dilation: int, shrink: int) -> int:
     n = dilation
     eq_rows = [_int_row(h, e, n) for e in h.equalities]
     implicit: list[LinearInequality] = []
-    if shrink and v._dimension < d:
+    if shrink and v.dimension < d:
         implicit = classify_inequalities(h)[3]
     rows = []
     for ineq in h.inequalities:

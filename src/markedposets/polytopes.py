@@ -154,7 +154,11 @@ def face_partition_of_point(mp: MarkedPoset, x: Mapping[str, Fraction]) -> FaceP
     point = {p: Fraction(x[p]) for p in mp.unmarked}
     if not contains(order_hrep, point):
         raise PointOutsidePolytope("point violates the order constraints")
-    values = {**mp.marking, **point}
+    return _face_partition(mp, {**mp.marking, **point})
+
+
+def _face_partition(mp: MarkedPoset, values: Mapping[str, Fraction]) -> FacePartition:
+    """The partition gluing the two ends of every cover whose values are equal."""
     glued = [(p, q) for p, q in mp.poset.covers if values[p] == values[q]]
     return FacePartition.of(mp, _components(mp.poset.elements, glued))
 
@@ -243,9 +247,7 @@ def order_vertices_combinatorial(mp: MarkedPoset) -> VRepresentation:
                                     "; set MPP_WORK_CAP to raise it")
         if len(stack) == len(order):
             # feasible() has checked every cover, so the leaf is in the polytope
-            # and its face partition glues the covers with equal values
-            glued = [(p, q) for p, q in poset.covers if assignment[p] == assignment[q]]
-            if not FacePartition.of(mp, _components(poset.elements, glued)).free_blocks:
+            if not _face_partition(mp, assignment).free_blocks:
                 vertices.append(tuple(assignment[p] for p in mp.unmarked))
         else:
             stack.append(iter(values))

@@ -331,32 +331,6 @@ def require_strict(mp: MarkedPoset, operation: str) -> None:
         raise PreconditionViolated(f"{operation} requires a strict marking")
 
 
-def maximal_marked_chains(mp: MarkedPoset) -> list[tuple[str, tuple[str, ...], str]]:
-    """Saturated chains a < p_1 < ... < p_k < b with marked ends, unmarked interior.
-
-    Each chain is reported once as (a, interior, b) with k >= 0 interior
-    elements, in lexicographic order.
-    """
-    return _saturated_chains(mp.poset, mp.marked)
-
-
-def augment_marked_order(mp: MarkedPoset) -> Poset:
-    """Add a < b for marked pairs with strictly increasing marks, then re-reduce.
-
-    Only pairs between adjacent distinct mark levels are added: they generate
-    the same order as all increasing pairs.
-    """
-    poset = mp.poset
-    levels: dict[Fraction, list[str]] = {}
-    for a in sorted(mp.marked):
-        levels.setdefault(mp.value(a), []).append(a)
-    ranked = [levels[v] for v in sorted(levels)]
-    relations = list(poset.covers)
-    for lower, upper in zip(ranked, ranked[1:]):
-        relations += [(a, b) for a in lower for b in upper]
-    return Poset.from_relations(poset.elements, relations)
-
-
 @dataclass(frozen=True)
 class ExtensionWord:
     """A linear extension as a word, with per-prefix descent counts.

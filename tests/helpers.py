@@ -1,4 +1,5 @@
-"""Test-only constructions: exact affine images, random points and maps, partition sweeps."""
+"""Test-only constructions: exact affine images, random points and maps, partition sweeps,
+the mark-augmented poset."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from markedposets import (
     HRepresentation,
     LinearInequality,
     MarkedPoset,
+    Poset,
     VRepresentation,
 )
 
@@ -102,3 +104,20 @@ def all_chain_order_partitions(mp: MarkedPoset):
     for r in range(len(unmarked) + 1):
         for chain in combinations(unmarked, r):
             yield ChainOrderPartition.of(mp, chain)
+
+
+def augment_marked_order(mp: MarkedPoset) -> Poset:
+    """Add a < b for marked pairs with strictly increasing marks, then re-reduce.
+
+    Only pairs between adjacent distinct mark levels are added: they generate
+    the same order as all increasing pairs.
+    """
+    poset = mp.poset
+    levels: dict[Fraction, list[str]] = {}
+    for a in sorted(mp.marked):
+        levels.setdefault(mp.value(a), []).append(a)
+    ranked = [levels[v] for v in sorted(levels)]
+    relations = list(poset.covers)
+    for lower, upper in zip(ranked, ranked[1:]):
+        relations += [(a, b) for a in lower for b in upper]
+    return Poset.from_relations(poset.elements, relations)

@@ -653,6 +653,23 @@ class TestUsage:
         code, _, err = run_cli(capsys, "validate")
         assert code == 2
 
+    def test_file_and_builtin_is_usage_error(self, capsys, tmp_path):
+        path = write_doc(tmp_path, SEGMENT_DOC)
+        code, out, err = run_cli(capsys, "validate", path, "--builtin", "figure1")
+        assert code == 2
+        assert out == "" and err == "error: give either a file or --builtin, not both\n"
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100000 + "]" * 100000,
+        '{"elements": ["a"], "marked": {"a": 0}, "covers": ' + "[" * 100000 + "]" * 100000 + "}",
+    ], ids=["top-level", "covers"])
+    def test_document_nested_too_deeply_is_parse_error(self, capsys, tmp_path, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert out == "" and err == "error: document is nested too deeply to parse\n"
+
     @pytest.mark.parametrize("builtin, form", [
         ("diamond:1", "diamond:lo,hi"),
         ("diamond:a,b", "diamond:lo,hi"),

@@ -42,9 +42,8 @@ from markedposets.cli import main
 from markedposets.corpus import corpus, random_marked_poset
 from markedposets.ehrhart import _segment_factor, _signature_sum
 from markedposets.errors import VerificationFailed
-from markedposets.geometry import _count_points, affine_dimension, enumerate_vertices
-from markedposets.posets import augment_marked_order
-from helpers import all_chain_order_partitions
+from markedposets.geometry import _count_points, enumerate_vertices
+from helpers import all_chain_order_partitions, augment_marked_order
 from test_geometry import fraction_lagrange
 
 ORACLE_SEEDS = (20250808, 3, 7)
@@ -126,7 +125,7 @@ def chain_poset(k):
 def closed_dilation_route(h):
     """The counting route without reciprocity: closed counts at dilations 0..dim,
     Fraction Lagrange, and the probe at dim + 1."""
-    dim = affine_dimension(enumerate_vertices(h))
+    dim = enumerate_vertices(h).dimension
     poly = fraction_lagrange([(n, count_lattice_points(h, n)) for n in range(dim + 1)])
     if poly.evaluate(dim + 1) != count_lattice_points(h, dim + 1):
         raise VerificationFailed(f"interpolated polynomial disagrees with the count at dilation {dim + 1}")
@@ -235,7 +234,7 @@ class TestReciprocityRoute:
         marked = [*corpus(ORACLE_SEEDS[1], 30, max_unmarked=5), cube(5), chain_poset(6)]
         for h in [build_order_hrep(mp) for mp in marked] + [build_chain_hrep(mp) for mp in marked]:
             calls.clear()
-            dim = affine_dimension(enumerate_vertices(h))
+            dim = enumerate_vertices(h).dimension
             ehrhart_by_counting(h)
             assert sorted(calls) == sorted(
                 [("closed", n) for n in range(dim // 2 + 2)]
@@ -363,8 +362,8 @@ class TestFormula:
             mp = random_marked_poset(rng, max_unmarked=4)
             poly = ehrhart_formula_marked_order(mp)
             assert poly.coefficients[0] == 1
-            from markedposets import affine_dimension, enumerate_vertices
-            dim = affine_dimension(enumerate_vertices(build_order_hrep(mp)))
+            from markedposets import enumerate_vertices
+            dim = enumerate_vertices(build_order_hrep(mp)).dimension
             assert poly.degree == dim
 
 

@@ -30,7 +30,6 @@ from markedposets import (
     UnboundedPolytope,
     UnivariatePolynomial,
     VRepresentation,
-    affine_dimension,
     build_chain_hrep,
     build_chain_order_hrep,
     build_order_hrep,
@@ -316,7 +315,7 @@ def assert_matches_oracles(h):
     v, dim, facets, implicit = classify_inequalities(h)
     assert v.vertices == vertices
     assert (dim, facets, implicit) == oracle_classify(h, vertices)
-    assert affine_dimension(v) == dim
+    assert v.dimension == dim
     named = [dict(zip(h.coordinates, p)) for p in vertices]
     witness = None
     for facet in facets:
@@ -369,7 +368,7 @@ def assert_vertex_form(h):
         with pytest.raises(NonIntegralVertices, match=re.escape(f"vertex {first} is not integral")):
             ehrhart_by_counting(h)
     dim = integer_rank(vectors, len(h.coordinates) + 1) - 1
-    assert v._dimension == dim == affine_dimension(v) == affine_dimension(points)
+    assert v.dimension == dim == VRepresentation.from_points(v.coordinates, points).dimension
     assert VRepresentation.from_points(v.coordinates, points) == v
 
 
@@ -842,16 +841,17 @@ class TestIrredundant:
 
 class TestAffineDimension:
     def test_segment(self):
-        assert affine_dimension([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]) == 1
+        points = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
+        assert VRepresentation.from_points(("x", "y"), points).dimension == 1
 
     def test_empty(self):
-        assert affine_dimension([]) == -1
+        assert VRepresentation.from_points(("x", "y"), []).dimension == -1
 
     def test_point(self):
-        assert affine_dimension([(Fraction(2), Fraction(3))]) == 0
+        assert VRepresentation.from_points(("x", "y"), [(Fraction(2), Fraction(3))]).dimension == 0
 
     def test_square(self):
-        assert affine_dimension(enumerate_vertices(hrep2(UNIT_SQUARE))) == 2
+        assert enumerate_vertices(hrep2(UNIT_SQUARE)).dimension == 2
 
 
 class TestEvaluateAffineValues:

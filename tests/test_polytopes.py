@@ -31,7 +31,6 @@ from markedposets import (
     geometry,
     irredundant,
     is_face_partition,
-    maximal_marked_chains,
     order_facets_combinatorial,
     order_vertices_combinatorial,
     polytopes,
@@ -161,7 +160,7 @@ def chain_hrep_by_rule(mp):
     """Nonnegativity, plus one chain-sum row per maximal marked chain with an interior."""
     rows = [ineq({p: -1}, 0) for p in mp.unmarked]
     rows += [ineq(dict.fromkeys(interior, 1), mp.value(b) - mp.value(a))
-             for a, interior, b in maximal_marked_chains(mp) if interior]
+             for a, interior, b in _saturated_chains(mp.poset, mp.marked) if interior]
     return HRepresentation(mp.unmarked, rows)
 
 
@@ -413,7 +412,7 @@ class TestIsFacePartition:
 
     def test_face_dimension_equals_free_block_count(self):
         # the face a point generates spans exactly one dimension per free block
-        from markedposets import affine_dimension
+        from markedposets import VRepresentation
 
         rng = random.Random(9)
         for _ in range(12):
@@ -427,7 +426,7 @@ class TestIsFacePartition:
                     full = {a: mp.value(a) for a in mp.marked} | vertex
                     if all(len({full[e] for e in block}) == 1 for block in fp.blocks):
                         face_vertices.append(tuple(vertex[c] for c in v.coordinates))
-                assert affine_dimension(face_vertices) == len(fp.free_blocks)
+                assert VRepresentation.from_points(v.coordinates, face_vertices).dimension == len(fp.free_blocks)
 
 
 class TestOrderVerticesCombinatorial:

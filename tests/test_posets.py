@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from markedposets import (
     MarkedPoset,
     Poset,
-    augment_marked_order,
     canonical_labeling,
     linear_extensions,
-    maximal_marked_chains,
     validate_marked,
 )
 from markedposets.corpus import _draw, corpus
-from markedposets.posets import (_components, _members, _topological_order, _up_sets,
-                                 induced_subposet)
+from markedposets.posets import (_components, _members, _saturated_chains, _topological_order,
+                                 _up_sets, induced_subposet)
+from helpers import augment_marked_order
 
 ORACLE_SEEDS = (20250808, 3, 7)
 
@@ -269,6 +268,25 @@ class TestValidateAgainstOracle:
         assert flagged["strict"] >= 60 and flagged["regular"] >= 600
 
 
+class TestDraw:
+    """``_draw`` builds relations along one shuffled order and marks up a topological order,
+    so neither ``Poset.from_relations`` nor ``MarkedPoset`` can reject what it builds."""
+
+    @pytest.mark.parametrize("max_unmarked, lo, hi", [(5, 0, 4), (7, 0, 6), (3, 0, 1), (8, -2, 2)])
+    def test_draws_are_strict_with_marked_extremes(self, max_unmarked, lo, hi):
+        drawn = 0
+        for seed in range(4):
+            rng = random.Random(seed)
+            for _ in range(250):
+                mp = _draw(rng, max_unmarked, lo, hi, 1)
+                if mp is None:
+                    continue
+                drawn += 1
+                assert validate_marked(mp).strict
+                assert set(mp.poset.minimals()) | set(mp.poset.maximals()) <= mp.marked
+        assert drawn >= 100
+
+
 class TestHasseComponents:
     """``_components`` on the covers: the connected pieces of the undirected Hasse diagram."""
 
@@ -288,18 +306,18 @@ class TestHasseComponents:
 
 class TestMaximalMarkedChains:
     def test_figure_one(self, figure_one):
-        assert maximal_marked_chains(figure_one) == [
+        assert _saturated_chains(figure_one.poset, figure_one.marked) == [
             ("bot", ("x1",), "right"),
             ("bot", ("x1", "x2"), "top"),
             ("left", ("x2",), "top"),
         ]
 
     def test_single_chain(self, segment):
-        assert maximal_marked_chains(segment) == [("a", ("x",), "b")]
+        assert _saturated_chains(segment.poset, segment.marked) == [("a", ("x",), "b")]
 
     def test_marked_cover_is_empty_chain(self):
         mp = MarkedPoset(Poset(["a", "b"], [("a", "b")]), {"a": 0, "b": 1})
-        assert maximal_marked_chains(mp) == [("a", (), "b")]
+        assert _saturated_chains(mp.poset, mp.marked) == [("a", (), "b")]
 
 
 class TestAugment:
