@@ -12,11 +12,10 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 
 from . import gallery
-from .corpus import random_marked_poset
+from .corpus import corpus
 from .ehrhart import (
     ehrhart_by_counting,
     ehrhart_formula_marked_order,
@@ -203,11 +202,12 @@ def cmd_polytope(args) -> int:
 
 def cmd_two_level(args) -> int:
     name, mp, partition = _load(args)
+    # checks the chain-order partition for every method; the chain criteria read the memoised H-rep
+    h = _family_hrep(mp, partition, args.family)
     lines = []
     result: dict = {}
     direct = criterion = None
     if args.method in ("direct", "both"):
-        h = _family_hrep(mp, partition, args.family)
         outcome = is_two_level_direct(h)
         direct = outcome.two_level
         lines.append(f"direct: {str(direct).lower()}")
@@ -232,8 +232,6 @@ def cmd_two_level(args) -> int:
                 lines.append(f"scaling: {scaling}")
                 result["scaling"] = {c: str(v) for c, v in chain_result.scaling.items()}
         else:
-            if partition is None:
-                raise DocumentError("family chain-order requires a partition")
             criterion = chain_order_two_level_criterion(mp, partition)
         lines.append(f"criterion: {str(criterion).lower()}")
         result["criterion"] = criterion
@@ -270,11 +268,9 @@ def cmd_corpus(args) -> int:
         raise ValueError(f"--trials must be at least 0, got {args.trials}")
     if args.max_unmarked < 1:
         raise ValueError(f"--max-unmarked must be at least 1, got {args.max_unmarked}")
-    rng = random.Random(args.seed)
     lines = []
     trials = []
-    for index in range(args.trials):
-        mp = random_marked_poset(rng, max_unmarked=args.max_unmarked)
+    for index, mp in enumerate(corpus(args.seed, args.trials, args.max_unmarked)):
         order_h = build_order_hrep(mp)
         chain_h = build_chain_hrep(mp)
         checks = {

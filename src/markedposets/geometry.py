@@ -211,21 +211,18 @@ class VRepresentation:
     def dimension(self) -> int:
         """The affine dimension: the rank of the vectors (L x, L), minus 1 (-1 when empty).
 
-        Fraction-free elimination: each vector is reduced against the kept
-        rows, and a nonzero remainder is kept, divided by its gcd, with its
-        first nonzero column as pivot.
+        Fraction-free elimination (``_eliminate``): each vector is reduced
+        against the kept rows, and a nonzero remainder is kept with its first
+        nonzero column as pivot.
         """
         kept: list[tuple[int, list[int]]] = []
         for p in self.vectors:
             r = [*p, self.scale]
             for pivot, row in kept:
                 if f := r[pivot]:
-                    r = [x * row[pivot] - f * y for x, y in zip(r, row)]
-            for pivot, x in enumerate(r):
-                if x:
-                    g = _row_gcd(r)
-                    kept.append((pivot, [y // g for y in r]))
-                    break
+                    r = _eliminate(row[pivot], r, f, row)
+            if any(r):
+                kept.append((next(j for j, x in enumerate(r) if x), r))
         return len(kept) - 1
 
     def __len__(self) -> int:
@@ -245,16 +242,15 @@ def _row_gcd(row: Sequence[int]) -> int:
     return math.gcd(*row) or 1
 
 
-def _int_row(h: HRepresentation, ineq: LinearInequality, dilation: int = 1) -> list[int]:
-    """The constraint with its rhs times ``dilation``, as an all-integer augmented row.
+def _int_terms(h: HRepresentation, ineq: LinearInequality) -> tuple[list[tuple[int, int]], int]:
+    """The constraint a.x <= p/q as the integer terms ``[(column, q a_j), ...]`` and p.
 
-    The row a.x <= (p/q) n becomes (q a).x <= p n; it need not be primitive
-    when n shares a factor with q, which leaves its integer solutions alone.
+    The terms come in id order, not column order.  On the n-th dilate the
+    row is (q a).x <= p n; it need not be primitive when n shares a factor
+    with q, which leaves its integer solutions alone.
     """
     q = ineq.rhs.denominator
-    row = [a * q for a in h._dense(ineq)]
-    row.append(ineq.rhs.numerator * dilation)
-    return row
+    return [(h._column[c], a * q) for c, a in ineq.coeffs.items()], ineq.rhs.numerator
 
 
 def _dot(row: Sequence[tuple[int, int]], vec: Sequence[int]) -> int:
@@ -267,8 +263,8 @@ def _cone_row(h: HRepresentation, ineq: LinearInequality) -> list[tuple[int, int
 
     The row is >= 0 (= 0) at (x, 1) for every point x of the polytope.
     """
-    q, b = ineq.rhs.denominator, ineq.rhs.numerator
-    row = [(h._column[c], -a * q) for c, a in ineq.coeffs.items()]
+    terms, b = _int_terms(h, ineq)
+    row = [(j, -a) for j, a in terms]
     return row + [(len(h.coordinates), b)] if b else row
 
 
@@ -501,9 +497,9 @@ def _count_points(h: HRepresentation, dilation: int, shrink: int) -> int:
     equality rows.  Implicit rows are looked up only when the polytope is not
     full-dimensional: a row can be tight everywhere even when the equalities
     alone already cut the polytope's affine hull out, as y <= 0 is beside
-    y = 0.  Everything runs in integers: the rows come from ``_int_row``, and
-    each coordinate's box is its least and greatest L x over the vertices,
-    times n / L, rounded inward.
+    y = 0.  Everything runs in integers: the rows come from ``_int_terms``,
+    and each coordinate's box is its least and greatest L x over the
+    vertices, times n / L, rounded inward.
     """
     v = enumerate_vertices(h)
     if dilation == 0:
@@ -513,20 +509,15 @@ def _count_points(h: HRepresentation, dilation: int, shrink: int) -> int:
         return 1
 
     n = dilation
-    eq_rows = [_int_row(h, e, n) for e in h.equalities]
-    implicit: list[LinearInequality] = []
-    if shrink and v.dimension < d:
-        implicit = classify_inequalities(h)[3]
-    rows = []
-    for ineq in h.inequalities:
-        row = _int_row(h, ineq, n)
-        if ineq in implicit:
-            eq_rows.append(row)
+    implicit = classify_inequalities(h)[3] if shrink and v.dimension < d else []
+    # (terms, rhs) per row terms . x <= rhs; an equality is two opposite rows
+    rows: list[tuple[list[tuple[int, int]], int]] = []
+    for ineq, tight in [(e, True) for e in h.equalities] + [(i, i in implicit) for i in h.inequalities]:
+        terms, p = _int_terms(h, ineq)
+        if tight:
+            rows += [(terms, p * n), ([(j, -a) for j, a in terms], -p * n)]
         else:
-            row[d] -= shrink
-            rows.append(row)
-    for row in eq_rows:
-        rows += [row, [-a for a in row]]
+            rows.append((terms, p * n - shrink))
 
     box_lo = []
     box_hi = []
@@ -542,16 +533,14 @@ def _count_points(h: HRepresentation, dilation: int, shrink: int) -> int:
     upper: list[list[tuple[int, int, int]]] = [[] for _ in range(d)]
     lower: list[list[tuple[int, int, int]]] = [[] for _ in range(d)]
     touch: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for r, row in enumerate(rows):
+    for r, (terms, _) in enumerate(rows):
         rest = 0
-        for j in range(d - 1, -1, -1):
-            a = row[j]
-            if a:
-                (upper if a > 0 else lower)[j].append((r, abs(a), rest))
-                touch[j].append((r, a))
-                rest += min(a * box_lo[j], a * box_hi[j])
+        for j, a in sorted(terms, reverse=True):  # by decreasing column
+            (upper if a > 0 else lower)[j].append((r, abs(a), rest))
+            touch[j].append((r, a))
+            rest += min(a * box_lo[j], a * box_hi[j])
 
-    slack = [row[d] for row in rows]
+    slack = [b for _, b in rows]
     last = d - 1
 
     def rec(i: int) -> int:
@@ -632,6 +621,8 @@ class UnivariatePolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "UnivariatePolynomial":
+        if k < 0:
+            raise ValueError(f"polynomial power needs an exponent of at least 0, got {k}")
         result = UnivariatePolynomial((Fraction(1),))
         for _ in range(k):
             result = result * self

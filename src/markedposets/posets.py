@@ -222,7 +222,8 @@ class MarkedPoset:
         self.poset = poset
         self.marking: dict[str, Fraction] = {a: Fraction(v) for a, v in marking.items()}
         self.marked: frozenset[str] = frozenset(self.marking)
-        for a in sorted(self.marked):
+        marked = sorted(self.marked)
+        for a in marked:
             if a not in poset._index:
                 raise ValueError(f"marked element {a!r} is not in the poset")
         for e in poset.minimals():
@@ -231,12 +232,19 @@ class MarkedPoset:
         for e in poset.maximals():
             if e not in self.marked:
                 raise ValueError(f"maximal element {e!r} must be marked")
-        marked_sorted = sorted(self.marked)
-        for a in marked_sorted:
-            for b in marked_sorted:
-                if poset.less(a, b) and self.marking[a] > self.marking[b]:
-                    raise ValueError(
-                        f"marking is not order-preserving on {a!r} < {b!r}")
+        # one scan of the comparable marked pairs a < b, in id order, on the
+        # up-set bitmasks: a decreasing pair is refused, a tie is kept for
+        # validate_marked as its strictness witness
+        scan = [(b, 1 << poset._index[b], self.marking[b]) for b in marked]
+        ties = []
+        for a, _, value in scan:
+            up = poset._above[poset._index[a]]
+            for b, bit, other in scan:
+                if up & bit and value >= other:
+                    if value > other:
+                        raise ValueError(f"marking is not order-preserving on {a!r} < {b!r}")
+                    ties.append(("strict", a, b))
+        self._ties: tuple[tuple, ...] = tuple(ties)
         self.unmarked: tuple[str, ...] = tuple(
             sorted(e for e in poset.elements if e not in self.marked))
         self._hreps: dict = {}  # polytopes._hrep's memo, keyed by the chain part
@@ -286,10 +294,12 @@ def validate_marked(mp: MarkedPoset) -> MarkingReport:
     Regular: for every cover p < q and marked a <= q, p <= b, either a = b
     or marking(a) < marking(b).
 
-    Marks are compared by their ranks among the distinct mark values, and
-    a <= q, p <= b are read off the up-set bitmasks, so the loops do integer
-    work only.  Witnesses come in id order: strict by (a, b), regular by
-    cover, then a, then b.
+    The marking is order-preserving, so the strictness witnesses are the
+    ties that the ``MarkedPoset`` constructor found.  For regularity, marks
+    are compared by their ranks among the distinct mark values, and a <= q,
+    p <= b are read off the up-set bitmasks, so the loops do integer work
+    only.  Witnesses come in id order: strict by (a, b), regular by cover,
+    then a, then b.
     """
     poset = mp.poset
     index, above = poset._index, poset._above
@@ -297,14 +307,8 @@ def validate_marked(mp: MarkedPoset) -> MarkingReport:
     rank_of = {v: r for r, v in enumerate(sorted(set(mp.marking.values())))}
     rank = [rank_of[mp.value(a)] for a in marked]
     bit = [1 << index[a] for a in marked]
-    violations: list[tuple] = []
-    strict = True
-    for i, a in enumerate(marked):
-        up = above[index[a]]
-        for j, b in enumerate(marked):
-            if rank[i] >= rank[j] and up & bit[j]:
-                strict = False
-                violations.append(("strict", a, b))
+    violations: list[tuple] = list(mp._ties)
+    strict = not violations
     reach = [above[index[a]] | bit[i] for i, a in enumerate(marked)]  # up-sets are strict: add a
     regular = True
     for p, q in sorted(poset.covers):

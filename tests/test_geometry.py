@@ -46,7 +46,6 @@ from markedposets import (
 from markedposets.corpus import corpus
 from markedposets.geometry import (
     _count_points,
-    _int_row,
     _scaled_values,
     classify_inequalities,
 )
@@ -246,6 +245,11 @@ def oracle_vertices(h):
     return subset_walk_vertices(h)
 
 
+def int_row(h, ineq):
+    """The constraint a.x <= p/q as the all-integer augmented dense row [q a | p]."""
+    return [a * ineq.rhs.denominator for a in h._dense(ineq)] + [ineq.rhs.numerator]
+
+
 def subset_walk_vertices(h):
     """Every feasible solution of an independent subset of d rows, sorted.
 
@@ -254,7 +258,7 @@ def subset_walk_vertices(h):
     """
     d = len(h.coordinates)
     ech = _IntEchelon(d)
-    seed_equalities(ech, [_int_row(h, e) for e in h.equalities])
+    seed_equalities(ech, [int_row(h, e) for e in h.equalities])
     found = set()
 
     def solve():
@@ -264,7 +268,7 @@ def subset_walk_vertices(h):
             x[pivot] = (row[d] - rest) / Fraction(row[pivot])
         found.add(tuple(x))
 
-    walk_subsets(ech, [_int_row(h, i) for i in h.inequalities], d, solve)
+    walk_subsets(ech, [int_row(h, i) for i in h.inequalities], d, solve)
     feasible = sorted(x for x in found if contains(h, dict(zip(h.coordinates, x))))
     if not feasible:
         raise EmptyPolytope("no vertex satisfies all constraints")
@@ -932,7 +936,8 @@ class TestCountLatticePoints:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_rhs_denominators_shared_with_the_dilation(self, data):
-        # every rhs has denominator 2 or 3, so most dilations 1..6 share a factor with one
+        # every rhs has denominator 2 or 3, so most dilations 1..6 share a factor with one;
+        # the columns are declared in a drawn order, so id order need not be column order
         coords = ["x", "y", "z"][:data.draw(st.integers(2, 3))]
         rhs = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([2, 3]))
         bound = st.builds(Fraction, st.integers(1, 4), st.sampled_from([2, 3]))
@@ -944,7 +949,7 @@ class TestCountLatticePoints:
             coeffs = {c: data.draw(st.integers(-2, 2)) for c in coords}
             if any(coeffs.values()):
                 rows.append(LinearInequality(coeffs, data.draw(rhs)))
-        h = HRepresentation(coords, rows)
+        h = HRepresentation(data.draw(st.permutations(coords)), rows)
         for n in range(1, 7):
             bounds = [(r.coeffs, r.rhs * n) for r in rows]
             box = [range(-math.floor(lo * n), math.floor(hi * n) + 1) for lo, hi in zip(lower, upper)]
@@ -1036,6 +1041,11 @@ class TestPolynomialAlgebra:
         assert p + polynomial([0, 0, 1]) == polynomial([1, 1, 1])
         assert (p ** 3).coefficients == (1, 3, 3, 1)
         assert 2 * p == polynomial([2, 2])
+        assert p ** 0 == polynomial([1])
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="at least 0, got -1"):
+            polynomial([1, 1]) ** -1
 
     def test_str_constant_first(self):
         assert str(polynomial([1, Fraction(1, 2)])) == "1, 1/2"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -255,7 +256,7 @@ class TestValidateAgainstOracle:
         # strict markings, often irregular; marks as drawn, scaled by 1/3,
         # and halved downwards, which ties comparable marks and breaks strictness
         rng = random.Random(seed)
-        flagged = {"strict": 0, "regular": 0}
+        flagged = {"strict": 0, "regular": 0, "decreasing": 0}
         for _ in range(600):
             mp = _draw(rng, 5, 0, 4, 1)
             if mp is None:
@@ -265,7 +266,23 @@ class TestValidateAgainstOracle:
                 report = self.check(remarked)
                 flagged["strict"] += not report.strict
                 flagged["regular"] += not report.regular
+            # negated marks decrease on every comparable marked pair; the marks
+            # mod 3 on some pairs only: the constructor refuses the first
+            # decreasing pair in id order, and takes a marking with none
+            for scale in (lambda v: -v, lambda v: v % 3):
+                remarking = {a: scale(v) for a, v in mp.marking.items()}
+                marked = sorted(remarking)
+                first = next(((a, b) for a in marked for b in marked
+                              if mp.poset.less(a, b) and remarking[a] > remarking[b]), None)
+                if first is None:
+                    self.check(MarkedPoset(mp.poset, remarking))
+                    continue
+                flagged["decreasing"] += 1
+                with pytest.raises(ValueError, match=re.escape(
+                        f"marking is not order-preserving on {first[0]!r} < {first[1]!r}")):
+                    MarkedPoset(mp.poset, remarking)
         assert flagged["strict"] >= 60 and flagged["regular"] >= 600
+        assert flagged["decreasing"] >= 300
 
 
 class TestDraw:

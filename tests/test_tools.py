@@ -1,12 +1,15 @@
-"""The tools in ``tools/``: the line counter on sources whose count is known, and the output digest."""
+"""The tools in ``tools/``: the line counter on sources whose count is known, the output digest,
+and the route-line tracer."""
 
 import importlib.util
+import inspect
 import sys
 import types
 from pathlib import Path
 
 import pytest
 
+import markedposets
 from markedposets import cli
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -21,6 +24,7 @@ def load_tool(name):
 
 code_lines = load_tool("code_lines")
 output_digest = load_tool("output_digest")
+route_lines = load_tool("route_lines")
 
 SOURCE = '''\
 """Module docstring,
@@ -127,3 +131,55 @@ def test_document_paths_are_shortened_to_file_names(monkeypatch, capsys, tmp_pat
                                      str(tmp_path)) for extra in ([], ["--json"])]
     assert lines == [f"crossval: validate d.json {expected[0]}",
                      f"crossval: validate d.json --json {expected[1]}"]
+
+
+ROUTE_SOURCE = '''\
+import os
+
+
+def used(x):
+    """Docstring."""
+    if x:
+        return 1
+    else:
+        y = 2
+        return y
+
+
+def unused():
+    return 3
+
+
+class Thing:
+    def method(self):
+        try:
+            pass
+        except ValueError:
+            raise
+'''
+
+
+def test_unrun_statements_lists_outermost_statements_and_whole_functions():
+    # lines 6 and 7 ran in ``used``, 19 and 20 in ``method``; module and class bodies are not listed
+    assert route_lines.unrun_statements(ROUTE_SOURCE, {6, 7, 19, 20}) == [(9, 9), (10, 10), (13, 14), (22, 22)]
+    assert route_lines.unrun_statements(ROUTE_SOURCE, set()) == [(4, 10), (13, 14), (18, 22)]
+
+
+def test_route_lines_traces_only_the_commands(monkeypatch, capsys):
+    def build_commands(lib, workload, seed, docs, tiny):
+        return [types.SimpleNamespace(argv=["validate", "--builtin", "figure1"]),
+                types.SimpleNamespace(argv=["polytope", "--builtin", "figure1",
+                                            "--family", "order", "--emit", "vertices"])]
+
+    monkeypatch.setattr(route_lines.workloads, "WORKLOADS", ["crossval"])
+    monkeypatch.setattr(route_lines.run, "fresh_import", lambda: markedposets)
+    monkeypatch.setattr(route_lines.run, "build_commands", build_commands)
+    assert route_lines.main(["--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    section = out.split("src/markedposets/cli.py: ")[1].split("\nsrc/")[0].splitlines()[1:]
+    entries = {int(span.split("-")[0]): text for span, text in (line.split(None, 1) for line in section)}
+    assert "def cmd_corpus(args) -> int:" in entries.values()
+    assert 'if args.emit == "facets":' in entries.values()  # the vertices branch ran instead
+    assert "v = enumerate_vertices(h)" not in entries.values()
+    lines, first = inspect.getsourcelines(cli.cmd_validate)
+    assert not any(first <= n < first + len(lines) for n in entries)
