@@ -122,9 +122,13 @@ def _load(args) -> tuple[str, MarkedPoset, ChainOrderPartition | None]:
 
 def format_hrep(h: HRepresentation) -> str:
     lines = ["coords " + " ".join(h.coordinates)]
+    zeros = ["0"] * len(h.coordinates)
     for kind, relation, rows in (("ineq", "<=", h.inequalities), ("eq", "==", h.equalities)):
-        lines.extend(f"{kind} {' '.join(map(str, h._dense(row)))} {relation} {row.rhs}"
-                     for row in rows)
+        for row in rows:
+            cells = zeros.copy()  # only the nonzero cells are rendered
+            for c, a in row.coeffs.items():
+                cells[h._column[c]] = str(a)
+            lines.append(f"{kind} {' '.join(cells)} {relation} {row.rhs}")
     return "\n".join(lines)
 
 

@@ -10,9 +10,13 @@ products of binomial polynomials read off each extension's descent pattern
 between consecutive marked elements.  It groups the extensions by the
 multiset of their segments (mark gap, descents, length), so each distinct
 product is expanded once, in integers over the common denominator u! (u the
-number of unmarked elements), and scaled by how many extensions share it;
-the only division is the last one, by u!.  The two routes are held equal on
-every corpus instance by the test suite.
+number of unmarked elements), and scaled by how many extensions share it.
+The marked order polytope is the product of its pieces' polytopes (a piece:
+unmarked elements joined by covers between two unmarked elements), and the
+Ehrhart polynomial of a product is the product of its factors', so the
+formula streams each piece on its own and multiplies the integer numerators;
+the only division is the last one, by the product of the pieces' u!.  The
+two routes are held equal on every corpus instance by the test suite.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     ExtensionExplosion,
@@ -44,6 +48,7 @@ from .posets import (
     ExtensionWord,
     MarkedPoset,
     Poset,
+    _pieces,
     check_natural_labeling,
     linear_extensions,
     require_strict_regular,
@@ -79,18 +84,15 @@ def ehrhart_by_counting(h: HRepresentation) -> UnivariatePolynomial:
     return poly
 
 
-def _tie_break_poset(mp: MarkedPoset, labeling: Mapping[str, int] | None) -> Poset:
-    """The poset with every marked element in one chain, ordered by mark.
+def _tie_break_poset(elements: Iterable[str], covers: Iterable[tuple[str, str]],
+                     marks: Mapping[str, int | Fraction], labeling: Mapping[str, int] | None) -> Poset:
+    """The poset on ``elements`` with ``covers`` and every marked element in one chain, ordered by mark.
 
     Ties are broken by the reference labeling (by id for the canonical one),
     so the extension stream counts each family of order-preserving maps once.
-    A given labeling is checked on ``mp`` first, so the sort never meets an
-    element it does not label; ``linear_extensions`` checks it on the result.
     """
-    if labeling is not None:
-        check_natural_labeling(mp.poset, labeling)
-    marked = sorted(mp.marked, key=lambda a: (mp.value(a), a if labeling is None else labeling[a]))
-    return Poset.from_relations(mp.poset.elements, [*mp.poset.covers, *zip(marked, marked[1:])])
+    chain = sorted(marks, key=lambda a: (marks[a], a if labeling is None else labeling[a]))
+    return Poset.from_relations(elements, [*covers, *zip(chain, chain[1:])])
 
 
 def restricted_linear_extensions(
@@ -99,23 +101,37 @@ def restricted_linear_extensions(
     """Linear extensions with the marked elements in nondecreasing mark order.
 
     Equal-mark marked elements are kept in one canonical relative order, so
-    each word of unmarked segments appears exactly once.
+    each word of unmarked segments appears exactly once.  A given labeling is
+    checked on ``mp`` first, so the tie-break sort never meets an element it
+    does not label; ``linear_extensions`` checks it on the tie-break poset.
     """
-    return linear_extensions(_tie_break_poset(mp, labeling), labeling)
+    if labeling is not None:
+        check_natural_labeling(mp.poset, labeling)
+    return linear_extensions(_tie_break_poset(mp.poset.elements, mp.poset.covers, mp.marking, labeling),
+                             labeling)
 
 
-def _capped_extensions(mp: MarkedPoset, labeling: Mapping[str, int] | None) -> Iterator[ExtensionWord]:
-    """The restricted extensions; an ExtensionExplosion past the work cap."""
+def _capped(streams: Iterable[Iterator[ExtensionWord]]) -> Iterator[tuple[int, ExtensionWord]]:
+    """Each stream's words, tagged with the stream's index; an ExtensionExplosion once
+    the streams together pass the work cap."""
     cap = _work_cap(DEFAULT_EXTENSION_CAP)
-    for seen, ext in enumerate(restricted_linear_extensions(mp, labeling), 1):
-        if seen > cap:
-            raise ExtensionExplosion(f"more than {cap} restricted linear extensions"
-                                     "; set MPP_WORK_CAP to raise it")
-        yield ext
+    seen = 0
+    for i, words in enumerate(streams):
+        for ext in words:
+            seen += 1
+            if seen > cap:
+                raise ExtensionExplosion(f"more than {cap} restricted linear extensions"
+                                         "; set MPP_WORK_CAP to raise it")
+            yield i, ext
 
 
 def count_restricted_extensions(mp: MarkedPoset) -> int:
-    return sum(1 for _ in _capped_extensions(mp, None))
+    """The number of restricted linear extensions of the whole of ``mp`` (capped).
+
+    On a poset with two or more pieces the formula streams fewer words than
+    this: the sum of the pieces' counts, not their product times the shuffles.
+    """
+    return sum(1 for _ in _capped([restricted_linear_extensions(mp)]))
 
 
 def _segment_factor(delta: int, descents: int, k: int) -> tuple[int, ...]:
@@ -137,17 +153,42 @@ def _segment_factor(delta: int, descents: int, k: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _factor_streams(mp: MarkedPoset, labeling: Mapping[str, int] | None
+                    ) -> list[tuple[Iterator[ExtensionWord], int]]:
+    """One restricted extension stream per piece of ``mp``, with the piece's size.
+
+    A poset with at most one piece is its own factor and streams as a whole.
+    Otherwise a given labeling is checked once, on the whole tie-break poset,
+    and ranked within each piece: it is natural there, since each piece's
+    tie-break covers are relations of the whole tie-break poset.
+    """
+    pieces = _pieces(mp)
+    if len(pieces) < 2:
+        return [(restricted_linear_extensions(mp, labeling), len(mp.unmarked))]
+    if labeling is not None:
+        check_natural_labeling(mp.poset, labeling)
+        check_natural_labeling(_tie_break_poset(mp.poset.elements, mp.poset.covers, mp.marking, labeling),
+                               labeling)
+    streams = []
+    for piece, covers in pieces:
+        marks = {a: mp.marking[a] for cover in covers for a in cover if a in mp.marked}
+        tie_break = _tie_break_poset((*piece, *marks), covers, marks, labeling)
+        ranked = None if labeling is None else {
+            e: r for r, e in enumerate(sorted(tie_break.elements, key=labeling.__getitem__), 1)}
+        streams.append((linear_extensions(tie_break, ranked), len(piece)))
+    return streams
+
+
 def ehrhart_formula_marked_order(
     mp: MarkedPoset,
     labeling: Mapping[str, int] | None = None,
 ) -> UnivariatePolynomial:
-    """The closed Ehrhart formula of the marked order polytope.
+    """The closed Ehrhart formula of the marked order polytope, as a product over its pieces.
 
-    Streams the restricted linear extensions (ExtensionExplosion past the
-    work cap, :data:`DEFAULT_EXTENSION_CAP` unless ``MPP_WORK_CAP`` is set); each
-    extension contributes the product, over its maximal unmarked segments
-    between consecutive marked elements a and b (k elements, d descents
-    counted from a's position up to just before b's), of
+    For one marked poset the formula streams the restricted linear
+    extensions; each extension contributes the product, over its maximal
+    unmarked segments between consecutive marked elements a and b (k
+    elements, d descents counted from a's position up to just before b's), of
     C(n*(mark(b) - mark(a)) - d + k, k).
 
     The product depends only on the multiset of (mark(b) - mark(a), d, k)
@@ -155,42 +196,70 @@ def ehrhart_formula_marked_order(
     signature; each distinct signature is multiplied out once, in integers
     over the common denominator u! (u unmarked elements; a word's segments are
     disjoint sets of them), and each distinct triple is expanded once.
+
+    The polytope is the product of its pieces' order polytopes, so the formula
+    runs on each piece's marked poset -- the piece, the marks adjacent to it
+    and the covers of P that touch it -- and multiplies the integer
+    numerators, dividing once by the product of the u_i! at the end.  Why:
+
+    1. Every order H-rep row touches one piece: a cover between two unmarked
+       elements lies inside a piece, a mark-element cover bounds one
+       coordinate, and a mark-mark cover gives no row.
+    2. The piece's marked poset is valid and strict regular, and its order
+       polytope is that factor.  Its covers are covers of P, so none is
+       implied; its relations are relations of P, so strictness, regularity
+       and order preservation carry over; each unmarked element has a lower
+       and an upper cover in P, each in the piece or an adjacent mark, so the
+       extremes are marked.  Hence no piece is validated again.
+    3. A lattice point of n(A x B) is a pair of lattice points of nA and nB,
+       so L_{A x B} = L_A * L_B.
+
+    The work cap (:data:`DEFAULT_EXTENSION_CAP` unless ``MPP_WORK_CAP`` is
+    set) bounds the words streamed in one call, summed over the pieces;
+    past it, ExtensionExplosion.
     """
     require_strict_regular(mp, "ehrhart_formula_marked_order")
     if not mp.is_integral():
         raise PreconditionViolated("the closed formula needs an integral marking")
 
     marks = {a: int(v) for a, v in mp.marking.items()}
-    signatures: Counter[tuple[tuple[int, int, int], ...]] = Counter()
-    for ext in _capped_extensions(mp, labeling):
+    streams = _factor_streams(mp, labeling)
+    signatures: list[Counter[tuple[tuple[int, int, int], ...]]] = [Counter() for _ in streams]
+    for factor, ext in _capped(words for words, _ in streams):
         marked_at = [i for i, e in enumerate(ext.word) if e in marks]
-        signatures[tuple(sorted(
+        signatures[factor][tuple(sorted(
             (marks[ext.word[t]] - marks[ext.word[s]], ext.segment_descents(s, t), t - s - 1)
             for s, t in zip(marked_at, marked_at[1:])))] += 1
-    return _signature_sum(signatures, len(mp.unmarked))
+    return _signature_sum(zip(signatures, (unmarked for _, unmarked in streams)))
 
 
-def _signature_sum(signatures: Mapping[tuple[tuple[int, int, int], ...], int],
-                   unmarked: int) -> UnivariatePolynomial:
-    """Sum words * prod C(n*delta - d + k, k) over (delta, d, k) in each signature.
+def _signature_sum(factors: Iterable[tuple[Mapping[tuple[tuple[int, int, int], ...], int], int]]
+                   ) -> UnivariatePolynomial:
+    """Multiply, over the factors, the sums of words * prod C(n*delta - d + k, k), (delta, d, k) in a signature.
 
-    Every signature's lengths k must sum to at most ``unmarked`` (u): then
+    Each factor is its signature counts and its number u of unmarked
+    elements.  Every signature's lengths k must sum to at most u: then
     u!/(k_1! k_2! ...) is an integer, a multinomial times a factorial, and
-    dividing out one k_i! at a time stays exact.  Each term is its numerator
-    product times words * u!/(k_1! k_2! ...), the terms add up in one integer
-    coefficient list, and each coefficient is divided by u! once.
+    dividing out one k_i! at a time stays exact.  A factor's numerator over
+    u! sums, in one integer coefficient list, each signature's numerator
+    product times words * u!/(k_1! k_2! ...).  The numerators multiply, and
+    each coefficient of the product is divided by the product of the u! once.
     """
     numerator = cache(_segment_factor)
-    denominator = math.factorial(unmarked)
-    total = [0] * (unmarked + 1)
-    for signature, words in signatures.items():
-        term, scale = [1], words * denominator
-        for delta, descents, k in signature:
-            term = _convolve(term, numerator(delta, descents, k))
-            scale //= math.factorial(k)
-        for i, c in enumerate(term):
-            total[i] += scale * c
-    return UnivariatePolynomial(tuple(Fraction(c, denominator) for c in total))
+    product, denominator = [1], 1
+    for signatures, unmarked in factors:
+        scale_all = math.factorial(unmarked)
+        total = [0] * (unmarked + 1)
+        for signature, words in signatures.items():
+            term, scale = [1], words * scale_all
+            for delta, descents, k in signature:
+                term = _convolve(term, numerator(delta, descents, k))
+                scale //= math.factorial(k)
+            for i, c in enumerate(term):
+                total[i] += scale * c
+        product = _convolve(product, total)
+        denominator *= scale_all
+    return UnivariatePolynomial(tuple(Fraction(c, denominator) for c in product))
 
 
 def _check_pm_arguments(m: int, c: int) -> None:

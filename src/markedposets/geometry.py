@@ -132,15 +132,8 @@ class HRepresentation:
         self._vertex_cache: VRepresentation | None = None
         self._classify_cache: tuple | None = None
 
-    def _dense(self, row: LinearInequality) -> list[int]:
-        """The row's coefficients in declared coordinate order."""
-        dense = [0] * len(self.coordinates)
-        for c, a in row.coeffs.items():
-            dense[self._column[c]] = a
-        return dense
-
     def _sparse_key(self, row: LinearInequality) -> list:
-        """A key that sorts and compares like ``(*self._dense(row), row.rhs)``.
+        """A key that sorts and compares like the dense row, its coefficients in column order, then rhs.
 
         Each nonzero a in column j becomes the pair n - j, a if a > 0, else
         j - n, a (n columns), in column order; then a 0 stands for the zeros

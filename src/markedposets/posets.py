@@ -186,6 +186,26 @@ def _components(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[
     return components
 
 
+def _pieces(mp: "MarkedPoset") -> list[tuple[tuple[str, ...], list[tuple[str, str]]]]:
+    """The pieces of ``mp``, each with the covers of P that touch it, in cover order.
+
+    A piece is a component of the unmarked elements under the covers between
+    two unmarked elements; pieces are listed by least element.  A cover with
+    an unmarked end touches the one piece holding that end, so one pass over
+    the covers sorts them; a cover between two marked elements touches none.
+    """
+    marked = mp.marked
+    covers = mp.poset.covers
+    pieces = _components(mp.unmarked, [(p, q) for p, q in covers if p not in marked and q not in marked])
+    piece_of = {e: i for i, piece in enumerate(pieces) for e in piece}
+    touching: list[list[tuple[str, str]]] = [[] for _ in pieces]
+    for p, q in covers:
+        i = piece_of.get(p, piece_of.get(q))
+        if i is not None:
+            touching[i].append((p, q))
+    return list(zip(pieces, touching))
+
+
 def _saturated_chains(poset: Poset, endpoints: frozenset[str]) -> list[tuple[str, tuple[str, ...], str]]:
     """Saturated chains whose two ends lie in ``endpoints`` and whose interior avoids it.
 

@@ -24,7 +24,7 @@ from .polytopes import build_chain_hrep, build_chain_order_hrep
 from .posets import (
     ChainOrderPartition,
     MarkedPoset,
-    _components,
+    _pieces,
     _regularize,
     require_strict,
     require_strict_regular,
@@ -74,19 +74,11 @@ def order_two_level_criterion(mp: MarkedPoset) -> bool:
     input.
     """
     require_strict_regular(mp, "order_two_level_criterion")
-    covers = mp.poset.covers
-    coupling = [(p, q) for p, q in covers if p not in mp.marked and q not in mp.marked]
-    pieces = _components(mp.unmarked, coupling)
-    piece_of = {e: index for index, piece in enumerate(pieces) for e in piece}
-    below: list[set] = [set() for _ in pieces]
-    above: list[set] = [set() for _ in pieces]
-    # one pass over the covers: each one between a mark and a piece bounds that piece
-    for p, q in covers:
-        if q in piece_of and p in mp.marked:
-            below[piece_of[q]].add(mp.value(p))
-        elif p in piece_of and q in mp.marked:
-            above[piece_of[p]].add(mp.value(q))
-    return all(len(b) == 1 and len(a) == 1 for b, a in zip(below, above))
+    marking = mp.marking
+    # a cover between a mark and a piece bounds that piece
+    return all(len({marking[p] for p, _ in covers if p in marking}) == 1
+               and len({marking[q] for _, q in covers if q in marking}) == 1
+               for _, covers in _pieces(mp))
 
 
 @dataclass(frozen=True)

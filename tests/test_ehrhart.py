@@ -43,6 +43,7 @@ from markedposets.corpus import corpus, random_marked_poset
 from markedposets.ehrhart import _segment_factor, _signature_sum
 from markedposets.errors import VerificationFailed
 from markedposets.geometry import _count_points, enumerate_vertices
+from markedposets.posets import _pieces
 from helpers import all_chain_order_partitions, augment_marked_order
 from test_geometry import fraction_lagrange
 
@@ -459,7 +460,74 @@ class TestIntegerAssembly:
     @example(signatures=Counter({((0, 0, 0), (2, 3, 3), (3, 1, 2)): 4, ((1, 0, 5),): 2}), slack=0)
     def test_random_signatures(self, signatures, slack):
         unmarked = max((sum(k for _, _, k in sig) for sig in signatures), default=0) + slack
-        assert _signature_sum(signatures, unmarked) == fraction_signature_sum(signatures)
+        assert _signature_sum([(signatures, unmarked)]) == fraction_signature_sum(signatures)
+
+
+def piece_marked_poset(mp, piece, covers):
+    """The marked poset of one piece: the piece, its adjacent marks and the covers that touch it."""
+    marks = {a: mp.value(a) for cover in covers for a in cover if a in mp.marked}
+    return MarkedPoset(Poset([*piece, *marks], covers), marks)
+
+
+# multi-piece instances measured in corpus(seed, size, max_unmarked=7), pinned as floors
+MULTI_PIECE_FLOORS = {(150, 20250808): 26, (150, 3): 35, (150, 7): 31,
+                      (200, 20250808): 36, (200, 3): 43, (200, 7): 42}
+
+
+class TestPieceProduct:
+    """The formula as a product over the pieces of the marked order polytope."""
+
+    @pytest.mark.parametrize("size, seed", sorted(MULTI_PIECE_FLOORS))
+    def test_corpus_pieces_are_the_factors(self, size, seed):
+        # the corpora of TestSignatureGrouping (150) and TestIntegerAssembly (200)
+        multi = [mp for mp in corpus(seed, size, max_unmarked=7) if len(_pieces(mp)) > 1]
+        assert len(multi) >= MULTI_PIECE_FLOORS[size, seed]
+        for mp in multi:
+            rows = Counter(build_order_hrep(mp).inequalities)
+            assert not build_order_hrep(mp).equalities
+            factor_rows = Counter()
+            for piece, covers in _pieces(mp):
+                factor = piece_marked_poset(mp, piece, covers)
+                report = validate_marked(factor)
+                assert report.strict and report.regular
+                h = build_order_hrep(factor)
+                assert not h.equalities and set(h.coordinates) == set(piece)
+                assert Counter(h.inequalities) == Counter(
+                    {row: n for row, n in rows.items() if row.coeffs.keys() <= set(piece)})
+                factor_rows += Counter(h.inequalities)
+            assert factor_rows == rows
+
+    @pytest.mark.parametrize("k", [10, 20])
+    def test_cube_past_the_shuffle_wall(self, k):
+        assert ehrhart_formula_marked_order(cube(k)) == polynomial([1, 1]) ** k
+
+    def test_cap_sums_the_pieces(self, monkeypatch):
+        # the 12-cube streams one word per piece
+        monkeypatch.setenv("MPP_WORK_CAP", "12")
+        assert ehrhart_formula_marked_order(cube(12)) == polynomial([1, 1]) ** 12
+        monkeypatch.setenv("MPP_WORK_CAP", "11")
+        with pytest.raises(ExtensionExplosion, match="^more than 11 restricted linear extensions"
+                                                     "; set MPP_WORK_CAP to raise it$"):
+            ehrhart_formula_marked_order(cube(12))
+
+    def test_labeled_equals_unlabeled_on_many_pieces(self):
+        rng = random.Random(57)
+        corpus_multi = [mp for mp in corpus(ORACLE_SEEDS[0], 150, max_unmarked=7) if len(_pieces(mp)) > 1]
+        for mp in [cube(4), cube(6), pm_family(5, 1), pm_family(7, 2), *corpus_multi[:12]]:
+            assert len(_pieces(mp)) > 1
+            base = ehrhart_formula_marked_order(mp)
+            for _ in range(3):
+                labeling = random_natural_labeling(rng, augment_marked_order(mp))
+                assert ehrhart_formula_marked_order(mp, labeling=labeling) == base
+
+    @settings(max_examples=60, deadline=None)
+    @given(first=signature_counters(), second=signature_counters())
+    def test_signature_sum_multiplies_factors(self, first, second):
+        def unmarked(signatures):
+            return max((sum(k for _, _, k in sig) for sig in signatures), default=0)
+
+        assert (_signature_sum([(first, unmarked(first)), (second, unmarked(second))])
+                == fraction_signature_sum(first) * fraction_signature_sum(second))
 
 
 class TestFamilyEquality:

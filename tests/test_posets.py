@@ -16,7 +16,7 @@ from markedposets import (
     validate_marked,
 )
 from markedposets.corpus import _draw, corpus
-from markedposets.posets import (_components, _members, _saturated_chains, _topological_order,
+from markedposets.posets import (_components, _members, _pieces, _saturated_chains, _topological_order,
                                  _up_sets, induced_subposet)
 from helpers import augment_marked_order
 
@@ -319,6 +319,26 @@ class TestHasseComponents:
     def test_single_point(self):
         p = Poset(["a"], [])
         assert _components(p.elements, p.covers) == [("a",)]
+
+
+class TestPieces:
+    """``_pieces``: unmarked components under unmarked covers, each with the covers touching it."""
+
+    def test_two_chains_and_a_marked_cover(self):
+        p = Poset(["a", "x", "b", "c", "y", "d"],
+                  [("a", "x"), ("x", "b"), ("c", "y"), ("y", "d"), ("a", "d")])
+        mp = MarkedPoset(p, {"a": 0, "b": 2, "c": 1, "d": 3})
+        assert _pieces(mp) == [(("x",), [("a", "x"), ("x", "b")]), (("y",), [("c", "y"), ("y", "d")])]
+
+    def test_diamond_is_two_pieces(self, diamond_02):
+        assert [piece for piece, _ in _pieces(diamond_02)] == [("x",), ("y",)]
+
+    def test_unmarked_cover_joins_a_piece(self):
+        p = Poset(["a", "u", "v", "b"], [("a", "u"), ("u", "v"), ("v", "b")])
+        assert _pieces(MarkedPoset(p, {"a": 0, "b": 1})) == [(("u", "v"), list(p.covers))]
+
+    def test_no_unmarked_elements(self):
+        assert _pieces(MarkedPoset(Poset(["a", "b"], [("a", "b")]), {"a": 0, "b": 1})) == []
 
 
 class TestMaximalMarkedChains:
