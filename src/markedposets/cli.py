@@ -122,13 +122,10 @@ def _load(args) -> tuple[str, MarkedPoset, ChainOrderPartition | None]:
 
 def format_hrep(h: HRepresentation) -> str:
     lines = ["coords " + " ".join(h.coordinates)]
-    zeros = ["0"] * len(h.coordinates)
     for kind, relation, rows in (("ineq", "<=", h.inequalities), ("eq", "==", h.equalities)):
-        for row in rows:
-            cells = zeros.copy()  # only the nonzero cells are rendered
-            for c, a in row.coeffs.items():
-                cells[h._column[c]] = str(a)
-            lines.append(f"{kind} {' '.join(cells)} {relation} {row.rhs}")
+        # only the nonzero cells are rendered; the zeros share one string
+        lines.extend(f"{kind} {' '.join(h._dense(row, '0', str))} {relation} {row.rhs}"
+                     for row in rows)
     return "\n".join(lines)
 
 

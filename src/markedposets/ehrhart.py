@@ -128,8 +128,9 @@ def _capped(streams: Iterable[Iterator[ExtensionWord]]) -> Iterator[tuple[int, E
 def count_restricted_extensions(mp: MarkedPoset) -> int:
     """The number of restricted linear extensions of the whole of ``mp`` (capped).
 
-    On a poset with two or more pieces the formula streams fewer words than
-    this: the sum of the pieces' counts, not their product times the shuffles.
+    The formula streams fewer words than this on a poset with two or more
+    pieces (the sum of the pieces' counts, not their product times the
+    shuffles) or with a mark that touches no piece.
     """
     return sum(1 for _ in _capped([restricted_linear_extensions(mp)]))
 
@@ -157,20 +158,17 @@ def _factor_streams(mp: MarkedPoset, labeling: Mapping[str, int] | None
                     ) -> list[tuple[Iterator[ExtensionWord], int]]:
     """One restricted extension stream per piece of ``mp``, with the piece's size.
 
-    A poset with at most one piece is its own factor and streams as a whole.
-    Otherwise a given labeling is checked once, on the whole tie-break poset,
-    and ranked within each piece: it is natural there, since each piece's
-    tie-break covers are relations of the whole tie-break poset.
+    A given labeling is checked once, on the whole tie-break poset, and
+    ranked within each piece: it is natural there, since each piece's
+    tie-break covers are relations of the whole tie-break poset.  With no
+    unmarked element there is no piece and no stream.
     """
-    pieces = _pieces(mp)
-    if len(pieces) < 2:
-        return [(restricted_linear_extensions(mp, labeling), len(mp.unmarked))]
     if labeling is not None:
         check_natural_labeling(mp.poset, labeling)
         check_natural_labeling(_tie_break_poset(mp.poset.elements, mp.poset.covers, mp.marking, labeling),
                                labeling)
     streams = []
-    for piece, covers in pieces:
+    for piece, covers in _pieces(mp):
         marks = {a: mp.marking[a] for cover in covers for a in cover if a in mp.marked}
         tie_break = _tie_break_poset((*piece, *marks), covers, marks, labeling)
         ranked = None if labeling is None else {

@@ -132,8 +132,16 @@ class HRepresentation:
         self._vertex_cache: VRepresentation | None = None
         self._classify_cache: tuple | None = None
 
+    def _dense(self, row: LinearInequality, zero=0, cell=lambda a: a) -> list:
+        """The row's coefficients in declared coordinate order, each nonzero one
+        passed through ``cell``; ``zero`` fills the other columns."""
+        dense = [zero] * len(self.coordinates)
+        for c, a in row.coeffs.items():
+            dense[self._column[c]] = cell(a)
+        return dense
+
     def _sparse_key(self, row: LinearInequality) -> list:
-        """A key that sorts and compares like the dense row, its coefficients in column order, then rhs.
+        """A key that sorts and compares like ``(*self._dense(row), row.rhs)``.
 
         Each nonzero a in column j becomes the pair n - j, a if a > 0, else
         j - n, a (n columns), in column order; then a 0 stands for the zeros

@@ -200,7 +200,7 @@ def _pieces(mp: "MarkedPoset") -> list[tuple[tuple[str, ...], list[tuple[str, st
     piece_of = {e: i for i, piece in enumerate(pieces) for e in piece}
     touching: list[list[tuple[str, str]]] = [[] for _ in pieces]
     for p, q in covers:
-        i = piece_of.get(p, piece_of.get(q))
+        i = piece_of[p] if p in piece_of else piece_of.get(q)
         if i is not None:
             touching[i].append((p, q))
     return list(zip(pieces, touching))

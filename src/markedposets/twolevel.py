@@ -75,10 +75,17 @@ def order_two_level_criterion(mp: MarkedPoset) -> bool:
     """
     require_strict_regular(mp, "order_two_level_criterion")
     marking = mp.marking
-    # a cover between a mark and a piece bounds that piece
-    return all(len({marking[p] for p, _ in covers if p in marking}) == 1
-               and len({marking[q] for _, q in covers if q in marking}) == 1
-               for _, covers in _pieces(mp))
+    for _, covers in _pieces(mp):
+        below, above = set(), set()
+        # one pass over the covers that touch the piece: a marked end bounds it
+        for p, q in covers:
+            if p in marking:
+                below.add(marking[p])
+            elif q in marking:
+                above.add(marking[q])
+        if len(below) != 1 or len(above) != 1:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

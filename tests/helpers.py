@@ -36,14 +36,6 @@ def invert_matrix(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fract
     return [row[d:] for row in aug]
 
 
-def dense_row(h: HRepresentation, row: LinearInequality) -> list[int]:
-    """The row's coefficients in the declared coordinate order of ``h``."""
-    dense = [0] * len(h.coordinates)
-    for c, a in row.coeffs.items():
-        dense[h._column[c]] = a
-    return dense
-
-
 def affine_image(
     h: HRepresentation,
     matrix: Sequence[Sequence[int | Fraction]],
@@ -55,7 +47,7 @@ def affine_image(
     t = [Fraction(s) for s in shift]
 
     def transform(row: LinearInequality) -> LinearInequality:
-        a = dense_row(h, row)
+        a = h._dense(row)
         new_a = [sum(a[i] * inv[i][j] for i in range(d)) for j in range(d)]
         offset = sum(new_a[j] * t[j] for j in range(d))
         return LinearInequality(dict(zip(h.coordinates, new_a)), row.rhs + offset)

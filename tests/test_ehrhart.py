@@ -510,6 +510,15 @@ class TestPieceProduct:
                                                      "; set MPP_WORK_CAP to raise it$"):
             ehrhart_formula_marked_order(cube(12))
 
+    def test_mark_off_every_piece_is_not_streamed(self, monkeypatch):
+        # b sits between a and c in the whole tie-break chain, so x shuffles
+        # against it there; x's piece, bounded by a and c, streams one word
+        mp = MarkedPoset(Poset(["a", "b", "c", "x"], [("a", "x"), ("x", "c")]), {"a": 0, "b": 1, "c": 2})
+        assert len(_pieces(mp)) == 1 and count_restricted_extensions(mp) == 2
+        assert ehrhart_by_counting(build_order_hrep(mp)) == polynomial([1, 2])
+        monkeypatch.setenv("MPP_WORK_CAP", "1")
+        assert ehrhart_formula_marked_order(mp) == polynomial([1, 2])
+
     def test_labeled_equals_unlabeled_on_many_pieces(self):
         rng = random.Random(57)
         corpus_multi = [mp for mp in corpus(ORACLE_SEEDS[0], 150, max_unmarked=7) if len(_pieces(mp)) > 1]

@@ -49,7 +49,7 @@ from markedposets.geometry import (
     _scaled_values,
     classify_inequalities,
 )
-from helpers import affine_image, all_chain_order_partitions, dense_row, random_unimodular_map
+from helpers import affine_image, all_chain_order_partitions, random_unimodular_map
 
 
 def hrep2(rows):
@@ -214,8 +214,8 @@ def reject_unbounded_by_rays(h):
     gives a candidate extreme ray of the recession cone, tried both ways.
     """
     d = len(h.coordinates)
-    ineq_vecs = [dense_row(h, i) + [0] for i in h.inequalities]
-    eq_vecs = [dense_row(h, e) + [0] for e in h.equalities]
+    ineq_vecs = [h._dense(i) + [0] for i in h.inequalities]
+    eq_vecs = [h._dense(e) + [0] for e in h.equalities]
     probe = _IntEchelon(d)
     for vec in ineq_vecs + eq_vecs:
         probe.push_residual(probe.residual(vec))
@@ -247,7 +247,7 @@ def oracle_vertices(h):
 
 def int_row(h, ineq):
     """The constraint a.x <= p/q as the all-integer augmented dense row [q a | p]."""
-    return [a * ineq.rhs.denominator for a in dense_row(h, ineq)] + [ineq.rhs.numerator]
+    return [a * ineq.rhs.denominator for a in h._dense(ineq)] + [ineq.rhs.numerator]
 
 
 def subset_walk_vertices(h):
@@ -1126,7 +1126,7 @@ class TestSparseRowOrder:
         h = HRepresentation(coords, rows)
 
         def dense(row):
-            return (*dense_row(h, row), row.rhs)
+            return (*h._dense(row), row.rhs)
 
         for r in rows:
             for s in rows:
@@ -1134,7 +1134,7 @@ class TestSparseRowOrder:
                 assert (h._sparse_key(r) == h._sparse_key(s)) == (dense(r) == dense(s))
         unique = {dense(row): row for row in rows}
         assert h.inequalities == tuple(unique[k] for k in sorted(unique))
-        signed = [row if next(a for a in dense_row(h, row) if a) > 0 else row.negated() for row in rows]
+        signed = [row if next(a for a in h._dense(row) if a) > 0 else row.negated() for row in rows]
         unique = {dense(row): row for row in signed}
         assert HRepresentation(coords, [], rows).equalities == tuple(unique[k] for k in sorted(unique))
 
