@@ -5,18 +5,20 @@ a closed formula.  The counting route counts the closed dilates nP for
 n = 0..floor(dim/2) and, by Ehrhart-Macdonald reciprocity, the relative
 interiors of mP for m = 1..ceil(dim/2) in place of the larger dilates; one
 more closed count, at floor(dim/2) + 1, checks the interpolated polynomial.
-The formula sums, over the linear extensions of the mark-augmented poset,
-products of binomial polynomials read off each extension's descent pattern
-between consecutive marked elements.  It groups the extensions by the
-multiset of their segments (mark gap, descents, length), so each distinct
-product is expanded once, in integers over the common denominator u! (u the
-number of unmarked elements), and scaled by how many extensions share it.
-The marked order polytope is the product of its pieces' polytopes (a piece:
-unmarked elements joined by covers between two unmarked elements), and the
-Ehrhart polynomial of a product is the product of its factors', so the
-formula streams each piece on its own and multiplies the integer numerators;
-the only division is the last one, by the product of the pieces' u!.  The
-two routes are held equal on every corpus instance by the test suite.
+The formula sums, over the linear extensions of the tie-break poset (the
+poset with its marked elements put in one chain by mark), products of
+binomial polynomials read off each extension's descent pattern between
+consecutive marked elements.  It groups the extensions by the multiset of
+their segments (mark gap, descents, length), so each distinct product is
+expanded once, in integers over the common denominator u! (u the number of
+unmarked elements), and scaled by how many extensions share it.  The marked
+order polytope is the product of its pieces' polytopes (a piece: unmarked
+elements joined by covers between two unmarked elements), and the Ehrhart
+polynomial of a product is the product of its factors', so the formula
+streams each piece's tie-break poset on its own (one stream builder serves
+the whole poset and every piece) and multiplies the integer numerators; the
+only division is the last one, by the product of the pieces' u!.  The two
+routes are held equal on every corpus instance by the test suite.
 """
 
 from __future__ import annotations
@@ -84,15 +86,22 @@ def ehrhart_by_counting(h: HRepresentation) -> UnivariatePolynomial:
     return poly
 
 
-def _tie_break_poset(elements: Iterable[str], covers: Iterable[tuple[str, str]],
-                     marks: Mapping[str, int | Fraction], labeling: Mapping[str, int] | None) -> Poset:
-    """The poset on ``elements`` with ``covers`` and every marked element in one chain, ordered by mark.
+def _tie_break_extensions(elements: Iterable[str], covers: Iterable[tuple[str, str]],
+                          marks: Mapping[str, int | Fraction], labeling: Mapping[str, int] | None
+                          ) -> Iterator[ExtensionWord]:
+    """The linear extensions of the tie-break poset on ``elements``: ``covers`` and every mark in one chain.
 
-    Ties are broken by the reference labeling (by id for the canonical one),
-    so the extension stream counts each family of order-preserving maps once.
+    The chain orders ``marks`` by value, ties broken by the labeling (by id
+    for the canonical one), so the stream counts each family of
+    order-preserving maps once.  A given labeling, which must label every
+    element, is ranked among ``elements`` to 1..n; ``linear_extensions``
+    checks that it is natural on the tie-break poset.
     """
     chain = sorted(marks, key=lambda a: (marks[a], a if labeling is None else labeling[a]))
-    return Poset.from_relations(elements, [*covers, *zip(chain, chain[1:])])
+    tie_break = Poset.from_relations(elements, [*covers, *zip(chain, chain[1:])])
+    ranked = None if labeling is None else {
+        e: r for r, e in enumerate(sorted(tie_break.elements, key=labeling.__getitem__), 1)}
+    return linear_extensions(tie_break, ranked)
 
 
 def restricted_linear_extensions(
@@ -100,6 +109,7 @@ def restricted_linear_extensions(
 ) -> Iterator[ExtensionWord]:
     """Linear extensions with the marked elements in nondecreasing mark order.
 
+    The stream of ``_tie_break_extensions`` on the whole of ``mp``.
     Equal-mark marked elements are kept in one canonical relative order, so
     each word of unmarked segments appears exactly once.  A given labeling is
     checked on ``mp`` first, so the tie-break sort never meets an element it
@@ -107,8 +117,7 @@ def restricted_linear_extensions(
     """
     if labeling is not None:
         check_natural_labeling(mp.poset, labeling)
-    return linear_extensions(_tie_break_poset(mp.poset.elements, mp.poset.covers, mp.marking, labeling),
-                             labeling)
+    return _tie_break_extensions(mp.poset.elements, mp.poset.covers, mp.marking, labeling)
 
 
 def _capped(streams: Iterable[Iterator[ExtensionWord]]) -> Iterator[tuple[int, ExtensionWord]]:
@@ -128,9 +137,11 @@ def _capped(streams: Iterable[Iterator[ExtensionWord]]) -> Iterator[tuple[int, E
 def count_restricted_extensions(mp: MarkedPoset) -> int:
     """The number of restricted linear extensions of the whole of ``mp`` (capped).
 
-    The formula streams fewer words than this on a poset with two or more
-    pieces (the sum of the pieces' counts, not their product times the
-    shuffles) or with a mark that touches no piece.
+    It counts what ``_tie_break_extensions`` streams on the whole poset.  The
+    formula runs the same builder on each piece, so it streams fewer words
+    than this on a poset with two or more pieces (the sum of the pieces'
+    counts, not their product times the shuffles) or with a mark that touches
+    no piece.
     """
     return sum(1 for _ in _capped([restricted_linear_extensions(mp)]))
 
@@ -154,29 +165,6 @@ def _segment_factor(delta: int, descents: int, k: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _factor_streams(mp: MarkedPoset, labeling: Mapping[str, int] | None
-                    ) -> list[tuple[Iterator[ExtensionWord], int]]:
-    """One restricted extension stream per piece of ``mp``, with the piece's size.
-
-    A given labeling is checked once, on the whole tie-break poset, and
-    ranked within each piece: it is natural there, since each piece's
-    tie-break covers are relations of the whole tie-break poset.  With no
-    unmarked element there is no piece and no stream.
-    """
-    if labeling is not None:
-        check_natural_labeling(mp.poset, labeling)
-        check_natural_labeling(_tie_break_poset(mp.poset.elements, mp.poset.covers, mp.marking, labeling),
-                               labeling)
-    streams = []
-    for piece, covers in _pieces(mp):
-        marks = {a: mp.marking[a] for cover in covers for a in cover if a in mp.marked}
-        tie_break = _tie_break_poset((*piece, *marks), covers, marks, labeling)
-        ranked = None if labeling is None else {
-            e: r for r, e in enumerate(sorted(tie_break.elements, key=labeling.__getitem__), 1)}
-        streams.append((linear_extensions(tie_break, ranked), len(piece)))
-    return streams
-
-
 def ehrhart_formula_marked_order(
     mp: MarkedPoset,
     labeling: Mapping[str, int] | None = None,
@@ -196,9 +184,11 @@ def ehrhart_formula_marked_order(
     disjoint sets of them), and each distinct triple is expanded once.
 
     The polytope is the product of its pieces' order polytopes, so the formula
-    runs on each piece's marked poset -- the piece, the marks adjacent to it
-    and the covers of P that touch it -- and multiplies the integer
-    numerators, dividing once by the product of the u_i! at the end.  Why:
+    runs on each piece's marked poset -- the piece, the lower and upper marks
+    that ``_pieces`` finds for it and the covers of P that touch it -- and
+    multiplies the integer numerators, dividing once by the product of the
+    u_i! at the end.  Each piece streams through ``_tie_break_extensions``,
+    the builder of :func:`restricted_linear_extensions`.  Why:
 
     1. Every order H-rep row touches one piece: a cover between two unmarked
        elements lies inside a piece, a mark-element cover bounds one
@@ -212,6 +202,11 @@ def ehrhart_formula_marked_order(
     3. A lattice point of n(A x B) is a pair of lattice points of nA and nB,
        so L_{A x B} = L_A * L_B.
 
+    A given labeling is checked once, on ``mp`` and then on the whole
+    tie-break poset (the first word of the whole stream), and ranked within
+    each piece: it is natural there, since each piece's tie-break covers are
+    relations of the whole tie-break poset.
+
     The work cap (:data:`DEFAULT_EXTENSION_CAP` unless ``MPP_WORK_CAP`` is
     set) bounds the words streamed in one call, summed over the pieces;
     past it, ExtensionExplosion.
@@ -220,15 +215,21 @@ def ehrhart_formula_marked_order(
     if not mp.is_integral():
         raise PreconditionViolated("the closed formula needs an integral marking")
 
+    if labeling is not None:
+        next(restricted_linear_extensions(mp, labeling))  # raises on a bad labeling
+    pieces = _pieces(mp)
+    streams = []
+    for piece, covers, lower, upper in pieces:
+        bounds = {**lower, **upper}  # one mark may bound the piece from both sides
+        streams.append(_tie_break_extensions((*piece, *bounds), covers, bounds, labeling))
     marks = {a: int(v) for a, v in mp.marking.items()}
-    streams = _factor_streams(mp, labeling)
-    signatures: list[Counter[tuple[tuple[int, int, int], ...]]] = [Counter() for _ in streams]
-    for factor, ext in _capped(words for words, _ in streams):
+    signatures: list[Counter[tuple[tuple[int, int, int], ...]]] = [Counter() for _ in pieces]
+    for factor, ext in _capped(streams):
         marked_at = [i for i, e in enumerate(ext.word) if e in marks]
         signatures[factor][tuple(sorted(
             (marks[ext.word[t]] - marks[ext.word[s]], ext.segment_descents(s, t), t - s - 1)
             for s, t in zip(marked_at, marked_at[1:])))] += 1
-    return _signature_sum(zip(signatures, (unmarked for _, unmarked in streams)))
+    return _signature_sum(zip(signatures, (len(piece) for piece, *_ in pieces)))
 
 
 def _signature_sum(factors: Iterable[tuple[Mapping[tuple[tuple[int, int, int], ...], int], int]]

@@ -186,24 +186,35 @@ def _components(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[
     return components
 
 
-def _pieces(mp: "MarkedPoset") -> list[tuple[tuple[str, ...], list[tuple[str, str]]]]:
-    """The pieces of ``mp``, each with the covers of P that touch it, in cover order.
+def _pieces(mp: "MarkedPoset") -> list[tuple[tuple[str, ...], list[tuple[str, str]],
+                                              dict[str, Fraction], dict[str, Fraction]]]:
+    """The pieces of ``mp``, each with the covers of P that touch it, in cover order, and its marks.
 
     A piece is a component of the unmarked elements under the covers between
     two unmarked elements; pieces are listed by least element.  A cover with
     an unmarked end touches the one piece holding that end, so one pass over
     the covers sorts them; a cover between two marked elements touches none.
+    The same pass reads a touching cover's marked end: a mark that a piece
+    element covers is a lower mark of the piece, a mark that covers a piece
+    element an upper one, each kept with its value in cover order.  One mark
+    can bound a piece from both sides.
     """
-    marked = mp.marked
+    marked, marking = mp.marked, mp.marking
     covers = mp.poset.covers
     pieces = _components(mp.unmarked, [(p, q) for p, q in covers if p not in marked and q not in marked])
     piece_of = {e: i for i, piece in enumerate(pieces) for e in piece}
     touching: list[list[tuple[str, str]]] = [[] for _ in pieces]
+    lower: list[dict[str, Fraction]] = [{} for _ in pieces]
+    upper: list[dict[str, Fraction]] = [{} for _ in pieces]
     for p, q in covers:
         i = piece_of[p] if p in piece_of else piece_of.get(q)
         if i is not None:
             touching[i].append((p, q))
-    return list(zip(pieces, touching))
+            if p in marked:
+                lower[i][p] = marking[p]
+            elif q in marked:
+                upper[i][q] = marking[q]
+    return list(zip(pieces, touching, lower, upper))
 
 
 def _saturated_chains(poset: Poset, endpoints: frozenset[str]) -> list[tuple[str, tuple[str, ...], str]]:
@@ -351,7 +362,8 @@ def require_strict_regular(mp: MarkedPoset, operation: str) -> None:
 
 
 def require_strict(mp: MarkedPoset, operation: str) -> None:
-    if not validate_marked(mp).strict:
+    # the constructor's ties are the strictness witnesses of validate_marked
+    if mp._ties:
         raise PreconditionViolated(f"{operation} requires a strict marking")
 
 

@@ -74,18 +74,7 @@ def order_two_level_criterion(mp: MarkedPoset) -> bool:
     input.
     """
     require_strict_regular(mp, "order_two_level_criterion")
-    marking = mp.marking
-    for _, covers in _pieces(mp):
-        below, above = set(), set()
-        # one pass over the covers that touch the piece: a marked end bounds it
-        for p, q in covers:
-            if p in marking:
-                below.add(marking[p])
-            elif q in marking:
-                above.add(marking[q])
-        if len(below) != 1 or len(above) != 1:
-            return False
-    return True
+    return all(len(set(lower.values())) == 1 == len(set(upper.values())) for _, _, lower, upper in _pieces(mp))
 
 
 @dataclass(frozen=True)

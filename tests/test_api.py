@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import markedposets
@@ -63,3 +64,22 @@ def test_every_exported_function_has_a_caller_in_the_package():
             loaded |= names
     functions = {name for name, value in star_import().items() if inspect.isfunction(value)}
     assert functions - loaded == set(UNCALLED_EXPORTS)
+
+
+def loaded_names(node: ast.AST) -> Counter:
+    """How often each name is loaded, as a Name or an Attribute, in ``node``."""
+    return Counter(inner.id if isinstance(inner, ast.Name) else inner.attr for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Name, ast.Attribute)) and isinstance(inner.ctx, ast.Load))
+
+
+def test_every_private_helper_is_referenced_outside_its_own_def():
+    # module-level private functions and private methods; a helper that a
+    # refactor leaves unused, or that only calls itself, fails here
+    trees = [ast.parse(path.read_text()) for path in Path(markedposets.__file__).parent.glob("*.py")]
+    loads = sum(map(loaded_names, trees), Counter())
+    statements = [stmt for tree in trees for stmt in tree.body]
+    methods = [stmt for cls in statements if isinstance(cls, ast.ClassDef) for stmt in cls.body]
+    defs = [node for node in statements + methods
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.endswith("__")]
+    assert defs
+    assert sorted(node.name for node in defs if loads[node.name] == loaded_names(node)[node.name]) == []

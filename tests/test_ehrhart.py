@@ -32,6 +32,7 @@ from markedposets import (
     count_restricted_extensions,
     ehrhart_by_counting,
     ehrhart_formula_marked_order,
+    linear_extensions,
     pm_closed_form,
     pm_family,
     polynomial,
@@ -486,8 +487,9 @@ class TestPieceProduct:
             rows = Counter(build_order_hrep(mp).inequalities)
             assert not build_order_hrep(mp).equalities
             factor_rows = Counter()
-            for piece, covers in _pieces(mp):
+            for piece, covers, lower, upper in _pieces(mp):
                 factor = piece_marked_poset(mp, piece, covers)
+                assert factor.marking == {**lower, **upper}
                 report = validate_marked(factor)
                 assert report.strict and report.regular
                 h = build_order_hrep(factor)
@@ -518,6 +520,33 @@ class TestPieceProduct:
         assert ehrhart_by_counting(build_order_hrep(mp)) == polynomial([1, 2])
         monkeypatch.setenv("MPP_WORK_CAP", "1")
         assert ehrhart_formula_marked_order(mp) == polynomial([1, 2])
+
+    def test_mark_on_both_sides_of_a_piece_is_streamed_once(self, monkeypatch):
+        # x1 < a2 < x3: a2 is a lower and an upper mark of the one piece
+        mp = pm_family(3, 1)
+        [(piece, _, lower, upper)] = _pieces(mp)
+        assert piece == ("x1", "x2", "x3") and lower.keys() & upper.keys() == {"a2"}
+        streamed = []
+
+        def recording(poset, labeling=None):
+            streamed.append(poset.elements)
+            return linear_extensions(poset, labeling)
+
+        monkeypatch.setattr(ehrhart_module, "linear_extensions", recording)
+        assert ehrhart_formula_marked_order(mp) == pm_closed_form(3, 1)
+        assert streamed == [("x1", "x2", "x3", "a1", "a2", "a3")]
+        # the seeded corpora hold 7 such pieces; each streams its piece and its marks, each once
+        both_sides = 0
+        for seed in ORACLE_SEEDS:
+            for mp in corpus(seed, 200, max_unmarked=7):
+                pieces = _pieces(mp)
+                doubled = sum(bool(lower.keys() & upper.keys()) for _, _, lower, upper in pieces)
+                if doubled:
+                    both_sides += doubled
+                    streamed.clear()
+                    assert ehrhart_formula_marked_order(mp) == ehrhart_by_counting(build_order_hrep(mp))
+                    assert streamed == [(*piece, *{**lower, **upper}) for piece, _, lower, upper in pieces]
+        assert both_sides == 7
 
     def test_labeled_equals_unlabeled_on_many_pieces(self):
         rng = random.Random(57)

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from markedposets import (
     MarkedPoset,
     Poset,
+    PreconditionViolated,
     canonical_labeling,
     linear_extensions,
     validate_marked,
 )
 from markedposets.corpus import _draw, corpus
 from markedposets.posets import (_components, _members, _pieces, _saturated_chains, _topological_order,
-                                 _up_sets, induced_subposet)
+                                 _up_sets, induced_subposet, require_strict)
 from helpers import augment_marked_order
 
 ORACLE_SEEDS = (20250808, 3, 7)
@@ -285,6 +286,30 @@ class TestValidateAgainstOracle:
         assert flagged["decreasing"] >= 300
 
 
+class TestRequireStrict:
+    """``require_strict`` reads the constructor's ties: it refuses exactly the markings that
+    ``validate_marked`` reports not strict."""
+
+    @pytest.mark.parametrize("seed", (11, 12, 13))
+    def test_refuses_exactly_the_non_strict(self, seed):
+        # marks as drawn, scaled by 1/3, and halved downwards, which ties comparable marks
+        rng = random.Random(seed)
+        refused = 0
+        for _ in range(300):
+            mp = _draw(rng, 5, 0, 4, 1)
+            if mp is None:
+                continue
+            for scale in (lambda v: v, lambda v: v / 3, lambda v: v // 2):
+                remarked = MarkedPoset(mp.poset, {a: scale(v) for a, v in mp.marking.items()})
+                if validate_marked(remarked).strict:
+                    require_strict(remarked, "the operation")
+                    continue
+                refused += 1
+                with pytest.raises(PreconditionViolated, match="^the operation requires a strict marking$"):
+                    require_strict(remarked, "the operation")
+        assert refused >= 20
+
+
 class TestDraw:
     """``_draw`` builds relations along one shuffled order and marks up a topological order,
     so neither ``Poset.from_relations`` nor ``MarkedPoset`` can reject what it builds."""
@@ -322,23 +347,46 @@ class TestHasseComponents:
 
 
 class TestPieces:
-    """``_pieces``: unmarked components under unmarked covers, each with the covers touching it."""
+    """``_pieces``: unmarked components under unmarked covers, each with the covers touching it
+    and its lower and upper marks."""
 
     def test_two_chains_and_a_marked_cover(self):
         p = Poset(["a", "x", "b", "c", "y", "d"],
                   [("a", "x"), ("x", "b"), ("c", "y"), ("y", "d"), ("a", "d")])
         mp = MarkedPoset(p, {"a": 0, "b": 2, "c": 1, "d": 3})
-        assert _pieces(mp) == [(("x",), [("a", "x"), ("x", "b")]), (("y",), [("c", "y"), ("y", "d")])]
+        assert _pieces(mp) == [(("x",), [("a", "x"), ("x", "b")], {"a": 0}, {"b": 2}),
+                               (("y",), [("c", "y"), ("y", "d")], {"c": 1}, {"d": 3})]
 
     def test_diamond_is_two_pieces(self, diamond_02):
-        assert [piece for piece, _ in _pieces(diamond_02)] == [("x",), ("y",)]
+        assert [piece for piece, *_ in _pieces(diamond_02)] == [("x",), ("y",)]
 
     def test_unmarked_cover_joins_a_piece(self):
         p = Poset(["a", "u", "v", "b"], [("a", "u"), ("u", "v"), ("v", "b")])
-        assert _pieces(MarkedPoset(p, {"a": 0, "b": 1})) == [(("u", "v"), list(p.covers))]
+        assert _pieces(MarkedPoset(p, {"a": 0, "b": 1})) == [(("u", "v"), list(p.covers), {"a": 0}, {"b": 1})]
 
     def test_no_unmarked_elements(self):
         assert _pieces(MarkedPoset(Poset(["a", "b"], [("a", "b")]), {"a": 0, "b": 1})) == []
+
+    def test_equal_bounds_keep_their_ids(self):
+        # two lower marks of one value stay two marks; the criterion reads their values
+        p = Poset(["a", "b", "x", "t"], [("a", "x"), ("b", "x"), ("x", "t")])
+        assert _pieces(MarkedPoset(p, {"a": 0, "b": 0, "t": 1})) == [
+            (("x",), [("a", "x"), ("b", "x"), ("x", "t")], {"a": 0, "b": 0}, {"t": 1})]
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_marks_are_the_covered_and_the_covering_marks(self, seed):
+        # lower marks: marks that a piece element covers; upper: marks that cover one
+        for mp in corpus(seed, 200, max_unmarked=7):
+            pieces = _pieces(mp)
+            assert sorted(e for piece, *_ in pieces for e in piece) == list(mp.unmarked)
+            for piece, covers, lower, upper in pieces:
+                below = {a for x in piece for a in mp.poset.lower_covers(x) if a in mp.marked}
+                above = {b for x in piece for b in mp.poset.upper_covers(x) if b in mp.marked}
+                assert lower == {a: mp.value(a) for a in below}
+                assert upper == {b: mp.value(b) for b in above}
+                # each kept in the order of the touching covers
+                assert list(lower) == list(dict.fromkeys(p for p, _ in covers if p in mp.marked))
+                assert list(upper) == list(dict.fromkeys(q for _, q in covers if q in mp.marked))
 
 
 class TestMaximalMarkedChains:
