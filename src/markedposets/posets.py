@@ -19,6 +19,10 @@ from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import PreconditionViolated
 
+# Up to this many marks, the mark checks pair every mark with every mark: on
+# so few marks that costs less than setting up the screens.
+_FEW_MARKS = 8
+
 
 class Poset:
     """A finite poset given by elements and covering relations p < q."""
@@ -247,6 +251,18 @@ class MarkedPoset:
     The marking must be order-preserving; strictness and regularity are not
     required here but are reported by :func:`validate_marked` and demanded by
     the operations whose theory needs them.
+
+    The order check walks the marks by value, from the highest down, and ORs
+    together the up-set bitmasks of every strictly higher value group.  A
+    mark inside that mask lies above a mark of greater value, and every
+    decreasing pair a < b puts b inside the mask of a's group, so the mask
+    finds a decreasing pair exactly when one exists; only then does the pair
+    scan run, to name the first one in id order.  The ties, comparable pairs
+    inside one value group, are kept in (a, b) id order for
+    :func:`validate_marked` as its strictness witnesses.  Cost: one big-int
+    OR per mark, plus the tied pairs.  With at most ``_FEW_MARKS`` marks the
+    pair scan, which costs marks^2 bit tests, runs directly: it is cheaper
+    there than the walk's grouping and sorting of ``Fraction`` values.
     """
 
     def __init__(self, poset: Poset, marking: Mapping[str, int | Fraction]):
@@ -263,22 +279,12 @@ class MarkedPoset:
         for e in poset.maximals():
             if e not in self.marked:
                 raise ValueError(f"maximal element {e!r} must be marked")
-        # one scan of the comparable marked pairs a < b, in id order, on the
-        # up-set bitmasks: a decreasing pair is refused, a tie is kept for
-        # validate_marked as its strictness witness
-        scan = [(b, 1 << poset._index[b], self.marking[b]) for b in marked]
-        ties = []
-        for a, _, value in scan:
-            up = poset._above[poset._index[a]]
-            for b, bit, other in scan:
-                if up & bit and value >= other:
-                    if value > other:
-                        raise ValueError(f"marking is not order-preserving on {a!r} < {b!r}")
-                    ties.append(("strict", a, b))
-        self._ties: tuple[tuple, ...] = tuple(ties)
+        check = _value_walk if len(marked) > _FEW_MARKS else _scan_mark_pairs
+        self._ties: tuple[tuple, ...] = tuple(check(poset, self.marking, marked))
         self.unmarked: tuple[str, ...] = tuple(
             sorted(e for e in poset.elements if e not in self.marked))
         self._hreps: dict = {}  # polytopes._hrep's memo, keyed by the chain part
+        self._report: MarkingReport | None = None  # validate_marked's memo
 
     def value(self, a: str) -> Fraction:
         return self.marking[a]
@@ -289,6 +295,41 @@ class MarkedPoset:
     def __repr__(self) -> str:
         marks = {a: str(v) for a, v in sorted(self.marking.items())}
         return f"MarkedPoset({self.poset!r}, marking={marks!r})"
+
+
+def _value_walk(poset: Poset, marking: Mapping[str, Fraction], marked: Sequence[str]) -> list[tuple]:
+    """``_scan_mark_pairs`` by the walk over value groups; the scan runs when a pair decreases."""
+    index, above = poset._index, poset._above
+    groups: dict[Fraction, list[str]] = {}
+    for a in marked:
+        groups.setdefault(marking[a], []).append(a)
+    higher, ties = 0, []
+    for value in sorted(groups, reverse=True):
+        group = groups[value]
+        bits = sum(1 << index[a] for a in group)
+        if higher & bits:
+            return _scan_mark_pairs(poset, marking, marked)  # raises, naming the first decreasing pair
+        for a in group:
+            up = above[index[a]]
+            if up & bits:
+                ties += [("strict", a, b) for b in _members(up & bits, poset._order)]
+            higher |= up
+    return sorted(ties)
+
+
+def _scan_mark_pairs(poset: Poset, marking: Mapping[str, Fraction], marked: Sequence[str]) -> list[tuple]:
+    """The ties of the marks from every comparable pair a < b, in id order; raises on the first
+    decreasing one."""
+    scan = [(b, 1 << poset._index[b], marking[b]) for b in marked]
+    ties = []
+    for a, _, value in scan:
+        up = poset._above[poset._index[a]]
+        for b, bit, other in scan:
+            if up & bit and value >= other:
+                if value > other:
+                    raise ValueError(f"marking is not order-preserving on {a!r} < {b!r}")
+                ties.append(("strict", a, b))
+    return ties
 
 
 @dataclass(frozen=True)
@@ -327,31 +368,72 @@ def validate_marked(mp: MarkedPoset) -> MarkingReport:
 
     The marking is order-preserving, so the strictness witnesses are the
     ties that the ``MarkedPoset`` constructor found.  For regularity, marks
-    are compared by their ranks among the distinct mark values, and a <= q,
-    p <= b are read off the up-set bitmasks, so the loops do integer work
-    only.  Witnesses come in id order: strict by (a, b), regular by cover,
-    then a, then b.
+    are compared by their ranks among the distinct mark values.  One pass up
+    the topological order gives every element its two highest-ranked
+    distinct marks at or below it, one pass down its two lowest-ranked
+    distinct marks at or above it.  A cover p < q has a witness, marks
+    a <= q and p <= b with a != b and rank(a) >= rank(b), exactly when one
+    of the at most four pairs of q's list and p's list is one: the best a
+    and the best b form the best pair, and when both are the same mark (p or
+    q itself) the best pair avoiding it pairs a runner-up with the other
+    side's best.  Only covers with a witness run the pair scan, which lists
+    the witnesses from the up-set bitmasks.  Cost: O(n + covers), plus
+    O(marks) per cover that has a witness.  With at most ``_FEW_MARKS``
+    marks every cover runs the pair scan, which is cheaper there than the
+    two passes.  Witnesses come in id order: strict by (a, b), regular by
+    cover, then a, then b.  The report is computed once per marked poset and
+    kept on it.
     """
+    if mp._report is not None:
+        return mp._report
     poset = mp.poset
     index, above = poset._index, poset._above
-    marked = sorted(mp.marked)
     rank_of = {v: r for r, v in enumerate(sorted(set(mp.marking.values())))}
-    rank = [rank_of[mp.value(a)] for a in marked]
-    bit = [1 << index[a] for a in marked]
-    violations: list[tuple] = list(mp._ties)
-    strict = not violations
-    reach = [above[index[a]] | bit[i] for i, a in enumerate(marked)]  # up-sets are strict: add a
-    regular = True
-    for p, q in sorted(poset.covers):
-        up_p, bit_q = above[index[p]] | 1 << index[p], 1 << index[q]
-        below_q = [i for i in range(len(marked)) if reach[i] & bit_q]
-        above_p = [j for j in range(len(marked)) if up_p & bit[j]]
-        for i in below_q:
-            for j in above_p:
-                if i != j and rank[i] >= rank[j]:
-                    regular = False
-                    violations.append(("regular", (p, q), marked[i], marked[j]))
-    return MarkingReport(strict=strict, regular=regular, violations=tuple(violations))
+    # each mark's id, rank, bit, and reach: its up-set with itself
+    marks = [(a, rank_of[mp.marking[a]], 1 << index[a], above[index[a]] | 1 << index[a])
+             for a in sorted(mp.marked)]
+    covers = sorted(poset.covers)
+    if len(marks) > _FEW_MARKS:
+        rank = {a: r for a, r, _, _ in marks}
+        # (rank, id) of the two highest marks at or below, and the two lowest at or above, each element
+        under = _two_extreme_marks(poset._order, poset.lower_covers, rank, reverse=True)
+        over = _two_extreme_marks(reversed(poset._order), poset.upper_covers, rank, reverse=False)
+        covers = [(p, q) for p, q in covers if any(a != b and i >= j for i, a in under[q] for j, b in over[p])]
+    witnesses = _cover_witnesses(poset, marks, covers)
+    mp._report = MarkingReport(strict=not mp._ties, regular=not witnesses, violations=mp._ties + tuple(witnesses))
+    return mp._report
+
+
+def _two_extreme_marks(order: Iterable[str], covered, rank: Mapping[str, int],
+                       reverse: bool) -> dict[str, list[tuple[int, str]]]:
+    """Each element's two distinct marks of highest (``reverse``) or lowest rank among those it reaches.
+
+    ``order`` lists the elements so that ``covered(v)`` comes before v; an
+    element reaches itself and whatever its ``covered`` elements reach.
+    """
+    best: dict[str, list[tuple[int, str]]] = {}
+    for v in order:
+        found = {m for u in covered(v) for m in best[u]}
+        if v in rank:
+            found.add((rank[v], v))
+        best[v] = sorted(found, reverse=reverse)[:2]
+    return best
+
+
+def _cover_witnesses(poset: Poset, marks: Sequence[tuple[str, int, int, int]],
+                     covers: Iterable[tuple[str, str]]) -> list[tuple]:
+    """The regularity witnesses of each cover p < q in turn, by a then b: marks a <= q and p <= b,
+    a != b, with rank(a) >= rank(b); ``marks`` as ``validate_marked`` lists them."""
+    index, above = poset._index, poset._above
+    witnesses: list[tuple] = []
+    for p, q in covers:
+        i, j = index[p], index[q]
+        up_p, bit_q = above[i] | 1 << i, 1 << j
+        below_q = [m for m in marks if m[3] & bit_q]
+        above_p = [m for m in marks if up_p & m[2]]
+        witnesses += [("regular", (p, q), a[0], b[0]) for a in below_q for b in above_p
+                      if a is not b and a[1] >= b[1]]
+    return witnesses
 
 
 def require_strict_regular(mp: MarkedPoset, operation: str) -> None:

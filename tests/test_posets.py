@@ -3,20 +3,25 @@
 import itertools
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markedposets import (
+    ChainOrderPartition,
     MarkedPoset,
     Poset,
     PreconditionViolated,
     canonical_labeling,
+    chain_order_two_level_criterion,
     linear_extensions,
     validate_marked,
 )
+from markedposets import posets
 from markedposets.corpus import _draw, corpus
+from markedposets.ehrhart import pm_family
 from markedposets.posets import (_components, _members, _pieces, _saturated_chains, _topological_order,
                                  _up_sets, induced_subposet, require_strict)
 from helpers import augment_marked_order
@@ -83,6 +88,49 @@ def small_posets(draw):
             if draw(st.booleans()):
                 edges.append((perm[i], perm[j]))
     return Poset.from_relations(names, edges), edges
+
+
+@st.composite
+def marked_small_posets(draw):
+    """A small poset with its extremes and some other elements marked by integers 0..3."""
+    poset, _ = draw(small_posets())
+    extremes = set(poset.minimals()) | set(poset.maximals())
+    marked = [e for e in sorted(poset.elements) if e in extremes or draw(st.booleans())]
+    return poset, {a: draw(st.integers(min_value=0, max_value=3)) for a in marked}
+
+
+def marked_chain(n, step):
+    """An n-element chain with every ``step``-th element and the top marked i // 2."""
+    ids = [f"c{i:04d}" for i in range(n)]
+    marks = {ids[i]: i // 2 for i in range(n) if i % step == 0 or i == n - 1}
+    return MarkedPoset(Poset(ids, [(ids[i], ids[i + 1]) for i in range(n - 1)]), marks)
+
+
+def first_decreasing_pair(poset, marking):
+    """The first comparable marked pair a < b, in id order, with marking(a) > marking(b), or None."""
+    marked = sorted(marking)
+    return next(((a, b) for a in marked for b in marked
+                 if poset.less(a, b) and marking[a] > marking[b]), None)
+
+
+def witnessed_covers(mp):
+    """The covers that ``fraction_validate_marked`` lists regularity witnesses for."""
+    return {w[1] for w in fraction_validate_marked(mp)[2] if w[0] == "regular"}
+
+
+@pytest.fixture
+def scanned_covers(monkeypatch):
+    """The covers that ``posets._cover_witnesses`` runs on, in call order."""
+    covers = []
+    witnesses = posets._cover_witnesses
+
+    def spy(poset, marks, given):
+        given = list(given)
+        covers.extend(given)
+        return witnesses(poset, marks, given)
+
+    monkeypatch.setattr(posets, "_cover_witnesses", spy)
+    return covers
 
 
 class TestPoset:
@@ -284,6 +332,140 @@ class TestValidateAgainstOracle:
                     MarkedPoset(mp.poset, remarking)
         assert flagged["strict"] >= 60 and flagged["regular"] >= 600
         assert flagged["decreasing"] >= 300
+
+    # the cover screen and the value walk run from _FEW_MARKS + 1 marks on; 0 forces them
+    @pytest.mark.parametrize("few", (0, posets._FEW_MARKS))
+    def test_pm_family(self, few, monkeypatch):
+        monkeypatch.setattr(posets, "_FEW_MARKS", few)
+        for m in range(3, 41):
+            for c in (1, 2):
+                report = self.check(pm_family(m, c))
+                assert report.strict and report.regular
+
+    @pytest.mark.parametrize("few", (0, posets._FEW_MARKS))
+    def test_chains_with_tied_marks(self, few, monkeypatch):
+        # marks i // 2 tie neighbouring marks, and the top with the mark below it when n is even
+        monkeypatch.setattr(posets, "_FEW_MARKS", few)
+        verdicts = set()
+        for n in (2, 3, 9, 30, 31):
+            for step in (1, 2, 3):
+                report = self.check(marked_chain(n, step))
+                verdicts.add((report.strict, report.regular))
+        assert verdicts == {(True, True), (False, False)}
+
+    @pytest.mark.parametrize("few", (0, posets._FEW_MARKS))
+    def test_covers_with_a_marked_end(self, few, monkeypatch):
+        # the best mark below q and the best mark above p are one mark, p or q,
+        # on these shapes: every marking by 0..2 that the constructor takes
+        monkeypatch.setattr(posets, "_FEW_MARKS", few)
+        shapes = [
+            (["a", "b"], [("a", "b")], ["a", "b"]),
+            (["a", "m", "b"], [("a", "m"), ("m", "b")], ["a", "m", "b"]),
+            (["p", "s", "q", "t"], [("p", "q"), ("s", "q"), ("q", "t")], ["p", "s", "t"]),
+            (["b", "p", "q", "r", "t", "u"], [("b", "p"), ("p", "q"), ("p", "r"), ("q", "t"), ("r", "u")],
+             ["b", "p", "t", "u"]),
+            (["a", "x", "m", "y", "b", "c"], [("a", "x"), ("x", "m"), ("m", "y"), ("y", "b"), ("c", "y")],
+             ["a", "m", "b", "c"]),
+        ]
+        checked = 0
+        for elements, covers, marked in shapes:
+            poset = Poset(elements, covers)
+            for values in itertools.product(range(3), repeat=len(marked)):
+                marking = dict(zip(marked, values))
+                if first_decreasing_pair(poset, marking) is None:
+                    self.check(MarkedPoset(poset, marking))
+                    checked += 1
+        assert checked >= 60
+
+    @settings(max_examples=150, deadline=None)
+    @given(marked_small_posets(), st.randoms(use_true_random=False))
+    def test_small_posets_with_integer_marks(self, drawn, rng):
+        # the report is the oracle's; the constructor refuses exactly when a
+        # decreasing pair exists, naming the first; relabelled ids and reversed
+        # covers keep the verdicts and the witness count
+        poset, marking = drawn
+        first = first_decreasing_pair(poset, marking)
+        shuffled = list(poset.elements)
+        rng.shuffle(shuffled)
+        rename = {e: f"r{f}" for e, f in zip(poset.elements, shuffled)}
+        twin_poset = Poset([rename[e] for e in reversed(poset.elements)],
+                           [(rename[p], rename[q]) for p, q in reversed(poset.covers)])
+        twin_marking = {rename[a]: v for a, v in marking.items()}
+        for few in (0, posets._FEW_MARKS):
+            with mock.patch.object(posets, "_FEW_MARKS", few):
+                if first is not None:
+                    with pytest.raises(ValueError, match=re.escape(
+                            f"marking is not order-preserving on {first[0]!r} < {first[1]!r}")):
+                        MarkedPoset(poset, marking)
+                    with pytest.raises(ValueError, match="marking is not order-preserving"):
+                        MarkedPoset(twin_poset, twin_marking)
+                    continue
+                report = self.check(MarkedPoset(poset, marking))
+                twin = validate_marked(MarkedPoset(twin_poset, twin_marking))
+                assert ((twin.strict, twin.regular, len(twin.violations))
+                        == (report.strict, report.regular, len(report.violations)))
+
+
+class TestMarkCheckWork:
+    """The screens bound the work: the pair scans run only where they find something."""
+
+    @pytest.mark.parametrize("mp", [pm_family(40, 1), marked_chain(1501, 2)], ids=["pm-40", "chain-1501"])
+    def test_no_cover_scanned_when_strict_regular(self, mp, scanned_covers):
+        mp._report = None  # built at collection: drop a report another test made
+        report = validate_marked(mp)
+        assert report.strict and report.regular and scanned_covers == []
+
+    def test_tied_antichain_scans_only_witnessed_covers(self, monkeypatch, scanned_covers):
+        # every cover of the tied antichain has a witness; the strict chain
+        # lo < z < hi beside it has none
+        x = [f"x{i}" for i in range(6)]
+        covers = [("bot", e) for e in x] + [(e, "top") for e in x] + [("lo", "z"), ("z", "hi")]
+        tied = MarkedPoset(Poset(["bot", "top", "lo", "hi", "z", *x], covers),
+                           {"bot": 0, "top": 0, "lo": 1, "hi": 2})
+        for few in (0, posets._FEW_MARKS):
+            monkeypatch.setattr(posets, "_FEW_MARKS", few)
+            scanned_covers.clear()
+            tied._report = None
+            report = validate_marked(tied)
+            assert len(report.violations) == 1 + 2 * len(x)
+            expected = witnessed_covers(tied) if few == 0 else set(covers)
+            assert sorted(scanned_covers) == sorted(expected)
+        assert ("lo", "z") not in witnessed_covers(tied)
+
+    def test_constructor_never_falls_back_on_pm_320(self, monkeypatch):
+        calls = []
+        scan = posets._scan_mark_pairs
+        monkeypatch.setattr(posets, "_scan_mark_pairs", lambda *args: calls.append(args) or scan(*args))
+        assert len(pm_family(320, 1).marked) == 320 and calls == []
+        # a decreasing pair among many marks: the walk finds it, the scan names it
+        mp = marked_chain(41, 2)
+        with pytest.raises(ValueError, match="on 'c0000' < 'c0002'$"):
+            MarkedPoset(mp.poset, {**mp.marking, "c0000": 100})
+        assert len(calls) == 1
+
+
+class TestValidateMemo:
+    """``validate_marked`` scans each marked poset once and keeps the report on it."""
+
+    def test_chain_order_criterion_scans_each_poset_once(self, monkeypatch):
+        calls, scanned = [], []
+        validate = posets.validate_marked
+
+        def spy(mp):
+            calls.append(mp)
+            if mp._report is None:
+                scanned.append(mp)
+            return validate(mp)
+
+        monkeypatch.setattr(posets, "validate_marked", spy)
+        for mp in corpus(20250808, 20, max_unmarked=5):
+            chain_order_two_level_criterion(mp, ChainOrderPartition.of(mp, mp.unmarked[:1]))
+        # without the memo each call scanned: 41 scans for 20 criterion calls
+        assert len(calls) == 41 and len(scanned) == 21
+        assert len({id(mp) for mp in scanned}) == len(scanned)
+
+    def test_report_is_kept(self, segment):
+        assert validate_marked(segment) is validate_marked(segment)
 
 
 class TestRequireStrict:
