@@ -12,16 +12,14 @@ elements that must contain all minimal and maximal elements.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import PreconditionViolated
-
-# Up to this many marks, the mark checks pair every mark with every mark: on
-# so few marks that costs less than setting up the screens.
-_FEW_MARKS = 8
 
 
 class Poset:
@@ -252,37 +250,34 @@ class MarkedPoset:
     required here but are reported by :func:`validate_marked` and demanded by
     the operations whose theory needs them.
 
-    The order check walks the marks by value, from the highest down, and ORs
-    together the up-set bitmasks of every strictly higher value group.  A
-    mark inside that mask lies above a mark of greater value, and every
-    decreasing pair a < b puts b inside the mask of a's group, so the mask
-    finds a decreasing pair exactly when one exists; only then does the pair
-    scan run, to name the first one in id order.  The ties, comparable pairs
-    inside one value group, are kept in (a, b) id order for
-    :func:`validate_marked` as its strictness witnesses.  Cost: one big-int
-    OR per mark, plus the tied pairs.  With at most ``_FEW_MARKS`` marks the
-    pair scan, which costs marks^2 bit tests, runs directly: it is cheaper
-    there than the walk's grouping and sorting of ``Fraction`` values.
+    Each mark gets its rank among the distinct mark values, kept as
+    ``_rank`` for :func:`validate_marked`.  The order check ANDs each mark's
+    up-set bitmask with the bits of the marks of rank at most its own.  A
+    mark found there of lower rank makes a decreasing pair, and every
+    decreasing pair is found so; only then does the pair scan run, to name
+    the first one in id order.  A mark found there of equal rank makes a
+    tie; the ties are kept in (a, b) id order for :func:`validate_marked` as
+    its strictness witnesses.  Cost, on every input: one sort of the
+    distinct mark values as ints, one big-int AND and OR per mark, and one
+    bitmask per distinct value, plus the tied pairs.
     """
 
     def __init__(self, poset: Poset, marking: Mapping[str, int | Fraction]):
         self.poset = poset
-        self.marking: dict[str, Fraction] = {a: Fraction(v) for a, v in marking.items()}
+        # a Fraction is kept as it is: Fraction(v) would copy it, through a slow abstract type check
+        self.marking: dict[str, Fraction] = {a: v if type(v) is Fraction else Fraction(v) for a, v in marking.items()}
         self.marked: frozenset[str] = frozenset(self.marking)
         marked = sorted(self.marked)
         for a in marked:
             if a not in poset._index:
                 raise ValueError(f"marked element {a!r} is not in the poset")
-        for e in poset.minimals():
-            if e not in self.marked:
-                raise ValueError(f"minimal element {e!r} must be marked")
-        for e in poset.maximals():
-            if e not in self.marked:
-                raise ValueError(f"maximal element {e!r} must be marked")
-        check = _value_walk if len(marked) > _FEW_MARKS else _scan_mark_pairs
-        self._ties: tuple[tuple, ...] = tuple(check(poset, self.marking, marked))
         self.unmarked: tuple[str, ...] = tuple(
             sorted(e for e in poset.elements if e not in self.marked))
+        for kind, covered in (("minimal", poset._down_covers), ("maximal", poset._up_covers)):
+            for e in self.unmarked:
+                if not covered[e]:
+                    raise ValueError(f"{kind} element {e!r} must be marked")
+        self._rank, self._ties = _rank_marks(poset, self.marking, marked)
         self._hreps: dict = {}  # polytopes._hrep's memo, keyed by the chain part
         self._report: MarkingReport | None = None  # validate_marked's memo
 
@@ -297,39 +292,46 @@ class MarkedPoset:
         return f"MarkedPoset({self.poset!r}, marking={marks!r})"
 
 
-def _value_walk(poset: Poset, marking: Mapping[str, Fraction], marked: Sequence[str]) -> list[tuple]:
-    """``_scan_mark_pairs`` by the walk over value groups; the scan runs when a pair decreases."""
+def _rank_marks(poset: Poset, marking: Mapping[str, Fraction],
+                marked: Sequence[str]) -> tuple[dict[str, int], tuple[tuple, ...]]:
+    """Each mark's rank, keyed in ``marked`` order, and the ties of the marks; ``_scan_mark_pairs``
+    runs when a pair decreases.
+
+    A mark's rank counts the distinct mark values below its own, so the
+    lowest is 0.  The values are put over one common denominator first, so
+    the one sort compares ints rather than ``Fraction`` values.
+    """
+    ratios = [marking[a].as_integer_ratio() for a in marked]
+    scale = math.lcm(*[d for _, d in ratios])
+    keys = [n * (scale // d) for n, d in ratios]
+    values = sorted(set(keys))
+    rank = {a: bisect.bisect_left(values, k) for a, k in zip(marked, keys)}
     index, above = poset._index, poset._above
-    groups: dict[Fraction, list[str]] = {}
-    for a in marked:
-        groups.setdefault(marking[a], []).append(a)
-    higher, ties = 0, []
-    for value in sorted(groups, reverse=True):
-        group = groups[value]
-        bits = sum(1 << index[a] for a in group)
-        if higher & bits:
-            return _scan_mark_pairs(poset, marking, marked)  # raises, naming the first decreasing pair
-        for a in group:
-            up = above[index[a]]
-            if up & bits:
-                ties += [("strict", a, b) for b in _members(up & bits, poset._order)]
-            higher |= up
-    return sorted(ties)
+    # upto[r]: the bits of the marks of rank below r
+    upto = [0] * (len(values) + 1)
+    for a, r in rank.items():
+        upto[r + 1] |= 1 << index[a]
+    for r in range(1, len(upto)):
+        upto[r] |= upto[r - 1]
+    ties = []
+    for a, r in rank.items():
+        up = above[index[a]] & upto[r + 1]
+        if up & upto[r]:
+            _scan_mark_pairs(poset, marking, marked)  # raises, naming the first decreasing pair
+        if up:
+            ties += [("strict", a, b) for b in _members(up, poset._order)]
+    return rank, tuple(sorted(ties))
 
 
 def _scan_mark_pairs(poset: Poset, marking: Mapping[str, Fraction], marked: Sequence[str]) -> list[tuple]:
     """The ties of the marks from every comparable pair a < b, in id order; raises on the first
-    decreasing one."""
-    scan = [(b, 1 << poset._index[b], marking[b]) for b in marked]
-    ties = []
-    for a, _, value in scan:
-        up = poset._above[poset._index[a]]
-        for b, bit, other in scan:
-            if up & bit and value >= other:
-                if value > other:
-                    raise ValueError(f"marking is not order-preserving on {a!r} < {b!r}")
-                ties.append(("strict", a, b))
-    return ties
+    decreasing one.  Only the error path of the constructor runs it, to name that pair."""
+    bits = sum(1 << poset._index[b] for b in marked)
+    pairs = sorted((a, b) for a in marked for b in _members(poset._above[poset._index[a]] & bits, poset._order))
+    first = next(((a, b) for a, b in pairs if marking[a] > marking[b]), None)
+    if first is not None:
+        raise ValueError(f"marking is not order-preserving on {first[0]!r} < {first[1]!r}")
+    return [("strict", a, b) for a, b in pairs if marking[a] == marking[b]]
 
 
 @dataclass(frozen=True)
@@ -364,71 +366,77 @@ def validate_marked(mp: MarkedPoset) -> MarkingReport:
 
     Strict: comparable marked a < b implies marking(a) < marking(b).
     Regular: for every cover p < q and marked a <= q, p <= b, either a = b
-    or marking(a) < marking(b).
+    or marking(a) < marking(b).  Covers between two marked elements count
+    too, although no row of the marked polytopes comes from them: ``a(0) <
+    b(1)``, both marked, has the witness ``("regular", ("a", "b"), "b",
+    "a")``.  The definition stays so because ``corpus.random_marked_poset``
+    rejects draws through this report: a looser one would change every
+    seeded corpus.
 
     The marking is order-preserving, so the strictness witnesses are the
     ties that the ``MarkedPoset`` constructor found.  For regularity, marks
-    are compared by their ranks among the distinct mark values.  One pass up
-    the topological order gives every element its two highest-ranked
-    distinct marks at or below it, one pass down its two lowest-ranked
-    distinct marks at or above it.  A cover p < q has a witness, marks
-    a <= q and p <= b with a != b and rank(a) >= rank(b), exactly when one
-    of the at most four pairs of q's list and p's list is one: the best a
-    and the best b form the best pair, and when both are the same mark (p or
-    q itself) the best pair avoiding it pairs a runner-up with the other
-    side's best.  Only covers with a witness run the pair scan, which lists
-    the witnesses from the up-set bitmasks.  Cost: O(n + covers), plus
-    O(marks) per cover that has a witness.  With at most ``_FEW_MARKS``
-    marks every cover runs the pair scan, which is cheaper there than the
-    two passes.  Witnesses come in id order: strict by (a, b), regular by
-    cover, then a, then b.  The report is computed once per marked poset and
-    kept on it.
+    are compared by the ranks that the constructor gave them.  One pass up
+    the topological order gives every element the highest rank among the
+    marks at or below it, and the one mark of that rank if only one has
+    it; one pass down gives the lowest rank among the marks at or above it
+    in the same way.  A cover p < q has a witness, marks a <= q and p <= b
+    with a != b and rank(a) >= rank(b), exactly when q's highest rank
+    exceeds p's lowest, or equals it and the two are not one and the same
+    single mark (that mark is p or q, and any other pair has rank(a) <
+    rank(b)).  Only covers with a witness run the pair scan, which lists
+    the witnesses from the up-set bitmasks.  Cost, on every input:
+    O(n + covers), plus O(marks) per cover that has a witness.  Witnesses
+    come in id order: strict by (a, b), regular by cover, then a, then b.
+    The report is computed once per marked poset and kept on it.
     """
     if mp._report is not None:
         return mp._report
-    poset = mp.poset
-    index, above = poset._index, poset._above
-    rank_of = {v: r for r, v in enumerate(sorted(set(mp.marking.values())))}
-    # each mark's id, rank, bit, and reach: its up-set with itself
-    marks = [(a, rank_of[mp.marking[a]], 1 << index[a], above[index[a]] | 1 << index[a])
-             for a in sorted(mp.marked)]
-    covers = sorted(poset.covers)
-    if len(marks) > _FEW_MARKS:
-        rank = {a: r for a, r, _, _ in marks}
-        # (rank, id) of the two highest marks at or below, and the two lowest at or above, each element
-        under = _two_extreme_marks(poset._order, poset.lower_covers, rank, reverse=True)
-        over = _two_extreme_marks(reversed(poset._order), poset.upper_covers, rank, reverse=False)
-        covers = [(p, q) for p, q in covers if any(a != b and i >= j for i, a in under[q] for j, b in over[p])]
-    witnesses = _cover_witnesses(poset, marks, covers)
+    poset, rank = mp.poset, mp._rank
+    under = _extreme_marks(poset._order, poset._down_covers, rank)
+    # the lowest rank at or above, as the highest negated rank
+    over = _extreme_marks(reversed(poset._order), poset._up_covers, {a: -r for a, r in rank.items()})
+    covers = []
+    for p, q in poset.covers:
+        (r, a), (s, b) = under[q], over[p]
+        if r + s > 0 or r + s == 0 and (a is None or a != b):
+            covers.append((p, q))
+    witnesses = _cover_witnesses(mp, sorted(covers)) if covers else []
     mp._report = MarkingReport(strict=not mp._ties, regular=not witnesses, violations=mp._ties + tuple(witnesses))
     return mp._report
 
 
-def _two_extreme_marks(order: Iterable[str], covered, rank: Mapping[str, int],
-                       reverse: bool) -> dict[str, list[tuple[int, str]]]:
-    """Each element's two distinct marks of highest (``reverse``) or lowest rank among those it reaches.
+def _extreme_marks(order: Iterable[str], covered: Mapping, rank: Mapping[str, int]) -> dict[str, tuple]:
+    """Each element's highest rank among the marks it reaches, with the one mark of that rank, or
+    None when several marks have it.
 
-    ``order`` lists the elements so that ``covered(v)`` comes before v; an
-    element reaches itself and whatever its ``covered`` elements reach.
+    ``order`` lists the elements so that ``covered[v]`` comes before v; an
+    element reaches itself and whatever its ``covered`` elements reach.  A
+    mark's rank is at least that of every mark it reaches, so a mark is the
+    one mark of its own rank unless a covered element ties it.
     """
-    best: dict[str, list[tuple[int, str]]] = {}
+    best: dict[str, tuple[int, str | None]] = {}
     for v in order:
-        found = {m for u in covered(v) for m in best[u]}
-        if v in rank:
-            found.add((rank[v], v))
-        best[v] = sorted(found, reverse=reverse)[:2]
+        below = covered[v]
+        if v not in rank and len(below) == 1:
+            best[v] = best[below[0]]
+            continue
+        r, one = (rank[v], v) if v in rank else best[below[0]]
+        for s, m in map(best.__getitem__, below):
+            if s >= r:
+                r, one = s, (m if s > r or m == one else None)
+        best[v] = (r, one)
     return best
 
 
-def _cover_witnesses(poset: Poset, marks: Sequence[tuple[str, int, int, int]],
-                     covers: Iterable[tuple[str, str]]) -> list[tuple]:
+def _cover_witnesses(mp: MarkedPoset, covers: Iterable[tuple[str, str]]) -> list[tuple]:
     """The regularity witnesses of each cover p < q in turn, by a then b: marks a <= q and p <= b,
-    a != b, with rank(a) >= rank(b); ``marks`` as ``validate_marked`` lists them."""
-    index, above = poset._index, poset._above
+    a != b, with rank(a) >= rank(b)."""
+    index, above = mp.poset._index, mp.poset._above
+    # each mark's id, rank, bit, and reach: its up-set with itself
+    marks = [(a, r, 1 << index[a], above[index[a]] | 1 << index[a]) for a, r in mp._rank.items()]
     witnesses: list[tuple] = []
     for p, q in covers:
-        i, j = index[p], index[q]
-        up_p, bit_q = above[i] | 1 << i, 1 << j
+        up_p, bit_q = above[index[p]] | 1 << index[p], 1 << index[q]
         below_q = [m for m in marks if m[3] & bit_q]
         above_p = [m for m in marks if up_p & m[2]]
         witnesses += [("regular", (p, q), a[0], b[0]) for a in below_q for b in above_p

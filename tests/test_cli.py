@@ -90,6 +90,19 @@ class TestValidate:
         assert code == 1
         assert "strict: false" in out
 
+    def test_cover_between_marks_is_irregular(self, capsys, tmp_path):
+        # a(0) < b(1), both marked: the cover breaks regularity although no
+        # row of the order polytope comes from it, and counting still answers
+        doc = {"elements": ["a", "b"], "covers": [["a", "b"]], "marked": {"a": 0, "b": 1}}
+        path = write_doc(tmp_path, doc)
+        code, out, _ = run_cli(capsys, "validate", path)
+        assert code == 1
+        assert "strict: true" in out and "regular: false" in out
+        assert "violation: regular ('a', 'b') b a" in out
+        code, out, _ = run_cli(capsys, "ehrhart", path, "--family", "order", "--method", "count")
+        assert code == 0
+        assert out.strip() == "count: 1"
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

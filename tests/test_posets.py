@@ -3,7 +3,7 @@
 import itertools
 import random
 import re
-from unittest import mock
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +106,21 @@ def marked_chain(n, step):
     return MarkedPoset(Poset(ids, [(ids[i], ids[i + 1]) for i in range(n - 1)]), marks)
 
 
+def two_mark_shape(shape, n):
+    """The large-poset shapes, marked only at their ends: an n-chain (marks 0, 1), n incomparable
+    elements between bot (0) and top (1), or a zigzag fence of n elements between bot (0) and top (3)."""
+    if shape == "chain":
+        c = [f"c{i}" for i in range(n)]
+        return MarkedPoset(Poset(c, [(c[i], c[i + 1]) for i in range(n - 1)]), {c[0]: 0, c[-1]: 1})
+    u = [f"u{i}" for i in range(n)]
+    if shape == "antichain":
+        return MarkedPoset(Poset(["bot", "top", *u], [("bot", e) for e in u] + [(e, "top") for e in u]),
+                           {"bot": 0, "top": 1})
+    covers = [("bot", u[i]) if i % 2 == 0 else (u[i], "top") for i in range(n)]
+    covers += [(u[i], u[i + 1]) if i % 2 == 0 else (u[i + 1], u[i]) for i in range(n - 1)]
+    return MarkedPoset(Poset(["bot", "top", *u], covers), {"bot": 0, "top": 3})
+
+
 def first_decreasing_pair(poset, marking):
     """The first comparable marked pair a < b, in id order, with marking(a) > marking(b), or None."""
     marked = sorted(marking)
@@ -124,10 +139,10 @@ def scanned_covers(monkeypatch):
     covers = []
     witnesses = posets._cover_witnesses
 
-    def spy(poset, marks, given):
+    def spy(mp, given):
         given = list(given)
         covers.extend(given)
-        return witnesses(poset, marks, given)
+        return witnesses(mp, given)
 
     monkeypatch.setattr(posets, "_cover_witnesses", spy)
     return covers
@@ -279,6 +294,19 @@ class TestMarkedPoset:
         assert not report.regular
         assert ("regular", ("a", "y"), "m", "a") in report.violations
 
+    def test_cover_between_marks_is_irregular(self):
+        # no polytope row comes from a cover between two marks, yet it breaks
+        # regularity; corpus draws are filtered by this definition
+        report = validate_marked(MarkedPoset(Poset(["a", "b"], [("a", "b")]), {"a": 0, "b": 1}))
+        assert report.strict and not report.regular
+        assert report.violations == (("regular", ("a", "b"), "b", "a"),)
+
+    def test_ranks_over_mixed_denominators(self):
+        p = Poset(["a", "b", "c", "d", "e"], [("d", "b"), ("b", "a"), ("a", "e"), ("d", "c"), ("c", "e")])
+        mp = MarkedPoset(p, {"a": Fraction(1, 2), "b": Fraction(1, 3), "c": Fraction(2, 4),
+                             "d": Fraction(-5, 6), "e": 7})
+        assert mp._rank == {"a": 2, "b": 1, "c": 2, "d": 0, "e": 3}
+
     def test_validate_strictness(self):
         p = Poset(["a", "b"], [("a", "b")])
         report = validate_marked(MarkedPoset(p, {"a": 1, "b": 1}))
@@ -291,6 +319,11 @@ class TestValidateAgainstOracle:
 
     @staticmethod
     def check(mp):
+        # ranks by the Fraction values, and ties by the pair scan
+        values = sorted(set(mp.marking.values()))
+        marked = sorted(mp.marked)
+        assert mp._rank == {a: values.index(mp.value(a)) for a in marked}
+        assert mp._ties == tuple(posets._scan_mark_pairs(mp.poset, mp.marking, marked))
         report = validate_marked(mp)
         assert (report.strict, report.regular, report.violations) == fraction_validate_marked(mp)
         return report
@@ -333,19 +366,14 @@ class TestValidateAgainstOracle:
         assert flagged["strict"] >= 60 and flagged["regular"] >= 600
         assert flagged["decreasing"] >= 300
 
-    # the cover screen and the value walk run from _FEW_MARKS + 1 marks on; 0 forces them
-    @pytest.mark.parametrize("few", (0, posets._FEW_MARKS))
-    def test_pm_family(self, few, monkeypatch):
-        monkeypatch.setattr(posets, "_FEW_MARKS", few)
+    def test_pm_family(self):
         for m in range(3, 41):
             for c in (1, 2):
                 report = self.check(pm_family(m, c))
                 assert report.strict and report.regular
 
-    @pytest.mark.parametrize("few", (0, posets._FEW_MARKS))
-    def test_chains_with_tied_marks(self, few, monkeypatch):
+    def test_chains_with_tied_marks(self):
         # marks i // 2 tie neighbouring marks, and the top with the mark below it when n is even
-        monkeypatch.setattr(posets, "_FEW_MARKS", few)
         verdicts = set()
         for n in (2, 3, 9, 30, 31):
             for step in (1, 2, 3):
@@ -353,11 +381,9 @@ class TestValidateAgainstOracle:
                 verdicts.add((report.strict, report.regular))
         assert verdicts == {(True, True), (False, False)}
 
-    @pytest.mark.parametrize("few", (0, posets._FEW_MARKS))
-    def test_covers_with_a_marked_end(self, few, monkeypatch):
+    def test_covers_with_a_marked_end(self):
         # the best mark below q and the best mark above p are one mark, p or q,
         # on these shapes: every marking by 0..2 that the constructor takes
-        monkeypatch.setattr(posets, "_FEW_MARKS", few)
         shapes = [
             (["a", "b"], [("a", "b")], ["a", "b"]),
             (["a", "m", "b"], [("a", "m"), ("m", "b")], ["a", "m", "b"]),
@@ -391,19 +417,17 @@ class TestValidateAgainstOracle:
         twin_poset = Poset([rename[e] for e in reversed(poset.elements)],
                            [(rename[p], rename[q]) for p, q in reversed(poset.covers)])
         twin_marking = {rename[a]: v for a, v in marking.items()}
-        for few in (0, posets._FEW_MARKS):
-            with mock.patch.object(posets, "_FEW_MARKS", few):
-                if first is not None:
-                    with pytest.raises(ValueError, match=re.escape(
-                            f"marking is not order-preserving on {first[0]!r} < {first[1]!r}")):
-                        MarkedPoset(poset, marking)
-                    with pytest.raises(ValueError, match="marking is not order-preserving"):
-                        MarkedPoset(twin_poset, twin_marking)
-                    continue
-                report = self.check(MarkedPoset(poset, marking))
-                twin = validate_marked(MarkedPoset(twin_poset, twin_marking))
-                assert ((twin.strict, twin.regular, len(twin.violations))
-                        == (report.strict, report.regular, len(report.violations)))
+        if first is not None:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"marking is not order-preserving on {first[0]!r} < {first[1]!r}")):
+                MarkedPoset(poset, marking)
+            with pytest.raises(ValueError, match="marking is not order-preserving"):
+                MarkedPoset(twin_poset, twin_marking)
+            return
+        report = self.check(MarkedPoset(poset, marking))
+        twin = validate_marked(MarkedPoset(twin_poset, twin_marking))
+        assert ((twin.strict, twin.regular, len(twin.violations))
+                == (report.strict, report.regular, len(report.violations)))
 
 
 class TestMarkCheckWork:
@@ -415,29 +439,31 @@ class TestMarkCheckWork:
         report = validate_marked(mp)
         assert report.strict and report.regular and scanned_covers == []
 
-    def test_tied_antichain_scans_only_witnessed_covers(self, monkeypatch, scanned_covers):
+    def test_tied_antichain_scans_only_witnessed_covers(self, scanned_covers):
         # every cover of the tied antichain has a witness; the strict chain
         # lo < z < hi beside it has none
         x = [f"x{i}" for i in range(6)]
         covers = [("bot", e) for e in x] + [(e, "top") for e in x] + [("lo", "z"), ("z", "hi")]
         tied = MarkedPoset(Poset(["bot", "top", "lo", "hi", "z", *x], covers),
                            {"bot": 0, "top": 0, "lo": 1, "hi": 2})
-        for few in (0, posets._FEW_MARKS):
-            monkeypatch.setattr(posets, "_FEW_MARKS", few)
-            scanned_covers.clear()
-            tied._report = None
-            report = validate_marked(tied)
-            assert len(report.violations) == 1 + 2 * len(x)
-            expected = witnessed_covers(tied) if few == 0 else set(covers)
-            assert sorted(scanned_covers) == sorted(expected)
+        report = validate_marked(tied)
+        assert len(report.violations) == 1 + 2 * len(x)
+        assert sorted(scanned_covers) == sorted(witnessed_covers(tied))
         assert ("lo", "z") not in witnessed_covers(tied)
+
+    @pytest.mark.parametrize("shape, n", [("chain", 1500), ("antichain", 900), ("fence", 900)])
+    def test_two_mark_shapes_scan_no_cover(self, shape, n, scanned_covers):
+        report = validate_marked(two_mark_shape(shape, n))
+        assert report.strict and report.regular and scanned_covers == []
+        for small in (2, 3, 4, 30):
+            TestValidateAgainstOracle.check(two_mark_shape(shape, small))
 
     def test_constructor_never_falls_back_on_pm_320(self, monkeypatch):
         calls = []
         scan = posets._scan_mark_pairs
         monkeypatch.setattr(posets, "_scan_mark_pairs", lambda *args: calls.append(args) or scan(*args))
         assert len(pm_family(320, 1).marked) == 320 and calls == []
-        # a decreasing pair among many marks: the walk finds it, the scan names it
+        # a decreasing pair among many marks: the rank masks find it, the scan names it
         mp = marked_chain(41, 2)
         with pytest.raises(ValueError, match="on 'c0000' < 'c0002'$"):
             MarkedPoset(mp.poset, {**mp.marking, "c0000": 100})
