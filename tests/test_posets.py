@@ -121,6 +121,11 @@ def two_mark_shape(shape, n):
     return MarkedPoset(Poset(["bot", "top", *u], covers), {"bot": 0, "top": 3})
 
 
+def shifted(mp, shift):
+    """mp with every mark raised by shift: no rank, tie or verdict moves."""
+    return MarkedPoset(mp.poset, {a: v + shift for a, v in mp.marking.items()})
+
+
 def first_decreasing_pair(poset, marking):
     """The first comparable marked pair a < b, in id order, with marking(a) > marking(b), or None."""
     marked = sorted(marking)
@@ -328,6 +333,14 @@ class TestValidateAgainstOracle:
         assert (report.strict, report.regular, report.violations) == fraction_validate_marked(mp)
         return report
 
+    def check_shifted(self, mp, shift):
+        # the raised marks give the ranks, ties and report of the marks as given
+        raised = shifted(mp, shift)
+        report = self.check(raised)
+        assert (raised._rank, raised._ties) == (mp._rank, mp._ties)
+        assert (report.strict, report.regular, report.violations) == fraction_validate_marked(mp)
+        return report
+
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_seeded_corpora(self, seed):
         for mp in corpus(seed, 200, max_unmarked=7):
@@ -366,22 +379,26 @@ class TestValidateAgainstOracle:
         assert flagged["strict"] >= 60 and flagged["regular"] >= 600
         assert flagged["decreasing"] >= 300
 
-    def test_pm_family(self):
+    # every mark raised by 0 (as given) or by 8
+    @pytest.mark.parametrize("shift", (0, 8))
+    def test_pm_family(self, shift):
         for m in range(3, 41):
             for c in (1, 2):
-                report = self.check(pm_family(m, c))
+                report = self.check_shifted(pm_family(m, c), shift)
                 assert report.strict and report.regular
 
-    def test_chains_with_tied_marks(self):
+    @pytest.mark.parametrize("shift", (0, 8))
+    def test_chains_with_tied_marks(self, shift):
         # marks i // 2 tie neighbouring marks, and the top with the mark below it when n is even
         verdicts = set()
         for n in (2, 3, 9, 30, 31):
             for step in (1, 2, 3):
-                report = self.check(marked_chain(n, step))
+                report = self.check_shifted(marked_chain(n, step), shift)
                 verdicts.add((report.strict, report.regular))
         assert verdicts == {(True, True), (False, False)}
 
-    def test_covers_with_a_marked_end(self):
+    @pytest.mark.parametrize("shift", (0, 8))
+    def test_covers_with_a_marked_end(self, shift):
         # the best mark below q and the best mark above p are one mark, p or q,
         # on these shapes: every marking by 0..2 that the constructor takes
         shapes = [
@@ -399,7 +416,7 @@ class TestValidateAgainstOracle:
             for values in itertools.product(range(3), repeat=len(marked)):
                 marking = dict(zip(marked, values))
                 if first_decreasing_pair(poset, marking) is None:
-                    self.check(MarkedPoset(poset, marking))
+                    self.check_shifted(MarkedPoset(poset, marking), shift)
                     checked += 1
         assert checked >= 60
 
