@@ -17,8 +17,13 @@ elements joined by covers between two unmarked elements), and the Ehrhart
 polynomial of a product is the product of its factors', so the formula
 streams each piece's tie-break poset on its own (one stream builder serves
 the whole poset and every piece) and multiplies the integer numerators; the
-only division is the last one, by the product of the pieces' u!.  The two
-routes are held equal on every corpus instance by the test suite.
+only division is the last one, by the product of the pieces' u!.  Pieces
+that are isomorphic as marked posets, up to one shift of all their marks,
+have one factor: each piece is keyed by its covers and its shifted marks,
+numbered in the topological order of the whole poset, each distinct key is
+streamed once, and its numerator is raised to the number of pieces that
+share the key by J.C.P. Miller's recurrence for powers of power series.
+The two routes are held equal on every corpus instance by the test suite.
 """
 
 from __future__ import annotations
@@ -202,14 +207,28 @@ def ehrhart_formula_marked_order(
     3. A lattice point of n(A x B) is a pair of lattice points of nA and nB,
        so L_{A x B} = L_A * L_B.
 
+    Isomorphic pieces share a factor, so each is streamed once.  A piece's
+    key numbers its elements (the piece and its marks) by their position in
+    the topological order of P, and is its covers as sorted index pairs with
+    its marks as sorted (index, mark - least mark of the piece) pairs.  Two
+    pieces with equal keys are isomorphic by the map that sends the i-th
+    element of one to the i-th of the other: it keeps the covers, the marked
+    elements and the mark differences.  Shifting every mark of a piece by
+    one integer translates its polytope by a lattice vector, so the factor
+    u! * L_piece(n) depends only on the isomorphism class, not on the
+    labeling or the tie-break order.  Each distinct key streams its first
+    piece, and its factor's numerator is raised to the number of pieces with
+    that key (:func:`_power`).  Isomorphic pieces with different keys (P's
+    order numbers them differently) only cost one more stream.
+
     A given labeling is checked once, on ``mp`` and then on the whole
     tie-break poset (the first word of the whole stream), and ranked within
-    each piece: it is natural there, since each piece's tie-break covers are
-    relations of the whole tie-break poset.
+    each streamed piece: it is natural there, since each piece's tie-break
+    covers are relations of the whole tie-break poset.
 
     The work cap (:data:`DEFAULT_EXTENSION_CAP` unless ``MPP_WORK_CAP`` is
-    set) bounds the words streamed in one call, summed over the pieces;
-    past it, ExtensionExplosion.
+    set) bounds the words streamed in one call, summed over the distinct
+    pieces streamed, each once; past it, ExtensionExplosion.
     """
     require_strict_regular(mp, "ehrhart_formula_marked_order")
     if not mp.is_integral():
@@ -217,36 +236,66 @@ def ehrhart_formula_marked_order(
 
     if labeling is not None:
         next(restricted_linear_extensions(mp, labeling))  # raises on a bad labeling
-    pieces = _pieces(mp)
-    streams = []
-    for piece, covers, lower, upper in pieces:
-        bounds = {**lower, **upper}  # one mark may bound the piece from both sides
-        streams.append(_tie_break_extensions((*piece, *bounds), covers, bounds, labeling))
+    index = mp.poset._index
     marks = {a: int(v) for a, v in mp.marking.items()}
-    signatures: list[Counter[tuple[tuple[int, int, int], ...]]] = [Counter() for _ in pieces]
+    first: dict[tuple, tuple] = {}  # each key's first piece, with its covers and marks
+    multiplicity: Counter[tuple] = Counter()
+    for piece, covers, lower, upper in _pieces(mp):
+        bounds = {**lower, **upper}  # one mark may bound the piece from both sides
+        number = {e: i for i, e in enumerate(sorted((*piece, *bounds), key=index.__getitem__))}
+        least = min(marks[a] for a in bounds)
+        key = (tuple(sorted((number[p], number[q]) for p, q in covers)),
+               tuple(sorted((number[a], marks[a] - least) for a in bounds)))
+        first.setdefault(key, (piece, covers, bounds))
+        multiplicity[key] += 1
+    signatures: list[Counter[tuple[tuple[int, int, int], ...]]] = [Counter() for _ in first]
+    streams = (_tie_break_extensions((*piece, *bounds), covers, bounds, labeling)
+               for piece, covers, bounds in first.values())
     for factor, ext in _capped(streams):
         marked_at = [i for i, e in enumerate(ext.word) if e in marks]
         signatures[factor][tuple(sorted(
             (marks[ext.word[t]] - marks[ext.word[s]], ext.segment_descents(s, t), t - s - 1)
             for s, t in zip(marked_at, marked_at[1:])))] += 1
-    return _signature_sum(zip(signatures, (len(piece) for piece, *_ in pieces)))
+    # both dicts took each key at its first piece, so they list the keys in one order
+    return _signature_sum(zip(signatures, (len(piece) for piece, _, _ in first.values()), multiplicity.values()))
 
 
-def _signature_sum(factors: Iterable[tuple[Mapping[tuple[tuple[int, int, int], ...], int], int]]
+def _power(coefficients: list[int], exponent: int) -> list[int]:
+    """The coefficients of a polynomial with integer coefficients and a nonzero constant term,
+    raised to ``exponent`` >= 2, by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
+
+    With b = a^m, a * b' = m * a' * b gives, coefficient by coefficient,
+    k a_0 b_k = sum over j = 1..k of ((m + 1) j - k) a_j b_{k-j}.  The power
+    has integer coefficients, so each division by k a_0 is exact.  Cost:
+    O(m * deg(a)^2) products, against O(m^2 * deg(a)^2) for m - 1
+    multiplications by a.
+    """
+    a0, degree = coefficients[0], len(coefficients) - 1
+    power = [a0 ** exponent]
+    for k in range(1, exponent * degree + 1):
+        power.append(sum(((exponent + 1) * j - k) * coefficients[j] * power[k - j]
+                         for j in range(1, min(k, degree) + 1)) // (k * a0))
+    return power
+
+
+def _signature_sum(factors: Iterable[tuple[Mapping[tuple[tuple[int, int, int], ...], int], int, int]]
                    ) -> UnivariatePolynomial:
-    """Multiply, over the factors, the sums of words * prod C(n*delta - d + k, k), (delta, d, k) in a signature.
+    """Multiply, over the factors, the sums of words * prod C(n*delta - d + k, k), (delta, d, k) in a signature,
+    each sum raised to its factor's multiplicity.
 
-    Each factor is its signature counts and its number u of unmarked
-    elements.  Every signature's lengths k must sum to at most u: then
-    u!/(k_1! k_2! ...) is an integer, a multinomial times a factorial, and
-    dividing out one k_i! at a time stays exact.  A factor's numerator over
-    u! sums, in one integer coefficient list, each signature's numerator
-    product times words * u!/(k_1! k_2! ...).  The numerators multiply, and
-    each coefficient of the product is divided by the product of the u! once.
+    Each factor is its signature counts, its number u of unmarked elements
+    and its multiplicity.  Every signature's lengths k must sum to at most u:
+    then u!/(k_1! k_2! ...) is an integer, a multinomial times a factorial,
+    and dividing out one k_i! at a time stays exact.  A factor's numerator
+    over u! sums, in one integer coefficient list, each signature's numerator
+    product times words * u!/(k_1! k_2! ...); its constant term is u! (the
+    one lattice point of the 0-th dilate, times u!), so :func:`_power` raises
+    it.  The numerators multiply, and each coefficient of the product is
+    divided by the product of the (u!)^multiplicity once.
     """
     numerator = cache(_segment_factor)
     product, denominator = [1], 1
-    for signatures, unmarked in factors:
+    for signatures, unmarked, multiplicity in factors:
         scale_all = math.factorial(unmarked)
         total = [0] * (unmarked + 1)
         for signature, words in signatures.items():
@@ -256,8 +305,8 @@ def _signature_sum(factors: Iterable[tuple[Mapping[tuple[tuple[int, int, int], .
                 scale //= math.factorial(k)
             for i, c in enumerate(term):
                 total[i] += scale * c
-        product = _convolve(product, total)
-        denominator *= scale_all
+        product = _convolve(product, total if multiplicity == 1 else _power(total, multiplicity))
+        denominator *= scale_all ** multiplicity
     return UnivariatePolynomial(tuple(Fraction(c, denominator) for c in product))
 
 

@@ -26,6 +26,19 @@ class Poset:
     """A finite poset given by elements and covering relations p < q."""
 
     def __init__(self, elements: Iterable[str], covers: Iterable[tuple[str, str]]):
+        self._set_up(elements, covers, None)
+
+    def _set_up(self, elements: Iterable[str], covers: Iterable[tuple[str, str]],
+                closure: tuple[list[str], list[int]] | None) -> None:
+        """Check and store the elements and covers, then the order.
+
+        ``closure`` is the topological order and up-set bitmasks that
+        ``_up_sets`` gave on a graph with the covers' transitive closure, or
+        None: then ``_up_sets`` runs here on the covers, which must be
+        irredundant.  Both give the same order and masks, since whether an
+        element is available to the topological order depends only on the
+        closure.
+        """
         self.elements: tuple[str, ...] = tuple(elements)
         self.covers: tuple[tuple[str, str], ...] = tuple((p, q) for p, q in covers)
         seen = set(self.elements)
@@ -47,10 +60,13 @@ class Poset:
             down[q].append(p)
         self._up_covers: dict[str, tuple[str, ...]] = {e: tuple(sorted(up[e])) for e in self.elements}
         self._down_covers: dict[str, tuple[str, ...]] = {e: tuple(sorted(down[e])) for e in self.elements}
-        order, self._above, implied = _up_sets(self.elements, self._up_covers)
-        for p, q in self.covers:
-            if (p, q) in implied:
-                raise ValueError(f"cover ({p!r}, {q!r}) is implied by other covers")
+        if closure is None:
+            order, self._above, implied = _up_sets(self.elements, self._up_covers)
+            for p, q in self.covers:
+                if (p, q) in implied:
+                    raise ValueError(f"cover ({p!r}, {q!r}) is implied by other covers")
+        else:
+            order, self._above = closure
         self._order: tuple[str, ...] = tuple(order)
         self._index: dict[str, int] = {e: i for i, e in enumerate(order)}
 
@@ -60,7 +76,7 @@ class Poset:
 
     @classmethod
     def from_relations(cls, elements: Iterable[str], relations: Iterable[tuple[str, str]]) -> "Poset":
-        """Build a poset from arbitrary strict relations, reduced to covers."""
+        """Build a poset from arbitrary strict relations, reduced to covers; the closure runs once."""
         elements = tuple(elements)
         index = set(elements)
         succ: dict[str, set[str]] = {e: set() for e in elements}
@@ -70,9 +86,11 @@ class Poset:
             if p == q:
                 raise ValueError(f"relation ({p!r}, {q!r}) is a loop")
             succ[p].add(q)
-        _, _, implied = _up_sets(elements, succ)
+        order, above, implied = _up_sets(elements, succ)
         covers = [(p, q) for p in elements for q in sorted(succ[p]) if (p, q) not in implied]
-        return cls(elements, covers)
+        poset = cls.__new__(cls)
+        poset._set_up(elements, covers, (order, above))
+        return poset
 
     def leq(self, p: str, q: str) -> bool:
         """p <= q in the transitive closure of the covers."""

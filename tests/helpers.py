@@ -1,9 +1,10 @@
 """Test-only constructions: exact affine images, random points and maps, partition sweeps,
-the mark-augmented poset."""
+the mark-augmented poset, the ungrouped piece product."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -14,8 +15,11 @@ from markedposets import (
     LinearInequality,
     MarkedPoset,
     Poset,
+    UnivariatePolynomial,
     VRepresentation,
 )
+from markedposets.ehrhart import _signature_sum, _tie_break_extensions
+from markedposets.posets import _pieces
 
 
 def invert_matrix(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
@@ -121,3 +125,24 @@ def augment_marked_order(mp: MarkedPoset) -> Poset:
     for lower, upper in zip(ranked, ranked[1:]):
         relations += [(a, b) for a in lower for b in upper]
     return Poset.from_relations(poset.elements, relations)
+
+
+def ungrouped_formula(mp: MarkedPoset, labeling=None) -> UnivariatePolynomial:
+    """The extension formula as a product over every piece on its own, with no cap and no labeling check.
+
+    Each piece streams its own tie-break poset, however many pieces are
+    isomorphic to it, and its factor enters the product once per piece
+    (multiplicity 1), as the formula did before it grouped isomorphic pieces.
+    """
+    marks = {a: int(v) for a, v in mp.marking.items()}
+    factors = []
+    for piece, covers, lower, upper in _pieces(mp):
+        bounds = {**lower, **upper}
+        signatures: Counter = Counter()
+        for ext in _tie_break_extensions((*piece, *bounds), covers, bounds, labeling):
+            marked_at = [i for i, e in enumerate(ext.word) if e in marks]
+            signatures[tuple(sorted(
+                (marks[ext.word[t]] - marks[ext.word[s]], ext.segment_descents(s, t), t - s - 1)
+                for s, t in zip(marked_at, marked_at[1:])))] += 1
+        factors.append((signatures, len(piece), 1))
+    return _signature_sum(factors)

@@ -41,11 +41,11 @@ from markedposets import (
 )
 from markedposets.cli import main
 from markedposets.corpus import corpus, random_marked_poset
-from markedposets.ehrhart import _segment_factor, _signature_sum
+from markedposets.ehrhart import _power, _segment_factor, _signature_sum
 from markedposets.errors import VerificationFailed
-from markedposets.geometry import _count_points, enumerate_vertices
+from markedposets.geometry import _convolve, _count_points, enumerate_vertices
 from markedposets.posets import _pieces
-from helpers import all_chain_order_partitions, augment_marked_order
+from helpers import all_chain_order_partitions, augment_marked_order, ungrouped_formula
 from test_geometry import fraction_lagrange
 
 ORACLE_SEEDS = (20250808, 3, 7)
@@ -461,7 +461,15 @@ class TestIntegerAssembly:
     @example(signatures=Counter({((0, 0, 0), (2, 3, 3), (3, 1, 2)): 4, ((1, 0, 5),): 2}), slack=0)
     def test_random_signatures(self, signatures, slack):
         unmarked = max((sum(k for _, _, k in sig) for sig in signatures), default=0) + slack
-        assert _signature_sum([(signatures, unmarked)]) == fraction_signature_sum(signatures)
+        assert _signature_sum([(signatures, unmarked, 1)]) == fraction_signature_sum(signatures)
+        if has_constant_term(signatures):
+            assert _signature_sum([(signatures, unmarked, 3)]) == fraction_signature_sum(signatures) ** 3
+
+
+def has_constant_term(signatures):
+    """Whether the signature sum has a nonzero constant term: some signature has no descent
+    (a segment with d descents has the constant term 0 when d > 0, and k! when d = 0)."""
+    return any(all(d == 0 for _, d, _ in signature) for signature in signatures)
 
 
 def piece_marked_poset(mp, piece, covers):
@@ -504,13 +512,18 @@ class TestPieceProduct:
         assert ehrhart_formula_marked_order(cube(k)) == polynomial([1, 1]) ** k
 
     def test_cap_sums_the_pieces(self, monkeypatch):
-        # the 12-cube streams one word per piece
+        # twelve pairwise non-isomorphic pieces stream one word each
+        mp = distinct_singletons(12)
         monkeypatch.setenv("MPP_WORK_CAP", "12")
-        assert ehrhart_formula_marked_order(cube(12)) == polynomial([1, 1]) ** 12
+        assert ehrhart_formula_marked_order(mp) == math.prod((polynomial([1, i]) for i in range(1, 13)),
+                                                             start=polynomial([1]))
         monkeypatch.setenv("MPP_WORK_CAP", "11")
         with pytest.raises(ExtensionExplosion, match="^more than 11 restricted linear extensions"
                                                      "; set MPP_WORK_CAP to raise it$"):
-            ehrhart_formula_marked_order(cube(12))
+            ehrhart_formula_marked_order(mp)
+        # the 12-cube's pieces are isomorphic, so it streams one word
+        monkeypatch.setenv("MPP_WORK_CAP", "1")
+        assert ehrhart_formula_marked_order(cube(12)) == polynomial([1, 1]) ** 12
 
     def test_mark_off_every_piece_is_not_streamed(self, monkeypatch):
         # b sits between a and c in the whole tie-break chain, so x shuffles
@@ -564,8 +577,112 @@ class TestPieceProduct:
         def unmarked(signatures):
             return max((sum(k for _, _, k in sig) for sig in signatures), default=0)
 
-        assert (_signature_sum([(first, unmarked(first)), (second, unmarked(second))])
+        assert (_signature_sum([(first, unmarked(first), 1), (second, unmarked(second), 1)])
                 == fraction_signature_sum(first) * fraction_signature_sum(second))
+        if has_constant_term(second):
+            assert (_signature_sum([(first, unmarked(first), 1), (second, unmarked(second), 2)])
+                    == fraction_signature_sum(first) * fraction_signature_sum(second) ** 2)
+
+
+def distinct_singletons(k):
+    """x_i between its own marks b_i (0) and t_i (i), i = 1..k: k pieces, no two isomorphic.
+    The i-th is the segment [0, i], so the polynomial is the product of the n*i + 1."""
+    elements = [e for i in range(1, k + 1) for e in (f"b{i:02d}", f"x{i:02d}", f"t{i:02d}")]
+    covers = [c for i in range(1, k + 1) for c in ((f"b{i:02d}", f"x{i:02d}"), (f"x{i:02d}", f"t{i:02d}"))]
+    return MarkedPoset(Poset(elements, covers), {**{f"b{i:02d}": 0 for i in range(1, k + 1)},
+                                                 **{f"t{i:02d}": i for i in range(1, k + 1)}})
+
+
+def near_miss(covers, marks):
+    """The marked poset on ``covers`` with ``marks``: two pieces whose keys differ in one part."""
+    elements = sorted({e for cover in covers for e in cover})
+    return MarkedPoset(Poset(elements, covers), marks)
+
+
+NEAR_MISSES = {
+    # x and y, each between b and its own top: one shape, mark gaps 1 and 2
+    "same covers, other gaps": near_miss(
+        [("b", "x"), ("x", "t1"), ("b", "y"), ("y", "t2")], {"b": 0, "t1": 1, "t2": 2}),
+    # a 3-chain and a V between lo and hi: one gap, two shapes on five elements
+    "same gaps, other shape": near_miss(
+        [("lo", "a1"), ("a1", "a2"), ("a2", "a3"), ("a3", "hi"),
+         ("lo", "b1"), ("b1", "b2"), ("b1", "b3"), ("b2", "hi"), ("b3", "hi")], {"lo": 0, "hi": 1}),
+    # x < y, x < z < w above lo: the short branch ends at mark 1 and the long one at 2, or the other way
+    "a mark on the other end": near_miss(
+        [(f"{p}{s}", f"{p}{t}") for p in "ab" for s, t in (("x", "y"), ("x", "z"), ("z", "w"))]
+        + [("lo", "ax"), ("ay", "ahy"), ("aw", "ahw"), ("lo", "bx"), ("by", "bhy"), ("bw", "bhw")],
+        {"lo": 0, "ahy": 1, "ahw": 2, "bhy": 2, "bhw": 1}),
+}
+
+# instances of corpus(seed, 200, max_unmarked=6) with two isomorphic pieces, pinned as floors
+GROUPED_FLOORS = {20250808: 13, 3: 15, 7: 14}
+
+
+@pytest.fixture
+def streamed(monkeypatch):
+    """The element tuples of the posets that ``ehrhart.linear_extensions`` streams, in call order."""
+    posets = []
+
+    def recording(poset, labeling=None):
+        posets.append(poset.elements)
+        return linear_extensions(poset, labeling)
+
+    monkeypatch.setattr(ehrhart_module, "linear_extensions", recording)
+    return posets
+
+
+class TestDistinctPieces:
+    """One stream per distinct piece, its factor raised to the piece's multiplicity, against the
+    ungrouped product that streams every piece."""
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_seeded_corpus(self, seed, streamed):
+        grouped = 0
+        for mp in corpus(seed, 200, max_unmarked=6):
+            streamed.clear()
+            formula = ehrhart_formula_marked_order(mp)
+            grouped += len(streamed) < len(_pieces(mp))
+            assert formula == ungrouped_formula(mp)
+        assert grouped >= GROUPED_FLOORS[seed]
+
+    def test_pm_family(self):
+        for m in range(3, 61):
+            for c in (1, 2, 3):
+                mp = pm_family(m, c)
+                assert ehrhart_formula_marked_order(mp) == ungrouped_formula(mp) == pm_closed_form(m, c)
+
+    def test_labeled_multi_piece(self):
+        rng = random.Random(58)
+        multi = [mp for mp in corpus(ORACLE_SEEDS[1], 200, max_unmarked=6) if len(_pieces(mp)) > 1][:10]
+        for mp in [cube(5), pm_family(9, 2), NEAR_MISSES["a mark on the other end"], *multi]:
+            base = ehrhart_formula_marked_order(mp)
+            for _ in range(3):
+                labeling = random_natural_labeling(rng, augment_marked_order(mp))
+                assert ehrhart_formula_marked_order(mp, labeling=labeling) == ungrouped_formula(mp, labeling) == base
+
+    def test_pm_streams_two_pieces(self, monkeypatch, streamed):
+        # the piece {x1, x2, x40} streams 3 words; x3..x39, each between two marks 1 apart, are one
+        # piece shifted by its marks, streamed once as the first of them by least id
+        monkeypatch.setenv("MPP_WORK_CAP", "4")
+        assert ehrhart_formula_marked_order(pm_family(40, 1)) == pm_closed_form(40, 1)
+        assert streamed == [("x1", "x2", "x40", "a1", "a39", "a2", "a40"), ("x10", "a9", "a10")]
+
+    @pytest.mark.parametrize("name", sorted(NEAR_MISSES))
+    def test_near_misses_stream_both_pieces(self, name, streamed):
+        mp = NEAR_MISSES[name]
+        assert len(_pieces(mp)) == 2
+        assert ehrhart_formula_marked_order(mp) == ehrhart_by_counting(build_order_hrep(mp))
+        assert len(streamed) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(constant=st.integers(-20, 20).filter(bool), rest=st.lists(st.integers(-20, 20), max_size=5),
+           exponent=st.integers(2, 9))
+    def test_power_is_repeated_convolution(self, constant, rest, exponent):
+        coefficients = [constant, *rest]
+        expected = coefficients
+        for _ in range(exponent - 1):
+            expected = _convolve(expected, coefficients)
+        assert _power(coefficients, exponent) == expected
 
 
 class TestFamilyEquality:

@@ -269,6 +269,59 @@ class TestBitmaskClosure:
         self.check(*poset_and_edges)
 
 
+class TestFromRelations:
+    """``Poset.from_relations`` hands its one closure to the poset it builds: every attribute
+    equals that of the poset built from its covers, which runs the closure on the covers."""
+
+    ATTRIBUTES = ("elements", "covers", "_up_covers", "_down_covers", "_order", "_above", "_index")
+
+    def check(self, elements, relations):
+        built = Poset.from_relations(elements, relations)
+        oracle = Poset(elements, built.covers)
+        for name in self.ATTRIBUTES:
+            assert getattr(built, name) == getattr(oracle, name), name
+
+    def test_seeded_corpora(self):
+        for seed in ORACLE_SEEDS:
+            for mp in corpus(seed, 200, max_unmarked=6):
+                poset = mp.poset
+                order = [(p, q) for p in poset.elements
+                         for q in _members(poset._above[poset._index[p]], poset._order)]
+                for relations in (poset.covers, order, augment_marked_order(mp).covers):
+                    self.check(poset.elements, relations)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_posets(), st.randoms(use_true_random=False))
+    def test_small_posets(self, poset_and_edges, rng):
+        poset, edges = poset_and_edges
+        elements = list(poset.elements)
+        rng.shuffle(elements)
+        self.check(elements, rng.sample(edges, len(edges)))
+
+    def test_one_closure_per_call(self, monkeypatch):
+        calls = []
+
+        def spy(nodes, succ):
+            calls.append(nodes)
+            return _up_sets(nodes, succ)
+
+        monkeypatch.setattr(posets, "_up_sets", spy)
+        Poset.from_relations(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "c"), ("a", "d")])
+        assert len(calls) == 1
+        pm_family(12, 1)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("elements, relations, message", [
+        (["a", "b", "c"], [("a", "b"), ("b", "z")], "relation ('b', 'z') references unknown element"),
+        (["a", "b", "c"], [("a", "b"), ("b", "b")], "relation ('b', 'b') is a loop"),
+        (["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")], "cover relation contains a cycle"),
+        (["a", "b", "a"], [("a", "b")], "duplicate element ids"),
+    ])
+    def test_messages(self, elements, relations, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Poset.from_relations(elements, relations)
+
+
 class TestMarkedPoset:
     def test_requires_marked_extremes(self):
         with pytest.raises(ValueError, match="must be marked"):
