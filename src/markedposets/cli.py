@@ -57,9 +57,9 @@ def parse_document(data: object, fallback_name: str = "poset"):
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise DocumentError("elements must be a list of strings")
     covers = data["covers"]
-    if (not isinstance(covers, list)
-            or not all(isinstance(c, list) and len(c) == 2
-                       and all(isinstance(e, str) for e in c) for c in covers)):
+    if not isinstance(covers, list) or not all(
+            isinstance(c, list) and len(c) == 2 and isinstance(c[0], str) and isinstance(c[1], str)
+            for c in covers):
         raise DocumentError("covers must be a list of [p, q] pairs")
     marked = data["marked"]
     if not isinstance(marked, dict) or not all(
@@ -130,9 +130,10 @@ def format_hrep(h: HRepresentation) -> str:
 
 
 def _hrep_payload(h: HRepresentation) -> dict:
+    """The rows as JSON-ready objects; each row's ``coeffs`` dict is shared, not copied."""
     payload: dict = {"coordinates": list(h.coordinates)}
     for key, rows in (("inequalities", h.inequalities), ("equalities", h.equalities)):
-        payload[key] = [{"coeffs": dict(row.coeffs), "rhs": str(row.rhs)} for row in rows]
+        payload[key] = [{"coeffs": row.coeffs, "rhs": str(row.rhs)} for row in rows]
     return payload
 
 

@@ -14,7 +14,10 @@ in integers.  Rationals appear only in an inequality's right-hand side and
 in reported values (vertex coordinates, affine values, polynomials).  A row
 with integer coefficients keeps them and its ``Fraction`` right-hand side as
 given, and an H-representation orders its rows by sorting, not hashing, so
-building one does no ``Fraction`` arithmetic per row.
+building one does no ``Fraction`` arithmetic per row.  The rows of the
+polytopes' H-representations skip normalisation altogether: they are built
+normal (``LinearInequality._normal``), and their coordinates in id order let
+the H-representation read each row's column order off its id order.
 """
 
 from __future__ import annotations
@@ -55,9 +58,13 @@ class LinearInequality:
     Coefficients are rescaled on construction by a positive rational so they
     become integers with gcd 1 (the direction of the inequality is never
     flipped); the right-hand side scales along and may stay fractional.
-    Integer coefficients with gcd 1 and a ``Fraction`` right-hand side, the
-    rows of every built H-representation, make no ``Fraction``: the
-    coefficients are only sorted by id, and the right-hand side is kept.
+    Coefficients are kept sorted by id.  Integer coefficients with gcd 1 and
+    a ``Fraction`` right-hand side make no ``Fraction``: the coefficients are
+    only sorted, and the right-hand side is kept.  Two kinds of row skip this
+    normalisation through ``_normal``, which stores what it is given: the
+    rows of ``polytopes._hrep``, whose coefficients are all +-1 (so their gcd
+    is 1) and which it builds sorted by id, and ``negated``, whose input is
+    already normal.  Every other row goes through ``__init__``.
     """
 
     __slots__ = ("coeffs", "rhs")
@@ -78,12 +85,19 @@ class LinearInequality:
         rhs = rhs if type(rhs) is Fraction else Fraction(rhs)
         self.rhs: Fraction = rhs if scale == g == 1 else rhs * scale / g
 
+    @classmethod
+    def _normal(cls, coeffs: dict[str, int], rhs: Fraction) -> "LinearInequality":
+        """The row ``coeffs . x <= rhs`` as given: nonzero ints with gcd 1, sorted by id."""
+        row = cls.__new__(cls)
+        row.coeffs, row.rhs = coeffs, rhs
+        return row
+
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         return sum((point[c] * a for c, a in self.coeffs.items()), Fraction(0))
 
     def negated(self) -> "LinearInequality":
         """The same hyperplane with flipped orientation (for equality rows only)."""
-        return LinearInequality({c: -a for c, a in self.coeffs.items()}, -self.rhs)
+        return LinearInequality._normal({c: -a for c, a in self.coeffs.items()}, -self.rhs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearInequality):
@@ -120,6 +134,8 @@ class HRepresentation:
         self._column = {c: j for j, c in enumerate(self.coordinates)}
         if len(self._column) != len(self.coordinates):
             raise ValueError("duplicate coordinate ids")
+        # every row's coefficients are sorted by id, so then also by column
+        self._id_ordered = list(self.coordinates) == sorted(self.coordinates)
         ineqs = list(inequalities)
         eqs = list(equalities)
         for row in (*ineqs, *eqs):
@@ -148,13 +164,17 @@ class HRepresentation:
         after the last one, and the rhs ends the key.  At the first column
         where two dense rows differ, the entry of the row with the larger
         value there sorts higher: a positive entry beats any later entry or
-        the 0, a negative one loses to them.
+        the 0, a negative one loses to them.  Coordinates in id order give
+        column order without a sort.
         """
-        n = len(self.coordinates)
+        n, column = len(self.coordinates), self._column
+        items = row.coeffs.items()
         key = []
-        for j, a in sorted(zip(map(self._column.__getitem__, row.coeffs), row.coeffs.values())):
+        for c, a in items if self._id_ordered else sorted(items, key=lambda ca: column[ca[0]]):
+            j = column[c]
             key += (n - j, a) if a > 0 else (j - n, a)
-        return key + [0, row.rhs]
+        key += (0, row.rhs)
+        return key
 
     def _canonical(self, rows: list[LinearInequality]) -> tuple[LinearInequality, ...]:
         """The rows sorted by key, one per key: equal keys end up side by side."""
@@ -593,7 +613,8 @@ class UnivariatePolynomial:
     coefficients: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+        # a Fraction is kept as it is: Fraction(c) would copy it, through a slow abstract type check
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)

@@ -38,6 +38,9 @@ def _hrep(mp: MarkedPoset, chain: frozenset[str]) -> HRepresentation:
     order-preserving markings, so its condition always holds.
     Memoised on ``mp`` by ``chain``: a command that asks for one polytope
     twice enumerates its vertices and classifies its rows once.
+    Each row is built normal: its coefficients are +-1 on distinct ids, so
+    their gcd is 1, and sorted by id; ``LinearInequality._normal`` keeps it
+    as it is.
     """
     if chain in mp._hreps:
         return mp._hreps[chain]
@@ -45,18 +48,19 @@ def _hrep(mp: MarkedPoset, chain: frozenset[str]) -> HRepresentation:
     scale = math.lcm(*(v.denominator for v in mp.marking.values()))
     level = {a: v.numerator * (scale // v.denominator) for a, v in mp.marking.items()}
     rhs_of: dict[int, Fraction] = {0: Fraction(0)}
-    inequalities = [LinearInequality({p: -1}, rhs_of[0]) for p in sorted(chain)]
+    inequalities = [LinearInequality._normal({p: -1}, rhs_of[0]) for p in sorted(chain)]
     for a, interior, b in _saturated_chains(mp.poset, frozenset(mp.poset.elements) - chain):
-        coeffs = dict.fromkeys(interior, 1)
+        terms = [(p, 1) for p in interior] if interior else []
         if a not in level:
-            coeffs[a] = 1
+            terms.append((a, 1))
         if b not in level:
-            coeffs[b] = -1
+            terms.append((b, -1))
         gap = level.get(b, 0) - level.get(a, 0)
         if gap not in rhs_of:
             rhs_of[gap] = Fraction(gap, scale)
-        if coeffs:
-            inequalities.append(LinearInequality(coeffs, rhs_of[gap]))
+        if terms:
+            terms.sort()
+            inequalities.append(LinearInequality._normal(dict(terms), rhs_of[gap]))
     mp._hreps[chain] = HRepresentation(mp.unmarked, inequalities)
     return mp._hreps[chain]
 

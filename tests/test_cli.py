@@ -139,6 +139,10 @@ class TestValidate:
         (dict(SEGMENT_DOC, marked={"a": 0, "b": 1, "z": 2}),
          "marked element 'z' is not in the poset"),
         (dict(SEGMENT_DOC, marked={"b": 1}), "minimal element 'a' must be marked"),
+        # a cover whose second end is no string, and one that is a string, not a list
+        (dict(SEGMENT_DOC, covers=[["a", 1]]), "covers must be a list of [p, q] pairs"),
+        (dict(SEGMENT_DOC, covers=["ax"]), "covers must be a list of [p, q] pairs"),
+        (dict(SEGMENT_DOC, covers=[["a", ["x"]]]), "covers must be a list of [p, q] pairs"),
     ])
     def test_document_error_is_usage_error(self, capsys, tmp_path, doc, message):
         code, out, err = run_cli(capsys, "validate", write_doc(tmp_path, doc))

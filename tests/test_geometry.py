@@ -1114,6 +1114,8 @@ class TestSparseRowOrder:
     @given(data=st.data())
     def test_sorts_and_dedups_like_dense_rows(self, data):
         coords = data.draw(st.permutations("abcde"))[:data.draw(st.integers(1, 5))]
+        if data.draw(st.booleans()):  # id order: the key reads column order off the rows
+            coords = sorted(coords)
         rows = []
         for _ in range(data.draw(st.integers(0, 10))):
             coeffs = {c: data.draw(COEFFS) for c in coords}
@@ -1124,6 +1126,7 @@ class TestSparseRowOrder:
                 k = data.draw(st.sampled_from([1, 2, Fraction(1, 3)]))
                 rows.append(LinearInequality({c: k * a for c, a in row.coeffs.items()}, k * row.rhs))
         h = HRepresentation(coords, rows)
+        assert h._id_ordered == (coords == sorted(coords))
 
         def dense(row):
             return (*h._dense(row), row.rhs)

@@ -211,6 +211,42 @@ class TestBuildersAgainstRules:
             self.check(rational_marks(mp))
 
 
+def fresh_ids(mp, rng):
+    """``mp`` under shuffled ids, so that id order follows neither the covers nor the chains."""
+    names = [f"e{i:04d}" for i in range(len(mp.poset.elements))]
+    rng.shuffle(names)
+    new = dict(zip(mp.poset.elements, names))
+    return MarkedPoset(Poset(names, [(new[p], new[q]) for p, q in mp.poset.covers]),
+                       {new[a]: v for a, v in mp.marking.items()})
+
+
+class TestNormalRows:
+    """The rows ``_hrep`` builds normal against ``LinearInequality``'s normalisation, their oracle."""
+
+    @staticmethod
+    def check(mp, rng):
+        part = ChainOrderPartition.of(mp, [p for p in mp.unmarked if rng.random() < 0.5])
+        for h in (build_order_hrep(mp), build_chain_hrep(mp), build_chain_order_hrep(mp, part)):
+            assert h._id_ordered
+            for row in h.inequalities:
+                for built in (row, row.negated()):
+                    oracle = LinearInequality(dict(built.coeffs), built.rhs)
+                    assert list(built.coeffs.items()) == list(oracle.coeffs.items())
+                    assert type(built.rhs) is Fraction and built.rhs == oracle.rhs
+
+    def test_seeded_corpus(self):
+        rng = random.Random(1)
+        for mp in corpus(20250808, 200, max_unmarked=6):
+            self.check(mp, rng)
+            self.check(rational_marks(mp), rng)
+
+    def test_large_shapes(self):
+        rng = random.Random(2)
+        _, antichain, fence, _ = large_shapes(902)
+        for mp in (long_chain(1500), antichain, fence):  # chain-1500, antichain-900, fence-900
+            self.check(fresh_ids(mp, rng), rng)
+
+
 class TestBuildChainOrder:
     def test_all_chain_matches_chain_builder(self, figure_one):
         part = ChainOrderPartition.of(figure_one, figure_one.unmarked)
