@@ -7,17 +7,20 @@ the homogenized cone, under a hard work cap on the rays it holds; its cost
 follows the vertex count rather than the number of constraint subsets, and
 the same cone settles boundedness and emptiness.  The test suite keeps the
 plain subset walk (solve every independent subset of d rows, keep the
-feasible solutions) as its oracle.  A vertex set is stored as one common
-denominator L and the integer vectors L x, which the double description
-yields directly; facet values, dimensions, counting boxes and rows all stay
-in integers.  Rationals appear only in an inequality's right-hand side and
-in reported values (vertex coordinates, affine values, polynomials).  A row
-with integer coefficients keeps them and its ``Fraction`` right-hand side as
-given, and an H-representation orders its rows by sorting, not hashing, so
-building one does no ``Fraction`` arithmetic per row.  The rows of the
-polytopes' H-representations skip normalisation altogether: they are built
-normal (``LinearInequality._normal``), and their coordinates in id order let
-the H-representation read each row's column order off its id order.
+feasible solutions) as its oracle.  The double description reads each ray's
+zero set off its pivot bookkeeping, not off dot products.  A vertex set is
+stored as one common denominator L and the integer vectors L x, which the
+double description yields directly; facet values, counting boxes and rows
+all stay in integers.  Facet classification takes the dimension from the
+affine hull's rows (the equalities and the rows tight on every vertex), so a
+full-dimensional polytope needs no rank; lattice counting takes it from the
+vertex vectors.  Rationals appear only in an inequality's right-hand side
+and in reported values (vertex coordinates, affine values, polynomials).  An
+H-representation orders its rows by sorting, not hashing.  The rows of the
+polytopes' H-representations skip normalisation: they are built normal
+(``LinearInequality._normal``), and their coordinates in id order let the
+H-representation read each row's column order off its id order, so building
+one does no ``Fraction`` arithmetic per row.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -58,9 +62,7 @@ class LinearInequality:
     Coefficients are rescaled on construction by a positive rational so they
     become integers with gcd 1 (the direction of the inequality is never
     flipped); the right-hand side scales along and may stay fractional.
-    Coefficients are kept sorted by id.  Integer coefficients with gcd 1 and
-    a ``Fraction`` right-hand side make no ``Fraction``: the coefficients are
-    only sorted, and the right-hand side is kept.  Two kinds of row skip this
+    Coefficients are kept sorted by id.  Two kinds of row skip this
     normalisation through ``_normal``, which stores what it is given: the
     rows of ``polytopes._hrep``, whose coefficients are all +-1 (so their gcd
     is 1) and which it builds sorted by id, and ``negated``, whose input is
@@ -70,20 +72,14 @@ class LinearInequality:
     __slots__ = ("coeffs", "rhs")
 
     def __init__(self, coeffs: Mapping[str, int | Fraction], rhs: int | Fraction):
-        if {int}.issuperset(map(type, coeffs.values())):  # exact ints, not bool
-            scale = 1
-            ints = coeffs if all(coeffs.values()) else {c: v for c, v in coeffs.items() if v}
-        else:
-            exact = {c: Fraction(v) for c, v in coeffs.items() if v != 0}
-            scale = math.lcm(*(v.denominator for v in exact.values()))
-            ints = {c: int(v * scale) for c, v in exact.items()}
-        if not ints:
+        exact = {c: Fraction(v) for c, v in coeffs.items() if v != 0}
+        if not exact:
             raise ValueError("inequality needs at least one nonzero coefficient")
+        scale = math.lcm(*(v.denominator for v in exact.values()))
+        ints = {c: int(v * scale) for c, v in exact.items()}
         g = math.gcd(*ints.values())
-        items = sorted(ints.items())
-        self.coeffs: dict[str, int] = dict(items) if g == 1 else {c: v // g for c, v in items}
-        rhs = rhs if type(rhs) is Fraction else Fraction(rhs)
-        self.rhs: Fraction = rhs if scale == g == 1 else rhs * scale / g
+        self.coeffs: dict[str, int] = {c: ints[c] // g for c in sorted(ints)}
+        self.rhs: Fraction = Fraction(rhs) * scale / g
 
     @classmethod
     def _normal(cls, coeffs: dict[str, int], rhs: Fraction) -> "LinearInequality":
@@ -230,21 +226,8 @@ class VRepresentation:
 
     @cached_property
     def dimension(self) -> int:
-        """The affine dimension: the rank of the vectors (L x, L), minus 1 (-1 when empty).
-
-        Fraction-free elimination (``_eliminate``): each vector is reduced
-        against the kept rows, and a nonzero remainder is kept with its first
-        nonzero column as pivot.
-        """
-        kept: list[tuple[int, list[int]]] = []
-        for p in self.vectors:
-            r = [*p, self.scale]
-            for pivot, row in kept:
-                if f := r[pivot]:
-                    r = _eliminate(row[pivot], r, f, row)
-            if any(r):
-                kept.append((next(j for j, x in enumerate(r) if x), r))
-        return len(kept) - 1
+        """The affine dimension: the rank of the vectors (L x, L), minus 1 (-1 when empty)."""
+        return _rank([*p, self.scale] for p in self.vectors) - 1
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -276,7 +259,10 @@ def _int_terms(h: HRepresentation, ineq: LinearInequality) -> tuple[list[tuple[i
 
 def _dot(row: Sequence[tuple[int, int]], vec: Sequence[int]) -> int:
     """A sparse row ``[(column, coefficient), ...]`` times a dense vector."""
-    return sum(a * vec[j] for j, a in row)
+    total = 0
+    for j, a in row:
+        total += a * vec[j]
+    return total
 
 
 def _cone_row(h: HRepresentation, ineq: LinearInequality) -> list[tuple[int, int]]:
@@ -296,6 +282,22 @@ def _eliminate(a: int, v: Sequence[int], s: int, l: Sequence[int]) -> list[int]:
     return w if g == 1 else [x // g for x in w]
 
 
+def _rank(vectors: Iterable[Sequence[int]]) -> int:
+    """The rank of integer vectors, by fraction-free elimination (``_eliminate``).
+
+    Each vector is reduced against the kept rows, and a nonzero remainder is
+    kept with its first nonzero column as pivot.
+    """
+    kept: list[tuple[int, Sequence[int]]] = []
+    for r in vectors:
+        for pivot, row in kept:
+            if f := r[pivot]:
+                r = _eliminate(row[pivot], r, f, row)
+        if any(r):
+            kept.append((next(j for j, x in enumerate(r) if x), r))
+    return len(kept)
+
+
 def _double_description(h: HRepresentation) -> list[list[int]]:
     """The extreme rays of the cone {(x, t) : a.x <= b t, e.x = c t, t >= 0}, fraction-free.
 
@@ -308,7 +310,16 @@ def _double_description(h: HRepresentation) -> list[list[int]]:
     From then on each inequality keeps its positive and zero rays and adds
     the positive combination of every adjacent (positive, negative) pair; two
     rays are adjacent when their common tight rows number at least d - 1 and
-    no third ray is tight on all of them (the combinatorial test).
+    no third ray is tight on all of them (the combinatorial test, which stops
+    at the third such ray).
+
+    The zero sets (the rows each ray is tight on, as bitmasks) come from the
+    pivot bookkeeping, with no dot product.  A lineality vector is orthogonal
+    to every row pivoted so far, and a pivot scales every earlier pivot row's
+    value on a ray by g.l > 0.  So each ray is tight on every pivot row but
+    its own, whose index the walk records when it appends the ray; the d + 1
+    pivot rows take bits 0 .. d.  A later row's bit joins the zero set of each
+    ray tight on it and of each ray it combines.
 
     The equalities come first, after t >= 0 alone, so while they run the cone
     is the lineality plus one ray with t > 0.  An equality orthogonal to all
@@ -339,7 +350,7 @@ def _double_description(h: HRepresentation) -> list[list[int]]:
 
     lineality = [[int(i == j) for j in range(d + 1)] for i in range(d + 1)]
     rays: list[list[int]] = []
-    imposed: list[list[tuple[int, int]]] = []
+    pivots: list[int] = []  # per ray, the index of its own pivot row among the pivot rows
     later: list[list[tuple[int, int]]] = []
     inconsistent = False
     for g, equality in rows:
@@ -349,7 +360,7 @@ def _double_description(h: HRepresentation) -> list[list[int]]:
             if not equality:
                 later.append(g)
             elif any(_dot(g, r) for r in rays):
-                inconsistent, rays = True, []
+                inconsistent, rays, pivots = True, [], []
             continue
         l, a = lineality.pop(k), dots.pop(k)
         if a < 0:
@@ -358,13 +369,14 @@ def _double_description(h: HRepresentation) -> list[list[int]]:
         rays = [_eliminate(a, r, s, l) if (s := _dot(g, r)) else r for r in rays]
         if not equality:
             rays.append(l)
+            pivots.append(d - len(lineality))  # pivot k (from 0) leaves d - k lineality vectors
             check_cap(len(rays))
-        imposed.append(g)
     if lineality:
         raise UnboundedPolytope("constraints do not span the space; unbounded if feasible")
 
-    zero_sets = [sum(1 << i for i, g in enumerate(imposed) if _dot(g, r) == 0) for r in rays]
-    for i, g in enumerate(later, start=len(imposed)):
+    every = (1 << (d + 1)) - 1  # the d + 1 pivot rows
+    zero_sets = [every ^ (1 << k) for k in pivots]
+    for i, g in enumerate(later, start=d + 1):
         bit = 1 << i
         kept: list[list[int]] = []
         kept_zero: list[int] = []
@@ -385,8 +397,8 @@ def _double_description(h: HRepresentation) -> list[list[int]]:
                 common = zp & zn
                 if common.bit_count() < d - 1:
                     continue
-                if sum(1 for z in zero_sets if z & common == common) > 2:
-                    continue
+                if any(islice((1 for z in zero_sets if z & common == common), 2, None)):
+                    continue  # a third ray is tight on the common rows
                 kept.append(_eliminate(sp, n, sn, p))
                 kept_zero.append(common | bit)
                 check_cap(len(kept))
@@ -442,10 +454,13 @@ def classify_inequalities(
     """Split inequalities into facets and implicit equalities by their tight-vertex masks.
 
     Returns (vertices, polytope dimension, facet inequalities, inequalities
-    tight on every vertex).  Inequalities in neither list are redundant.  The
-    dimension is the vertex set's (one rank of the vectors (L x, L), minus 1).
+    tight on every vertex).  Inequalities in neither list are redundant.
     Each row's mask holds a bit per vertex where a . (L x) = b L.  A row is
-    implicit when its mask is every vertex.  In any H-representation a row
+    implicit when its mask is every vertex.  The equalities and the implicit
+    rows cut out the polytope's affine hull, so the dimension is d minus the
+    rank of their coefficient rows: a full-dimensional polytope has no such
+    row and takes no rank.  (``VRepresentation.dimension``, the rank of the
+    vertex vectors, gives the same number.)  In any H-representation a row
     defines a facet exactly when its tight vertex set is proper and maximal
     among the rows' tight sets (each facet is some row's tight set, and every
     other proper face lies in a facet), so a row is a facet when the
@@ -458,20 +473,20 @@ def classify_inequalities(
     if h._classify_cache is not None:
         return h._classify_cache
     v = enumerate_vertices(h)
-    dim = v.dimension
     full = (1 << len(v)) - 1
     masks = []
     for ineq in h.inequalities:
         tight, remainder = divmod(ineq.rhs.numerator * v.scale, ineq.rhs.denominator)
         values = _scaled_values(v, ineq) if remainder == 0 else ()
         masks.append(sum(1 << i for i, s in enumerate(values) if s == tight))
+    implicit = [ineq for ineq, m in zip(h.inequalities, masks) if m == full]
+    dim = len(h.coordinates) - _rank(map(h._dense, (*h.equalities, *implicit)))
     maximal: list[int] = []
     if dim >= 1:
         for m in sorted({m for m in masks if m != full}, key=int.bit_count, reverse=True):
             if all(m & n != m for n in maximal):
                 maximal.append(m)
     facets = [ineq for ineq, m in zip(h.inequalities, masks) if m in maximal]
-    implicit = [ineq for ineq, m in zip(h.inequalities, masks) if m == full]
     h._classify_cache = v, dim, facets, implicit
     return h._classify_cache
 

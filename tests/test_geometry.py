@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from markedposets import (
+    ChainOrderPartition,
     DimensionTooLarge,
     EmptyPolytope,
     HRepresentation,
@@ -715,6 +716,119 @@ class TestAgainstOracles:
         assert_matches_oracles(h)
         assert enumerate_vertices(h).vertices == expected
         assert_vertex_form(h)
+
+
+def degenerate_system(draw, pick):
+    """A boxed system, so bounded, with repeated, implied and implicit rows; 1-3 coordinates.
+
+    ``draw(lo, hi)`` gives an integer in [lo, hi] and ``pick(rows)`` one of
+    the rows.  Returns the system and whether an equality was repeated with
+    another right-hand side, which makes the equalities inconsistent.
+    """
+    coords = ["x", "y", "z"][:draw(1, 3)]
+
+    def row(rhs_lo, rhs_hi):
+        a = {c: draw(-2, 2) for c in coords}
+        if not any(a.values()):
+            a[coords[0]] = 1
+        return a, Fraction(draw(rhs_lo, rhs_hi), draw(1, 3))
+
+    # the box holds 0 in its interior
+    ineqs = [({c: s}, Fraction(draw(1, 6), draw(1, 3))) for c in coords for s in (1, -1)]
+    ineqs += [row(-4, 4) for _ in range(draw(0, 3))]
+    eqs = [row(-1, 1) for _ in range(draw(0, len(coords) - 1))]
+    for a, b in [pick(ineqs + eqs) for _ in range(draw(0, 2))]:  # again, scaled: y <= 0 beside y = 0
+        k = draw(1, 3)
+        ineqs.append(({c: k * v for c, v in a.items()}, k * b))
+    for _ in range(draw(0, 2)):  # implied: the sum of two rows, tight or relaxed by 1
+        (a1, b1), (a2, b2) = pick(ineqs), pick(ineqs)
+        a = {c: a1.get(c, 0) + a2.get(c, 0) for c in coords}
+        if any(a.values()):
+            ineqs.append((a, b1 + b2 + draw(0, 1)))
+    if draw(0, 1):  # implicit: a hyperplane near 0 as two opposite rows
+        a, b = row(-1, 1)
+        ineqs += [(a, b), ({c: -v for c, v in a.items()}, -b)]
+    inconsistent = bool(eqs) and draw(0, 3) == 0
+    if inconsistent:
+        a, b = eqs[0]
+        eqs.append((a, b + 1))
+    return system(coords, ineqs, eqs), inconsistent
+
+
+class TestDegenerateSystems:
+    """The double description on bounded systems whose rows are far from in general position."""
+
+    @staticmethod
+    def check(h, inconsistent):
+        expected = outcome(oracle_vertices, h)
+        assert outcome(enumerate_vertices, h) == expected
+        if inconsistent:
+            assert expected == ("EmptyPolytope", TestBoundednessAndEmptiness.INCONSISTENT)
+        elif expected[0] == "vertices":
+            assert_matches_oracles(h)
+        return expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_match_subset_walk(self, data):
+        h, inconsistent = degenerate_system(lambda lo, hi: data.draw(st.integers(lo, hi)),
+                                            lambda rows: data.draw(st.sampled_from(rows)))
+        self.check(h, inconsistent)
+
+    def test_seeded_systems_reach_every_case(self):
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(300):
+            h, inconsistent = degenerate_system(rng.randint, rng.choice)
+            expected = self.check(h, inconsistent)
+            if expected[0] == "vertices":
+                _, dim, _, implicit = classify_inequalities(h)
+                seen.add(("full" if dim == len(h.coordinates) else "lower")
+                         + (" implicit" if implicit else ""))
+            else:
+                seen.add(expected[1])
+        assert seen == {"full", "lower", "lower implicit", TestBoundednessAndEmptiness.INCONSISTENT,
+                        TestBoundednessAndEmptiness.NO_VERTEX}
+
+
+class TestHullDimension:
+    """Classification's dimension, d minus the rank of the hull rows, against the vertex rank."""
+
+    @staticmethod
+    def check(h):
+        v, dim, _, _ = classify_inequalities(h)
+        assert dim == v.dimension == oracle_affine_dimension(v.vertices)
+        return dim
+
+    def test_seeded_corpus(self):
+        rng = random.Random(1)
+        for mp in corpus(20250808, 200, max_unmarked=6):
+            part = ChainOrderPartition.of(mp, [p for p in mp.unmarked if rng.random() < 0.5])
+            for h in (build_order_hrep(mp), build_chain_hrep(mp), build_chain_order_hrep(mp, part)):
+                self.check(h)
+
+    def test_tied_marks(self):
+        # a < x < b with a and b both marked 1 pins x; y between a(1) and c(3) stays free
+        poset = Poset.from_relations("abcxy", [("a", "x"), ("x", "b"), ("a", "y"), ("y", "c")])
+        mp = MarkedPoset(poset, {"a": 1, "b": 1, "c": 3})
+        for part in all_chain_order_partitions(mp):
+            for h in (build_order_hrep(mp), build_chain_hrep(mp), build_chain_order_hrep(mp, part)):
+                assert self.check(h) == 1
+                assert len(classify_inequalities(h)[3]) == 2
+
+    @pytest.mark.parametrize("coords, ineqs, eqs, dim", [
+        # explicit equalities: a segment in the plane, a triangle in space
+        ("xy", [({"x": -1}, 0), ({"x": 1}, 1)], [({"x": 1, "y": -1}, 0)], 1),
+        ("xyz", [({"x": -1}, 0), ({"y": -1}, 0), ({"z": -1}, 0)], [({"x": 1, "y": 1, "z": 1}, 1)], 2),
+        # y <= 0 beside y = 0: an implicit row that repeats an equality
+        ("xy", [({"x": -1}, 0), ({"x": 1}, 1), ({"y": 1}, 0)], [({"y": 1}, 0)], 1),
+        # a single point, by implicit rows alone and by equalities alone
+        ("xy", [({"x": 1}, 0), ({"x": -1}, 0), ({"y": 1}, 0), ({"y": -1}, 0)], [], 0),
+        ("xy", [], [({"x": 1}, 1), ({"x": 1, "y": 1}, 3)], 0),
+        ("", [], [], 0),
+    ])
+    def test_not_full_dimensional(self, coords, ineqs, eqs, dim):
+        assert self.check(system(list(coords), ineqs, eqs)) == dim
 
 
 def divided_marks(mp, k):
