@@ -22,7 +22,15 @@ def random_marked_poset(
     mark_hi: int = 4,
     min_unmarked: int = 1,
 ) -> MarkedPoset:
-    """A random strict regular marked poset within the requested bounds."""
+    """A random strict regular marked poset within the requested bounds.
+
+    Raises ValueError, before any draw, on a mark range that no draw can fit:
+    an empty one, or one value when an element must stay unmarked, since an
+    unmarked element lies between two comparable marks, which need two
+    distinct values.  Any other range is met by some draw.
+    """
+    if mark_hi < mark_lo or mark_hi == mark_lo and min_unmarked >= 1:
+        raise ValueError(f"no draw fits marks in {mark_lo}..{mark_hi} with {min_unmarked}+ unmarked elements")
     while True:
         mp = _draw(rng, max_unmarked, mark_lo, mark_hi, min_unmarked)
         if mp is None:

@@ -237,7 +237,7 @@ def ehrhart_formula_marked_order(
     if labeling is not None:
         next(restricted_linear_extensions(mp, labeling))  # raises on a bad labeling
     index = mp.poset._index
-    marks = {a: int(v) for a, v in mp.marking.items()}
+    marks = mp._levels
     first: dict[tuple, tuple] = {}  # each key's first piece, with its covers and marks
     multiplicity: Counter[tuple] = Counter()
     for piece, covers, lower, upper in _pieces(mp):

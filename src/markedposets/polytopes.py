@@ -7,7 +7,6 @@ equalities.  Coordinates are the unmarked element ids in lexicographic order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -44,9 +43,8 @@ def _hrep(mp: MarkedPoset, chain: frozenset[str]) -> HRepresentation:
     """
     if chain in mp._hreps:
         return mp._hreps[chain]
-    # marks as integers over one common denominator; each distinct rhs is one Fraction
-    scale = math.lcm(*(v.denominator for v in mp.marking.values()))
-    level = {a: v.numerator * (scale // v.denominator) for a, v in mp.marking.items()}
+    # the constructor's integer marks, over its common denominator; each distinct rhs is one Fraction
+    scale, level = mp._scale, mp._levels
     rhs_of: dict[int, Fraction] = {0: Fraction(0)}
     inequalities = [LinearInequality._normal({p: -1}, rhs_of[0]) for p in sorted(chain)]
     for a, interior, b in _saturated_chains(mp.poset, frozenset(mp.poset.elements) - chain):

@@ -23,50 +23,58 @@ from .errors import PreconditionViolated
 
 
 class Poset:
-    """A finite poset given by elements and covering relations p < q."""
+    """A finite poset given by elements and covering relations p < q.
+
+    The covers must be irredundant: a repeated cover, or one implied by the
+    others, raises.  :meth:`from_relations` takes any strict relations and
+    reduces them to covers instead.  Both go through ``_set_up``.
+    """
 
     def __init__(self, elements: Iterable[str], covers: Iterable[tuple[str, str]]):
-        self._set_up(elements, covers, None)
+        self._set_up(elements, covers, "cover")
 
-    def _set_up(self, elements: Iterable[str], covers: Iterable[tuple[str, str]],
-                closure: tuple[list[str], list[int]] | None) -> None:
-        """Check and store the elements and covers, then the order.
+    def _set_up(self, elements: Iterable[str], pairs: Iterable[tuple[str, str]], kind: str) -> None:
+        """Check the elements and the pairs, of ``kind`` "cover" or "relation", then store the
+        covers and the order.
 
-        ``closure`` is the topological order and up-set bitmasks that
-        ``_up_sets`` gave on a graph with the covers' transitive closure, or
-        None: then ``_up_sets`` runs here on the covers, which must be
-        irredundant.  Both give the same order and masks, since whether an
-        element is available to the topological order depends only on the
-        closure.
+        One loop checks every pair: an unknown end or a loop raises, a
+        repeated cover raises and a repeated relation is skipped.  One
+        ``_up_sets`` call on the distinct pairs then gives the topological
+        order, the up-set bitmasks and the implied pairs: an implied cover
+        raises, naming the first in input order, and implied relations are
+        dropped.  Covers keep their input order; the covers that relations
+        reduce to are listed by lower end in element order, then by upper end.
         """
         self.elements: tuple[str, ...] = tuple(elements)
-        self.covers: tuple[tuple[str, str], ...] = tuple((p, q) for p, q in covers)
-        seen = set(self.elements)
-        if len(seen) != len(self.elements):
+        known = set(self.elements)
+        if len(known) != len(self.elements):
             raise ValueError("duplicate element ids")
-        distinct: set[tuple[str, str]] = set()
-        for p, q in self.covers:
-            if p not in seen or q not in seen:
-                raise ValueError(f"cover ({p!r}, {q!r}) references unknown element")
-            if p == q:
-                raise ValueError(f"cover ({p!r}, {q!r}) is a loop")
-            if (p, q) in distinct:
-                raise ValueError(f"cover ({p!r}, {q!r}) is repeated")
-            distinct.add((p, q))
+        distinct: dict[tuple[str, str], None] = {}  # a set that keeps the input order
         up: dict[str, list[str]] = {e: [] for e in self.elements}
+        for p, q in pairs:
+            if p not in known or q not in known:
+                raise ValueError(f"{kind} ({p!r}, {q!r}) references unknown element")
+            if p == q:
+                raise ValueError(f"{kind} ({p!r}, {q!r}) is a loop")
+            if (p, q) in distinct:
+                if kind == "cover":
+                    raise ValueError(f"cover ({p!r}, {q!r}) is repeated")
+                continue
+            distinct[p, q] = None
+            up[p].append(q)
+        order, self._above, implied = _up_sets(self.elements, up)
+        if implied:
+            if kind == "cover":
+                p, q = next(pair for pair in distinct if pair in implied)
+                raise ValueError(f"cover ({p!r}, {q!r}) is implied by other covers")
+            up = {p: [q for q in succ if (p, q) not in implied] for p, succ in up.items()}
+        self._up_covers: dict[str, tuple[str, ...]] = {e: tuple(sorted(up[e])) for e in self.elements}
+        self.covers: tuple[tuple[str, str], ...] = tuple(distinct) if kind == "cover" else tuple(
+            (p, q) for p in self.elements for q in self._up_covers[p])
         down: dict[str, list[str]] = {e: [] for e in self.elements}
         for p, q in self.covers:
-            up[p].append(q)
             down[q].append(p)
-        self._up_covers: dict[str, tuple[str, ...]] = {e: tuple(sorted(up[e])) for e in self.elements}
         self._down_covers: dict[str, tuple[str, ...]] = {e: tuple(sorted(down[e])) for e in self.elements}
-        if closure is None:
-            order, self._above, implied = _up_sets(self.elements, self._up_covers)
-            for p, q in self.covers:
-                if (p, q) in implied:
-                    raise ValueError(f"cover ({p!r}, {q!r}) is implied by other covers")
-        else:
-            order, self._above = closure
         self._order: tuple[str, ...] = tuple(order)
         self._index: dict[str, int] = {e: i for i, e in enumerate(order)}
 
@@ -76,20 +84,10 @@ class Poset:
 
     @classmethod
     def from_relations(cls, elements: Iterable[str], relations: Iterable[tuple[str, str]]) -> "Poset":
-        """Build a poset from arbitrary strict relations, reduced to covers; the closure runs once."""
-        elements = tuple(elements)
-        index = set(elements)
-        succ: dict[str, set[str]] = {e: set() for e in elements}
-        for p, q in relations:
-            if p not in index or q not in index:
-                raise ValueError(f"relation ({p!r}, {q!r}) references unknown element")
-            if p == q:
-                raise ValueError(f"relation ({p!r}, {q!r}) is a loop")
-            succ[p].add(q)
-        order, above, implied = _up_sets(elements, succ)
-        covers = [(p, q) for p in elements for q in sorted(succ[p]) if (p, q) not in implied]
+        """Build a poset from arbitrary strict relations: repeated and implied ones are dropped,
+        and the closure runs once."""
         poset = cls.__new__(cls)
-        poset._set_up(elements, covers, (order, above))
+        poset._set_up(elements, relations, "relation")
         return poset
 
     def leq(self, p: str, q: str) -> bool:
@@ -268,6 +266,12 @@ class MarkedPoset:
     required here but are reported by :func:`validate_marked` and demanded by
     the operations whose theory needs them.
 
+    The constructor puts the marks over one common denominator once:
+    ``_scale`` is the lcm of their denominators and ``_levels`` maps each
+    mark, in id order, to the int ``mark * _scale``.  The ranking, the rows
+    of ``polytopes._hrep``, :meth:`is_integral` and the Ehrhart formula read
+    these ints, not the ``Fraction`` values.
+
     Each mark gets its rank among the distinct mark values, kept as
     ``_rank`` for :func:`validate_marked`.  The order check ANDs each mark's
     up-set bitmask with the bits of the marks of rank at most its own.  A
@@ -285,8 +289,9 @@ class MarkedPoset:
         # a Fraction is kept as it is: Fraction(v) would copy it, through a slow abstract type check
         self.marking: dict[str, Fraction] = {a: v if type(v) is Fraction else Fraction(v) for a, v in marking.items()}
         self.marked: frozenset[str] = frozenset(self.marking)
-        marked = sorted(self.marked)
-        for a in marked:
+        self._scale = math.lcm(*(v.denominator for v in self.marking.values()))
+        self._levels = {a: v.numerator * (self._scale // v.denominator) for a, v in sorted(self.marking.items())}
+        for a in self._levels:
             if a not in poset._index:
                 raise ValueError(f"marked element {a!r} is not in the poset")
         self.unmarked: tuple[str, ...] = tuple(
@@ -295,7 +300,7 @@ class MarkedPoset:
             for e in self.unmarked:
                 if not covered[e]:
                     raise ValueError(f"{kind} element {e!r} must be marked")
-        self._rank, self._ties = _rank_marks(poset, self.marking, marked)
+        self._rank, self._ties = _rank_marks(poset, self.marking, self._levels)
         self._hreps: dict = {}  # polytopes._hrep's memo, keyed by the chain part
         self._report: MarkingReport | None = None  # validate_marked's memo
 
@@ -303,7 +308,7 @@ class MarkedPoset:
         return self.marking[a]
 
     def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.marking.values())
+        return self._scale == 1
 
     def __repr__(self) -> str:
         marks = {a: str(v) for a, v in sorted(self.marking.items())}
@@ -311,19 +316,17 @@ class MarkedPoset:
 
 
 def _rank_marks(poset: Poset, marking: Mapping[str, Fraction],
-                marked: Sequence[str]) -> tuple[dict[str, int], tuple[tuple, ...]]:
-    """Each mark's rank, keyed in ``marked`` order, and the ties of the marks; ``_scan_mark_pairs``
+                levels: Mapping[str, int]) -> tuple[dict[str, int], tuple[tuple, ...]]:
+    """Each mark's rank, keyed in ``levels`` order, and the ties of the marks; ``_scan_mark_pairs``
     runs when a pair decreases.
 
     A mark's rank counts the distinct mark values below its own, so the
-    lowest is 0.  The values are put over one common denominator first, so
-    the one sort compares ints rather than ``Fraction`` values.
+    lowest is 0.  It is read off ``levels``, the marks as ints over the
+    constructor's common denominator, so the one sort compares ints rather
+    than ``Fraction`` values.
     """
-    ratios = [marking[a].as_integer_ratio() for a in marked]
-    scale = math.lcm(*[d for _, d in ratios])
-    keys = [n * (scale // d) for n, d in ratios]
-    values = sorted(set(keys))
-    rank = {a: bisect.bisect_left(values, k) for a, k in zip(marked, keys)}
+    values = sorted(set(levels.values()))
+    rank = {a: bisect.bisect_left(values, k) for a, k in levels.items()}
     index, above = poset._index, poset._above
     # upto[r]: the bits of the marks of rank below r
     upto = [0] * (len(values) + 1)
@@ -335,7 +338,7 @@ def _rank_marks(poset: Poset, marking: Mapping[str, Fraction],
     for a, r in rank.items():
         up = above[index[a]] & upto[r + 1]
         if up & upto[r]:
-            _scan_mark_pairs(poset, marking, marked)  # raises, naming the first decreasing pair
+            _scan_mark_pairs(poset, marking, list(levels))  # raises, naming the first decreasing pair
         if up:
             ties += [("strict", a, b) for b in _members(up, poset._order)]
     return rank, tuple(sorted(ties))

@@ -20,7 +20,7 @@ from markedposets import (
     validate_marked,
 )
 from markedposets import posets
-from markedposets.corpus import _draw, corpus
+from markedposets.corpus import _draw, corpus, random_marked_poset
 from markedposets.ehrhart import pm_family
 from markedposets.posets import (_components, _members, _pieces, _saturated_chains, _topological_order,
                                  _up_sets, induced_subposet, require_strict)
@@ -168,6 +168,13 @@ class TestPoset:
     def test_rejects_repeated_cover(self):
         with pytest.raises(ValueError, match=r"cover \('a', 'x'\) is repeated"):
             Poset(["a", "x", "b"], [("a", "x"), ("a", "x"), ("x", "b")])
+
+    def test_from_relations_skips_repeated_relation(self):
+        # the pairs that Poset refuses as a repeated cover give one cover here
+        p = Poset.from_relations(["a", "x", "b"], [("a", "x"), ("a", "x"), ("x", "b")])
+        assert p.covers == (("a", "x"), ("x", "b"))
+        assert p.upper_covers("a") == ("x",) and p.lower_covers("x") == ("a",)
+        assert p == Poset(["a", "x", "b"], [("a", "x"), ("x", "b")])
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -364,6 +371,16 @@ class TestMarkedPoset:
         mp = MarkedPoset(p, {"a": Fraction(1, 2), "b": Fraction(1, 3), "c": Fraction(2, 4),
                              "d": Fraction(-5, 6), "e": 7})
         assert mp._rank == {"a": 2, "b": 1, "c": 2, "d": 0, "e": 3}
+        # the constructor's integer marks, over the lcm of the denominators
+        assert mp._scale == 6 and not mp.is_integral()
+        assert list(mp._levels) == sorted(mp.marking)
+        for a, v in mp.marking.items():
+            assert Fraction(mp._levels[a], mp._scale) == v
+
+    def test_integral_marks_have_scale_one(self):
+        mp = corpus(20250808, 1)[0]
+        assert mp._scale == 1 and mp.is_integral()
+        assert mp._levels == {a: int(v) for a, v in sorted(mp.marking.items())}
 
     def test_validate_strictness(self):
         p = Poset(["a", "b"], [("a", "b")])
@@ -605,6 +622,19 @@ class TestDraw:
                 assert validate_marked(mp).strict
                 assert set(mp.poset.minimals()) | set(mp.poset.maximals()) <= mp.marked
         assert drawn >= 100
+
+    @pytest.mark.parametrize("lo, hi, min_unmarked", [(0, 0, 1), (3, 3, 2), (1, 0, 0), (4, -4, 1)])
+    def test_mark_range_no_draw_fits_raises(self, lo, hi, min_unmarked):
+        # an empty range, or one value where an element must stay unmarked: no draw fits
+        with pytest.raises(ValueError, match="no draw fits"):
+            random_marked_poset(random.Random(0), mark_lo=lo, mark_hi=hi, min_unmarked=min_unmarked)
+        with pytest.raises(ValueError, match="no draw fits"):
+            corpus(1, 1, mark_lo=lo, mark_hi=hi)
+
+    def test_one_mark_value_without_unmarked_elements_draws(self):
+        # marks of one value on an antichain of marked elements: some draw fits
+        mp = random_marked_poset(random.Random(0), mark_lo=2, mark_hi=2, min_unmarked=0)
+        assert set(mp.marking.values()) == {2}
 
 
 class TestHasseComponents:
