@@ -1,5 +1,5 @@
 """Test-only constructions: exact affine images, random points and maps, partition sweeps,
-the mark-augmented poset, the ungrouped piece product."""
+the mark-augmented poset, the ungrouped piece product, the reference extension walk."""
 
 from __future__ import annotations
 
@@ -7,19 +7,21 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 from markedposets import (
     ChainOrderPartition,
+    ExtensionWord,
     HRepresentation,
     LinearInequality,
     MarkedPoset,
     Poset,
     UnivariatePolynomial,
     VRepresentation,
+    canonical_labeling,
 )
 from markedposets.ehrhart import _signature_sum, _tie_break_extensions
-from markedposets.posets import _pieces
+from markedposets.posets import _pieces, check_natural_labeling
 
 
 def invert_matrix(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
@@ -146,3 +148,46 @@ def ungrouped_formula(mp: MarkedPoset, labeling=None) -> UnivariatePolynomial:
                 for s, t in zip(marked_at, marked_at[1:])))] += 1
         factors.append((signatures, len(piece), 1))
     return _signature_sum(factors)
+
+
+def reference_linear_extensions(poset: Poset, labeling: Mapping[str, int] | None = None) -> Iterator[ExtensionWord]:
+    """``posets.linear_extensions`` as it was before the bitmask walk: an in-degree count per
+    element and, at every depth, the available elements sorted by label.
+
+    Yields the same words, in the same order, with the same descent prefixes.
+    """
+    if labeling is None:
+        labeling = canonical_labeling(poset)
+    else:
+        check_natural_labeling(poset, labeling)
+    key = labeling.__getitem__
+    indeg = {e: len(poset.lower_covers(e)) for e in poset.elements}
+    word: list[str] = []
+    prefix: list[int] = []
+    # levels[i] lists, sorted by label, the elements available after i letters;
+    # chosen[i] counts how many of them have been tried as letter i + 1.
+    levels = [sorted((e for e in poset.elements if indeg[e] == 0), key=key)]
+    chosen = [0]
+    while levels:
+        if len(word) == len(levels):  # the level above is exhausted: take back this level's letter
+            prefix.pop()
+            for q in poset.upper_covers(word.pop()):
+                indeg[q] += 1
+        available, i = levels[-1], chosen[-1]
+        if not available:
+            yield ExtensionWord(tuple(word), tuple(prefix))
+        if i == len(available):
+            levels.pop()
+            chosen.pop()
+            continue
+        chosen[-1] = i + 1
+        e = available[i]
+        released = []
+        for q in poset.upper_covers(e):
+            indeg[q] -= 1
+            if indeg[q] == 0:
+                released.append(q)
+        prefix.append(prefix[-1] + (key(word[-1]) > key(e)) if word else 0)
+        word.append(e)
+        levels.append(sorted(available[:i] + available[i + 1:] + released, key=key))
+        chosen.append(0)

@@ -45,7 +45,7 @@ from markedposets.ehrhart import _power, _segment_factor, _signature_sum
 from markedposets.errors import VerificationFailed
 from markedposets.geometry import _convolve, _count_points, enumerate_vertices
 from markedposets.posets import _pieces
-from helpers import all_chain_order_partitions, augment_marked_order, ungrouped_formula
+from helpers import all_chain_order_partitions, augment_marked_order, reference_linear_extensions, ungrouped_formula
 from test_geometry import fraction_lagrange
 
 ORACLE_SEEDS = (20250808, 3, 7)
@@ -683,6 +683,42 @@ class TestDistinctPieces:
         for _ in range(exponent - 1):
             expected = _convolve(expected, coefficients)
         assert _power(coefficients, exponent) == expected
+
+
+class TestReferenceWalk:
+    """The bitmask walk of ``linear_extensions`` against the sorted-level walk it replaced
+    (``helpers.reference_linear_extensions``), on every tie-break poset that
+    ``_tie_break_extensions`` builds for the formula and the whole restricted stream: the same
+    words, in the same order, with the same descent prefixes."""
+
+    @staticmethod
+    def check(monkeypatch, instances):
+        """Each instance canonically, then under three natural labelings drawn as
+        ``TestSignatureGrouping`` draws them."""
+        calls = []
+
+        def recording(poset, labeling=None):
+            calls.append((poset, labeling))
+            return linear_extensions(poset, labeling)
+
+        monkeypatch.setattr(ehrhart_module, "linear_extensions", recording)
+        rng = random.Random(56)
+        for mp in instances:
+            restricted_linear_extensions(mp)
+            ehrhart_formula_marked_order(mp)
+            for _ in range(3):
+                # the formula streams the whole tie-break poset's first word too, to check the labeling
+                ehrhart_formula_marked_order(mp, labeling=random_natural_labeling(rng, augment_marked_order(mp)))
+        for poset, labeling in calls:
+            assert list(linear_extensions(poset, labeling)) == list(reference_linear_extensions(poset, labeling))
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_seeded_corpus(self, monkeypatch, seed):
+        self.check(monkeypatch, corpus(seed, 200, max_unmarked=6))
+
+    def test_families(self, monkeypatch, ladder):
+        self.check(monkeypatch, [*map(ladder, range(2, 8)), *map(cube, range(1, 7)),
+                                 *(pm_family(m, 1) for m in range(3, 11))])
 
 
 class TestFamilyEquality:

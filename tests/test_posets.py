@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from markedposets import (
     ChainOrderPartition,
+    ExtensionWord,
     MarkedPoset,
     Poset,
     PreconditionViolated,
@@ -274,6 +275,28 @@ class TestBitmaskClosure:
     @given(small_posets())
     def test_small_posets(self, poset_and_edges):
         self.check(*poset_and_edges)
+
+
+class TestInducedSubposet:
+    def test_chain_hands_over_its_covers_only(self, monkeypatch):
+        # every second element of a 300-chain: 149 covers, out of 150 * 149 / 2 comparable pairs
+        chain = [f"c{i:03d}" for i in range(300)]
+        poset = Poset(chain, list(zip(chain, chain[1:])))
+        handed = []
+        build = Poset.from_relations.__func__
+        monkeypatch.setattr(Poset, "from_relations", classmethod(
+            lambda cls, elements, relations: handed.append(list(relations)) or build(cls, elements, relations)))
+        keep = chain[::2]
+        induced = induced_subposet(poset, keep)
+        assert [len(relations) for relations in handed] == [149]
+        assert induced.elements == tuple(keep) and induced.covers == tuple(zip(keep, keep[1:]))
+
+    def test_relation_past_a_kept_element_is_dropped(self):
+        # p < x < q and p < r < q with x dropped: the walk from p meets q past x and r,
+        # and the reduction drops p < q, implied through r
+        poset = Poset(["p", "q", "r", "x"], [("p", "x"), ("x", "q"), ("p", "r"), ("r", "q")])
+        induced = induced_subposet(poset, ["p", "q", "r"])
+        assert induced.covers == (("p", "r"), ("r", "q"))
 
 
 class TestFromRelations:
@@ -766,9 +789,12 @@ class TestLinearExtensions:
         assert words[0].descents == 0
 
     def test_antichain_counts_factorial(self):
-        for n in range(1, 6):
+        for n in range(6):
             p = Poset([f"v{i}" for i in range(n)], [])
-            assert sum(1 for _ in linear_extensions(p)) == __import__("math").factorial(n)
+            words = list(linear_extensions(p))
+            assert len(words) == __import__("math").factorial(n)
+            if n == 0:  # the empty poset has one extension, the empty word
+                assert words == list(linear_extensions(p, {})) == [ExtensionWord((), ())]
 
     def test_rejects_non_natural_labeling(self):
         p = Poset(["a", "b"], [("a", "b")])
@@ -791,6 +817,31 @@ class TestLinearExtensions:
                     for i in range(len(perm)) for j in range(i + 1, len(perm)))),
             key=lambda perm: [labeling[e] for e in perm])
         assert words == brute
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_posets(), st.data())
+    def test_renamed_ids_keep_the_stream(self, poset_and_edges, data):
+        # the walk reads ids only through the labeling: renaming the ids and carrying the
+        # labeling over renames the words and keeps their order and descent prefixes
+        poset, _ = poset_and_edges
+        rename = dict(zip(poset.elements, data.draw(st.permutations([f"w{i}" for i in range(len(poset.elements))]))))
+        renamed = Poset([rename[e] for e in poset.elements], [(rename[p], rename[q]) for p, q in poset.covers])
+        carried = {rename[e]: label for e, label in canonical_labeling(poset).items()}
+        assert list(linear_extensions(renamed, carried)) == [
+            ExtensionWord(tuple(rename[e] for e in w.word), w.descent_prefix) for w in linear_extensions(poset)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_posets(), st.randoms(use_true_random=False))
+    def test_cover_order_is_invisible(self, poset_and_edges, rng):
+        poset, _ = poset_and_edges
+        covers = list(poset.covers)
+        rng.shuffle(covers)
+        shuffled = Poset(poset.elements, covers)
+        assert list(linear_extensions(shuffled)) == list(linear_extensions(poset))
+        # any linear extension, read as positions, is a natural labeling
+        word = rng.choice(list(linear_extensions(poset))).word
+        labeling = {e: i for i, e in enumerate(word, 1)}
+        assert list(linear_extensions(shuffled, labeling)) == list(linear_extensions(poset, labeling))
 
     def test_labeling_changes_descents_not_words(self):
         p = Poset(["a", "x", "y", "b"], [("a", "x"), ("a", "y"), ("x", "b"), ("y", "b")])
