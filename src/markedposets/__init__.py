@@ -16,12 +16,10 @@ from .geometry import (
     LinearInequality,
     UnivariatePolynomial,
     VRepresentation,
-    contains,
     count_lattice_points,
     enumerate_vertices,
     interpolate_polynomial,
     irredundant,
-    polynomial,
 )
 from .posets import (
     ChainOrderPartition,
@@ -36,12 +34,9 @@ from .posets import (
     validate_marked,
 )
 from .polytopes import (
-    FacePartition,
     build_chain_hrep,
     build_chain_order_hrep,
     build_order_hrep,
-    face_partition_of_point,
-    is_face_partition,
     order_facets_combinatorial,
     order_vertices_combinatorial,
 )

@@ -88,15 +88,15 @@ def parse_document(data: object, fallback_name: str = "poset"):
 
 
 def _builtin(request: str):
-    kind, _, args = request.partition(":")
+    kind, colon, args = request.partition(":")
     if kind == "figure1":
-        if args:
+        if colon:
             raise DocumentError(f"builtin {request!r} must have the form figure1 with no arguments")
         return "figure1", gallery.crossing_chains(), None
     if kind not in ("diamond", "pm"):
         raise DocumentError(f"unknown builtin {request!r}")
     try:
-        first, second = map(int, args.split(",")) if args or kind == "pm" else (0, 2)
+        first, second = map(int, args.split(",")) if colon or kind == "pm" else (0, 2)
     except ValueError:
         form = "lo,hi" if kind == "diamond" else "m,c"
         raise DocumentError(f"builtin {request!r} must have the form {kind}:{form}"

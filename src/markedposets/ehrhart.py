@@ -49,7 +49,6 @@ from .geometry import (
     _work_cap,
     enumerate_vertices,
     interpolate_polynomial,
-    polynomial,
 )
 from .posets import (
     ExtensionWord,
@@ -339,7 +338,6 @@ def pm_family(m: int, c: int) -> MarkedPoset:
 
 
 def pm_closed_form(m: int, c: int) -> UnivariatePolynomial:
-    """(m-2)*n*c*(n*c+1)^(m-1) + (n*c+1)^(m-1), expanded."""
+    """(1 + c*n)^(m-1) * (1 + (m-2)*c*n), expanded in integers."""
     _check_pm_arguments(m, c)
-    base = polynomial([1, c]) ** (m - 1)
-    return base * polynomial([0, (m - 2) * c]) + base
+    return UnivariatePolynomial(tuple(_convolve(_power([1, c], m - 1), [1, (m - 2) * c])))

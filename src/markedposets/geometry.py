@@ -233,12 +233,6 @@ class VRepresentation:
         return len(self.vectors)
 
 
-def contains(h: HRepresentation, point: Mapping[str, Fraction]) -> bool:
-    """Exact membership test of a named point in the polytope."""
-    return (all(i.evaluate(point) <= i.rhs for i in h.inequalities)
-            and all(e.evaluate(point) == e.rhs for e in h.equalities))
-
-
 # ---------------------------------------------------------------------------
 # fraction-free linear algebra on integer rows [a_1 .. a_d | rhs]
 
@@ -644,35 +638,10 @@ class UnivariatePolynomial:
             acc = acc * x + c
         return acc
 
-    def __add__(self, other: "UnivariatePolynomial") -> "UnivariatePolynomial":
-        width = max(len(self.coefficients), len(other.coefficients))
-        a = list(self.coefficients) + [Fraction(0)] * (width - len(self.coefficients))
-        b = list(other.coefficients) + [Fraction(0)] * (width - len(other.coefficients))
-        return UnivariatePolynomial(tuple(x + y for x, y in zip(a, b)))
-
-    def __mul__(self, other: "UnivariatePolynomial | int | Fraction") -> "UnivariatePolynomial":
-        if isinstance(other, (int, Fraction)):
-            return UnivariatePolynomial(tuple(c * other for c in self.coefficients))
-        return UnivariatePolynomial(tuple(_convolve(self.coefficients, other.coefficients)))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "UnivariatePolynomial":
-        if k < 0:
-            raise ValueError(f"polynomial power needs an exponent of at least 0, got {k}")
-        result = UnivariatePolynomial((Fraction(1),))
-        for _ in range(k):
-            result = result * self
-        return result
-
     def __str__(self) -> str:
         if not self.coefficients:
             return "0"
         return ", ".join(str(c) for c in self.coefficients)
-
-
-def polynomial(coeffs: Iterable[int | Fraction]) -> UnivariatePolynomial:
-    return UnivariatePolynomial(tuple(Fraction(c) for c in coeffs))
 
 
 def interpolate_polynomial(points: Sequence[tuple[int | Fraction, int | Fraction]]) -> UnivariatePolynomial:

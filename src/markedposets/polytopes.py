@@ -1,4 +1,4 @@
-"""Polytopes attached to a marked poset, and their face-partition combinatorics.
+"""Polytopes attached to a marked poset.
 
 All three families live in the projected space of unmarked coordinates: the
 fixed marked values are substituted into the constraints rather than kept as
@@ -7,17 +7,14 @@ equalities.  Coordinates are the unmarked element ids in lexicographic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator
 
-from .errors import DimensionTooLarge, PointOutsidePolytope
-from .geometry import (HRepresentation, LinearInequality, VRepresentation, _work_cap, contains,
-                       irredundant)
+from .errors import DimensionTooLarge
+from .geometry import HRepresentation, LinearInequality, VRepresentation, _work_cap, irredundant
 from .posets import (
     ChainOrderPartition,
     MarkedPoset,
-    Poset,
     _components,
     _saturated_chains,
     require_strict_regular,
@@ -131,100 +128,21 @@ def build_chain_order_hrep(mp: MarkedPoset, part: ChainOrderPartition) -> HRepre
     return _hrep(mp, part.chain)
 
 
-@dataclass(frozen=True)
-class FacePartition:
-    """A partition of the poset elements, with its marked-free blocks singled out."""
-
-    blocks: tuple[frozenset[str], ...]
-    free_blocks: tuple[frozenset[str], ...]
-
-    @classmethod
-    def of(cls, mp: MarkedPoset, blocks: Iterable[Iterable[str]]) -> "FacePartition":
-        normalized = tuple(sorted((frozenset(b) for b in blocks), key=min))
-        free = tuple(b for b in normalized if not (b & mp.marked))
-        return cls(normalized, free)
-
-
-def face_partition_of_point(mp: MarkedPoset, x: Mapping[str, Fraction]) -> FacePartition:
-    """The partition gluing comparable elements with equal coordinate values.
-
-    For points of the order polytope the transitive closure over comparable
-    pairs coincides with the closure over covers, since values increase along
-    saturated chains.
-    """
-    order_hrep = build_order_hrep(mp)
-    point = {p: Fraction(x[p]) for p in mp.unmarked}
-    if not contains(order_hrep, point):
-        raise PointOutsidePolytope("point violates the order constraints")
-    return _face_partition(mp, {**mp.marking, **point})
-
-
-def _face_partition(mp: MarkedPoset, values: Mapping[str, Fraction]) -> FacePartition:
-    """The partition gluing the two ends of every cover whose values are equal."""
-    glued = [(p, q) for p, q in mp.poset.covers if values[p] == values[q]]
-    return FacePartition.of(mp, _components(mp.poset.elements, glued))
-
-
-def is_face_partition(mp: MarkedPoset, fp: FacePartition) -> bool:
-    """Decide whether a partition arises from a face of the order polytope.
-
-    Checks the three characterizing conditions: blocks connected as induced
-    subposets, the induced block relation antisymmetric, and the quotient
-    marking well-defined, order-compatible and strict.  The last two are read
-    off the quotient marked poset: ``Poset.from_relations`` rejects a cycle
-    between blocks, ``MarkedPoset`` rejects marks that decrease, and
-    ``validate_marked`` decides strictness.  Its check that extremes are
-    marked never fires: a minimal (maximal) block of an acyclic quotient
-    holds a minimal (maximal) element of P, and that element is marked.  (Take
-    e minimal (maximal) within the block: a cover below (above) e would lie
-    in the block, against the choice of e, or in another block, which would
-    then lie below (above) this one.)
-    """
-    poset = mp.poset
-    block_of: dict[str, int] = {}
-    for i, block in enumerate(fp.blocks):
-        if not block:
-            raise ValueError("empty block")
-        for e in sorted(block):
-            if e in block_of:
-                raise ValueError(f"element {e!r} appears in two blocks")
-            if e not in poset._index:
-                raise ValueError(f"unknown element {e!r}")
-            block_of[e] = i
-    if len(block_of) != len(poset.elements):
-        raise ValueError("blocks do not cover the poset")
-
-    comparable_within_blocks = [(e, f) for block in fp.blocks for e in block for f in block
-                                if e < f and poset.comparable(e, f)]
-    if len(_components(poset.elements, comparable_within_blocks)) != len(fp.blocks):
-        return False
-
-    links = [(block_of[p], block_of[q]) for p, q in poset.covers if block_of[p] != block_of[q]]
-    marks: dict[int, Fraction] = {}
-    for a in mp.marked:
-        if marks.setdefault(block_of[a], mp.value(a)) != mp.value(a):
-            return False
-    try:
-        quotient = MarkedPoset(Poset.from_relations(range(len(fp.blocks)), links), marks)
-    except ValueError:  # a cycle between blocks, or marks that decrease along the quotient
-        return False
-    return validate_marked(quotient).strict
-
-
 def order_vertices_combinatorial(mp: MarkedPoset) -> VRepresentation:
-    """Vertices of the marked order polytope via zero-free-block assignments.
+    """Vertices of the marked order polytope via assignments with no free block.
 
     Searches order-preserving assignments of marking values to the unmarked
     elements, depth-first in a linear-extension order so every cover is
     checked as soon as both endpoints have values; an assignment is a vertex
-    exactly when its face partition has no free block.  More nodes than the
-    work cap raise DimensionTooLarge.
+    exactly when its face partition has no free block: every component of
+    the covers whose two ends have equal values holds a marked element.
+    More nodes than the work cap raise DimensionTooLarge.
     """
     require_strict_regular(mp, "order_vertices_combinatorial")
     poset = mp.poset
-    values = sorted({mp.value(a) for a in mp.marked})
+    values = sorted({mp.marking[a] for a in mp.marked})
     order = [e for e in poset.topological_order() if e not in mp.marked]
-    assignment: dict[str, Fraction] = {a: mp.value(a) for a in mp.marked}
+    assignment: dict[str, Fraction] = {a: mp.marking[a] for a in mp.marked}
     vertices: list[tuple[Fraction, ...]] = []
     nodes = 0
     cap = _work_cap(DEFAULT_ASSIGNMENT_CAP)
@@ -235,7 +153,7 @@ def order_vertices_combinatorial(mp: MarkedPoset) -> VRepresentation:
             if lo is not None and lo > v:
                 return False
         for q in poset.upper_covers(e):
-            if q in mp.marked and mp.value(q) < v:
+            if q in mp.marked and mp.marking[q] < v:
                 return False
         return True
 
@@ -249,7 +167,8 @@ def order_vertices_combinatorial(mp: MarkedPoset) -> VRepresentation:
                                     "; set MPP_WORK_CAP to raise it")
         if len(stack) == len(order):
             # feasible() has checked every cover, so the leaf is in the polytope
-            if not _face_partition(mp, assignment).free_blocks:
+            glued = [(p, q) for p, q in poset.covers if assignment[p] == assignment[q]]
+            if all(frozenset(b) & mp.marked for b in _components(poset.elements, glued)):
                 vertices.append(tuple(assignment[p] for p in mp.unmarked))
         else:
             stack.append(iter(values))

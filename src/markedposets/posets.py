@@ -308,9 +308,6 @@ class MarkedPoset:
         self._hreps: dict = {}  # polytopes._hrep's memo, keyed by the chain part
         self._report: MarkingReport | None = None  # validate_marked's memo
 
-    def value(self, a: str) -> Fraction:
-        return self.marking[a]
-
     def is_integral(self) -> bool:
         return self._scale == 1
 

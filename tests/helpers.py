@@ -1,13 +1,20 @@
 """Test-only constructions: exact affine images, random points and maps, partition sweeps,
-the mark-augmented poset, the ungrouped piece product, the reference extension walk."""
+the mark-augmented poset, the ungrouped piece product, the reference extension walk.
+
+Also the oracles the package no longer carries: exact membership (``contains``),
+``Fraction`` polynomial arithmetic (``Polynomial``, ``polynomial``) and the face
+partitions of the marked order polytope (``FacePartition``,
+``face_partition_of_point``, ``is_face_partition``; Pegel, "The face structure
+and geometry of marked order polyhedra", Order 2018)."""
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from markedposets import (
     ChainOrderPartition,
@@ -15,13 +22,144 @@ from markedposets import (
     HRepresentation,
     LinearInequality,
     MarkedPoset,
+    PointOutsidePolytope,
     Poset,
     UnivariatePolynomial,
     VRepresentation,
+    build_order_hrep,
     canonical_labeling,
+    validate_marked,
 )
 from markedposets.ehrhart import _signature_sum, _tie_break_extensions
-from markedposets.posets import _pieces, check_natural_labeling
+from markedposets.geometry import _convolve
+from markedposets.posets import _components, _pieces, check_natural_labeling
+
+
+def contains(h: HRepresentation, point: Mapping[str, Fraction]) -> bool:
+    """Exact membership test of a named point in the polytope."""
+    return (all(i.evaluate(point) <= i.rhs for i in h.inequalities)
+            and all(e.evaluate(point) == e.rhs for e in h.equalities))
+
+
+class Polynomial(UnivariatePolynomial):
+    """A ``UnivariatePolynomial`` with ``Fraction`` arithmetic, to build expected polynomials.
+
+    Its ``__eq__`` compares coefficients with any ``UnivariatePolynomial``;
+    Python tries a subclass's reflected ``__eq__`` first, so the package's
+    polynomials compare equal to these from either side.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UnivariatePolynomial):
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    __hash__ = UnivariatePolynomial.__hash__
+
+    def __add__(self, other: UnivariatePolynomial) -> "Polynomial":
+        width = max(len(self.coefficients), len(other.coefficients))
+        a = list(self.coefficients) + [Fraction(0)] * (width - len(self.coefficients))
+        b = list(other.coefficients) + [Fraction(0)] * (width - len(other.coefficients))
+        return Polynomial(tuple(x + y for x, y in zip(a, b)))
+
+    def __mul__(self, other: "UnivariatePolynomial | int | Fraction") -> "Polynomial":
+        if isinstance(other, (int, Fraction)):
+            return Polynomial(tuple(c * other for c in self.coefficients))
+        return Polynomial(tuple(_convolve(self.coefficients, other.coefficients)))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "Polynomial":
+        if k < 0:
+            raise ValueError(f"polynomial power needs an exponent of at least 0, got {k}")
+        result = Polynomial((Fraction(1),))
+        for _ in range(k):
+            result = result * self
+        return result
+
+
+def polynomial(coeffs: Iterable[int | Fraction]) -> Polynomial:
+    return Polynomial(tuple(Fraction(c) for c in coeffs))
+
+
+@dataclass(frozen=True)
+class FacePartition:
+    """A partition of the poset elements, with its marked-free blocks singled out."""
+
+    blocks: tuple[frozenset[str], ...]
+    free_blocks: tuple[frozenset[str], ...]
+
+    @classmethod
+    def of(cls, mp: MarkedPoset, blocks: Iterable[Iterable[str]]) -> "FacePartition":
+        normalized = tuple(sorted((frozenset(b) for b in blocks), key=min))
+        free = tuple(b for b in normalized if not (b & mp.marked))
+        return cls(normalized, free)
+
+
+def face_partition_of_point(mp: MarkedPoset, x: Mapping[str, Fraction]) -> FacePartition:
+    """The partition gluing comparable elements with equal coordinate values.
+
+    For points of the order polytope the transitive closure over comparable
+    pairs coincides with the closure over covers, since values increase along
+    saturated chains.
+    """
+    order_hrep = build_order_hrep(mp)
+    point = {p: Fraction(x[p]) for p in mp.unmarked}
+    if not contains(order_hrep, point):
+        raise PointOutsidePolytope("point violates the order constraints")
+    return _face_partition(mp, {**mp.marking, **point})
+
+
+def _face_partition(mp: MarkedPoset, values: Mapping[str, Fraction]) -> FacePartition:
+    """The partition gluing the two ends of every cover whose values are equal."""
+    glued = [(p, q) for p, q in mp.poset.covers if values[p] == values[q]]
+    return FacePartition.of(mp, _components(mp.poset.elements, glued))
+
+
+def is_face_partition(mp: MarkedPoset, fp: FacePartition) -> bool:
+    """Decide whether a partition arises from a face of the order polytope.
+
+    Checks the three characterizing conditions: blocks connected as induced
+    subposets, the induced block relation antisymmetric, and the quotient
+    marking well-defined, order-compatible and strict.  The last two are read
+    off the quotient marked poset: ``Poset.from_relations`` rejects a cycle
+    between blocks, ``MarkedPoset`` rejects marks that decrease, and
+    ``validate_marked`` decides strictness.  Its check that extremes are
+    marked never fires: a minimal (maximal) block of an acyclic quotient
+    holds a minimal (maximal) element of P, and that element is marked.  (Take
+    e minimal (maximal) within the block: a cover below (above) e would lie
+    in the block, against the choice of e, or in another block, which would
+    then lie below (above) this one.)
+    """
+    poset = mp.poset
+    block_of: dict[str, int] = {}
+    for i, block in enumerate(fp.blocks):
+        if not block:
+            raise ValueError("empty block")
+        for e in sorted(block):
+            if e in block_of:
+                raise ValueError(f"element {e!r} appears in two blocks")
+            if e not in poset._index:
+                raise ValueError(f"unknown element {e!r}")
+            block_of[e] = i
+    if len(block_of) != len(poset.elements):
+        raise ValueError("blocks do not cover the poset")
+
+    comparable_within_blocks = [(e, f) for block in fp.blocks for e in block for f in block
+                                if e < f and poset.comparable(e, f)]
+    if len(_components(poset.elements, comparable_within_blocks)) != len(fp.blocks):
+        return False
+
+    links = [(block_of[p], block_of[q]) for p, q in poset.covers if block_of[p] != block_of[q]]
+    marks: dict[int, Fraction] = {}
+    for a in mp.marked:
+        if marks.setdefault(block_of[a], mp.marking[a]) != mp.marking[a]:
+            return False
+    try:
+        quotient = MarkedPoset(Poset.from_relations(range(len(fp.blocks)), links), marks)
+    except ValueError:  # a cycle between blocks, or marks that decrease along the quotient
+        return False
+    return validate_marked(quotient).strict
 
 
 def invert_matrix(matrix: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
@@ -121,7 +259,7 @@ def augment_marked_order(mp: MarkedPoset) -> Poset:
     poset = mp.poset
     levels: dict[Fraction, list[str]] = {}
     for a in sorted(mp.marked):
-        levels.setdefault(mp.value(a), []).append(a)
+        levels.setdefault(mp.marking[a], []).append(a)
     ranked = [levels[v] for v in sorted(levels)]
     relations = list(poset.covers)
     for lower, upper in zip(ranked, ranked[1:]):

@@ -22,9 +22,7 @@ from markedposets import (
     ehrhart_by_counting,
     ehrhart_formula_marked_order,
     enumerate_vertices,
-    face_partition_of_point,
     irredundant,
-    is_face_partition,
     is_two_level_direct,
     order_two_level_criterion,
     pm_closed_form,
@@ -35,6 +33,8 @@ from markedposets.gallery import crossing_chains
 from helpers import (
     affine_image,
     all_chain_order_partitions,
+    face_partition_of_point,
+    is_face_partition,
     random_convex_points,
     random_unimodular_map,
 )

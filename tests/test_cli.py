@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markedposets import MarkedPoset, Poset, cli, ehrhart, enumerate_vertices, polynomial
+from markedposets import MarkedPoset, Poset, cli, ehrhart, enumerate_vertices
 from markedposets.cli import DocumentError, format_hrep, main
 from markedposets.corpus import _draw, random_marked_poset
 from markedposets.geometry import HRepresentation, LinearInequality
 from markedposets.polytopes import build_chain_hrep, build_order_hrep
+from helpers import polynomial
 
 
 def run_cli(capsys, *argv):
@@ -691,6 +692,9 @@ class TestUsage:
         ("diamond:1", "diamond:lo,hi"),
         ("diamond:a,b", "diamond:lo,hi"),
         ("pm:3", "pm:m,c"),
+        # a colon with nothing after it is no request for the defaults
+        ("diamond:", "diamond:lo,hi"),
+        ("pm:", "pm:m,c"),
     ])
     def test_malformed_builtin_arguments(self, capsys, builtin, form):
         code, out, err = run_cli(capsys, "validate", "--builtin", builtin)
@@ -698,7 +702,7 @@ class TestUsage:
         assert out == ""
         assert err == f"error: builtin '{builtin}' must have the form {form} with two integers\n"
 
-    @pytest.mark.parametrize("builtin", ["figure1:7,7", "figure1:x"])
+    @pytest.mark.parametrize("builtin", ["figure1:7,7", "figure1:x", "figure1:"])
     def test_figure1_takes_no_arguments(self, capsys, builtin):
         code, out, err = run_cli(capsys, "validate", "--builtin", builtin)
         assert code == 2

@@ -35,7 +35,6 @@ from markedposets import (
     linear_extensions,
     pm_closed_form,
     pm_family,
-    polynomial,
     restricted_linear_extensions,
     validate_marked,
 )
@@ -45,7 +44,8 @@ from markedposets.ehrhart import _power, _segment_factor, _signature_sum
 from markedposets.errors import VerificationFailed
 from markedposets.geometry import _convolve, _count_points, enumerate_vertices
 from markedposets.posets import _pieces
-from helpers import all_chain_order_partitions, augment_marked_order, reference_linear_extensions, ungrouped_formula
+from helpers import (all_chain_order_partitions, augment_marked_order, polynomial, reference_linear_extensions,
+                     ungrouped_formula)
 from test_geometry import fraction_lagrange
 
 ORACLE_SEEDS = (20250808, 3, 7)
@@ -82,7 +82,7 @@ def per_word_formula(mp, labeling=None):
         marked_at = [i for i, e in enumerate(ext.word) if e in mp.marked]
         term = polynomial([1])
         for s, t in zip(marked_at, marked_at[1:]):
-            delta = mp.value(ext.word[t]) - mp.value(ext.word[s])
+            delta = mp.marking[ext.word[t]] - mp.marking[ext.word[s]]
             term = term * fraction_segment_factor(delta, ext.segment_descents(s, t), t - s - 1)
         total = total + term
     return total
@@ -94,7 +94,7 @@ def word_signatures(mp, labeling=None):
     for ext in restricted_linear_extensions(mp, labeling):
         marked_at = [i for i, e in enumerate(ext.word) if e in mp.marked]
         signatures[tuple(sorted(
-            (int(mp.value(ext.word[t]) - mp.value(ext.word[s])), ext.segment_descents(s, t), t - s - 1)
+            (int(mp.marking[ext.word[t]] - mp.marking[ext.word[s]]), ext.segment_descents(s, t), t - s - 1)
             for s, t in zip(marked_at, marked_at[1:])))] += 1
     return signatures
 
@@ -474,7 +474,7 @@ def has_constant_term(signatures):
 
 def piece_marked_poset(mp, piece, covers):
     """The marked poset of one piece: the piece, its adjacent marks and the covers that touch it."""
-    marks = {a: mp.value(a) for cover in covers for a in cover if a in mp.marked}
+    marks = {a: mp.marking[a] for cover in covers for a in cover if a in mp.marked}
     return MarkedPoset(Poset([*piece, *marks], covers), marks)
 
 
@@ -748,7 +748,7 @@ def dilate_points(mp, h, n):
     order coordinate lies between two marks, a chain coordinate between 0 and
     a difference of two marks.
     """
-    marks = [int(mp.value(a)) for a in mp.marked]
+    marks = [int(mp.marking[a]) for a in mp.marked]
     lo, hi = n * min(0, *marks), n * (max(marks) - min(0, *marks))
     closing = [[] for _ in h.coordinates]  # (earlier terms, own coefficient, n * rhs) per row
     for row in h.inequalities:
@@ -785,7 +785,7 @@ def transfer_maps(mp, chain, n):
     """
     marked = sorted(mp.marked)
     index = {p: j for j, p in enumerate((*mp.unmarked, *marked))}
-    tail = tuple(int(n * mp.value(a)) for a in marked)
+    tail = tuple(int(n * mp.marking[a]) for a in marked)
     below = [(index[p], [index[q] for q in mp.poset.lower_covers(p)])
              for p in mp.poset.topological_order() if p in chain]
 
@@ -883,6 +883,15 @@ class TestPmFamily:
         assert pm_closed_form(4, 1) == polynomial([1, 5, 9, 7, 2])
         # (2n+1)^3
         assert pm_closed_form(3, 2) == polynomial([1, 6, 12, 8])
+
+    def test_closed_form_matches_its_fraction_expansion(self):
+        # (1 + cn)^(m-1) * (1 + (m-2)cn), multiplied out in Fractions; the bench
+        # compares the coefficients with Fraction lists, so each one is a Fraction
+        for m in range(3, 41):
+            for c in (1, 2, 3):
+                closed = pm_closed_form(m, c)
+                assert closed == polynomial([1, c]) ** (m - 1) * polynomial([1, (m - 2) * c])
+                assert all(type(a) is Fraction for a in closed.coefficients)
 
     def test_formula_matches_closed_form(self):
         for m in range(3, 41):

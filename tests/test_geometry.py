@@ -34,7 +34,6 @@ from markedposets import (
     build_chain_hrep,
     build_chain_order_hrep,
     build_order_hrep,
-    contains,
     count_lattice_points,
     ehrhart_by_counting,
     enumerate_vertices,
@@ -42,7 +41,6 @@ from markedposets import (
     irredundant,
     is_two_level_direct,
     order_vertices_combinatorial,
-    polynomial,
 )
 from markedposets.corpus import corpus
 from markedposets.geometry import (
@@ -50,7 +48,7 @@ from markedposets.geometry import (
     _scaled_values,
     classify_inequalities,
 )
-from helpers import affine_image, all_chain_order_partitions, random_unimodular_map
+from helpers import affine_image, all_chain_order_partitions, contains, polynomial, random_unimodular_map
 
 
 def hrep2(rows):
@@ -395,11 +393,11 @@ def fraction_lagrange(points):
         raise ValueError("duplicate abscissae")
     result = polynomial([])
     for i, (xi, yi) in enumerate(points):
-        term = UnivariatePolynomial((Fraction(yi),))
+        term = polynomial([Fraction(yi)])
         for j, (xj, _) in enumerate(points):
             if i == j:
                 continue
-            term = term * UnivariatePolynomial((Fraction(-xj, 1), Fraction(1)))
+            term = term * polynomial([Fraction(-xj, 1), Fraction(1)])
             term = term * Fraction(1, xi - xj)
         result = result + term
     return result

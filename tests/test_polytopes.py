@@ -15,7 +15,6 @@ import pytest
 from markedposets import (
     ChainOrderPartition,
     DimensionTooLarge,
-    FacePartition,
     HRepresentation,
     LinearInequality,
     MarkedPoset,
@@ -25,12 +24,9 @@ from markedposets import (
     build_chain_order_hrep,
     build_order_hrep,
     cli,
-    contains,
     enumerate_vertices,
-    face_partition_of_point,
     geometry,
     irredundant,
-    is_face_partition,
     order_facets_combinatorial,
     order_vertices_combinatorial,
     polytopes,
@@ -39,7 +35,8 @@ from markedposets.corpus import _draw, corpus, random_marked_poset
 from markedposets.ehrhart import pm_family
 from markedposets.posets import (_components, _members, _saturated_chains, _topological_order,
                                  _up_sets, validate_marked)
-from helpers import all_chain_order_partitions, random_convex_points
+from helpers import (FacePartition, all_chain_order_partitions, contains, face_partition_of_point,
+                     is_face_partition, random_convex_points)
 
 
 def ineq(coeffs, rhs):
@@ -65,8 +62,8 @@ def leafwise_vertices(mp):
                 vertices.add(tuple(point[p] for p in mp.unmarked))
             return
         e = order[len(point)]
-        lows = [mp.value(p) if p in mp.marked else point[p] for p in poset.lower_covers(e)]
-        highs = [mp.value(q) for q in poset.upper_covers(e) if q in mp.marked]
+        lows = [mp.marking[p] if p in mp.marked else point[p] for p in poset.lower_covers(e)]
+        highs = [mp.marking[q] for q in poset.upper_covers(e) if q in mp.marked]
         for v in values:
             if all(lo <= v for lo in lows) and all(v <= hi for hi in highs):
                 walk({**point, e: v})
@@ -148,9 +145,9 @@ def order_hrep_by_rule(mp):
         if p in mp.marked and q in mp.marked:
             continue
         if p in mp.marked:
-            rows.append(ineq({q: -1}, -mp.value(p)))
+            rows.append(ineq({q: -1}, -mp.marking[p]))
         elif q in mp.marked:
-            rows.append(ineq({p: 1}, mp.value(q)))
+            rows.append(ineq({p: 1}, mp.marking[q]))
         else:
             rows.append(ineq({p: 1, q: -1}, 0))
     return HRepresentation(mp.unmarked, rows)
@@ -159,7 +156,7 @@ def order_hrep_by_rule(mp):
 def chain_hrep_by_rule(mp):
     """Nonnegativity, plus one chain-sum row per maximal marked chain with an interior."""
     rows = [ineq({p: -1}, 0) for p in mp.unmarked]
-    rows += [ineq(dict.fromkeys(interior, 1), mp.value(b) - mp.value(a))
+    rows += [ineq(dict.fromkeys(interior, 1), mp.marking[b] - mp.marking[a])
              for a, interior, b in _saturated_chains(mp.poset, mp.marked) if interior]
     return HRepresentation(mp.unmarked, rows)
 
@@ -350,7 +347,7 @@ def face_partition_by_block_graph(mp, fp):
         return False
     block_marks = [set() for _ in range(k)]
     for a in mp.marked:
-        block_marks[block_of[a]].add(mp.value(a))
+        block_marks[block_of[a]].add(mp.marking[a])
     if any(len(marks) > 1 for marks in block_marks):
         return False
     for i, reach in zip(order, above):
@@ -459,7 +456,7 @@ class TestIsFacePartition:
                 face_vertices = []
                 for x in v.vertices:
                     vertex = dict(zip(v.coordinates, x))
-                    full = {a: mp.value(a) for a in mp.marked} | vertex
+                    full = {a: mp.marking[a] for a in mp.marked} | vertex
                     if all(len({full[e] for e in block}) == 1 for block in fp.blocks):
                         face_vertices.append(tuple(vertex[c] for c in v.coordinates))
                 assert VRepresentation.from_points(v.coordinates, face_vertices).dimension == len(fp.free_blocks)
@@ -643,7 +640,7 @@ def contracted_point(mp, s, t, eps):
             for f in succ[e] if e in length else ():
                 length[f] = max(length.get(f, 0), length[e] + 1)
         for e, n in length.items():
-            x[e] = max(x.get(e, n * eps + mp.value(u)), n * eps + mp.value(u))
+            x[e] = max(x.get(e, n * eps + mp.marking[u]), n * eps + mp.marking[u])
     return {e: x[rep[e]] for e in mp.poset.elements}
 
 
@@ -658,8 +655,8 @@ def facet_witnesses(mp, chain):
     poset, n = mp.poset, len(mp.poset.elements)
     eps = Fraction(1, 2 * n + 2)
     t = eps / (4 * (max(mp.marking.values()) - min(mp.marking.values()) + 2))
-    lo = {e: max(mp.value(a) for a in mp.marked if poset.leq(a, e)) for e in poset.elements}
-    hi = {e: min(mp.value(a) for a in mp.marked if poset.leq(e, a)) for e in poset.elements}
+    lo = {e: max(mp.marking[a] for a in mp.marked if poset.leq(a, e)) for e in poset.elements}
+    hi = {e: min(mp.marking[a] for a in mp.marked if poset.leq(e, a)) for e in poset.elements}
     for p in sorted(chain):
         yield transfer(mp, chain, contracted_point(mp, poset.lower_covers(p)[0], p, eps))
     for a, interior, b in _saturated_chains(poset, frozenset(poset.elements) - chain):

@@ -60,7 +60,7 @@ def all_pairs_augment(mp):
     """``augment_marked_order`` adding every marked pair with increasing marks."""
     marked = sorted(mp.marked)
     relations = list(mp.poset.covers)
-    relations += [(a, b) for a in marked for b in marked if mp.value(a) < mp.value(b)]
+    relations += [(a, b) for a in marked for b in marked if mp.marking[a] < mp.marking[b]]
     return Poset.from_relations(mp.poset.elements, relations)
 
 
@@ -68,13 +68,13 @@ def fraction_validate_marked(mp):
     """``validate_marked`` with ``leq``/``less`` calls and ``Fraction`` mark comparisons."""
     poset, marked = mp.poset, sorted(mp.marked)
     strict = [("strict", a, b) for a in marked for b in marked
-              if poset.less(a, b) and mp.value(a) >= mp.value(b)]
+              if poset.less(a, b) and mp.marking[a] >= mp.marking[b]]
     regular = []
     for p, q in sorted(poset.covers):
         below_q = [a for a in marked if poset.leq(a, q)]
         above_p = [b for b in marked if poset.leq(p, b)]
         regular += [("regular", (p, q), a, b) for a in below_q for b in above_p
-                    if a != b and mp.value(a) >= mp.value(b)]
+                    if a != b and mp.marking[a] >= mp.marking[b]]
     return not strict, not regular, tuple(strict + regular)
 
 
@@ -420,7 +420,7 @@ class TestValidateAgainstOracle:
         # ranks by the Fraction values, and ties by the pair scan
         values = sorted(set(mp.marking.values()))
         marked = sorted(mp.marked)
-        assert mp._rank == {a: values.index(mp.value(a)) for a in marked}
+        assert mp._rank == {a: values.index(mp.marking[a]) for a in marked}
         assert mp._ties == tuple(posets._scan_mark_pairs(mp.poset, mp.marking, marked))
         report = validate_marked(mp)
         assert (report.strict, report.regular, report.violations) == fraction_validate_marked(mp)
@@ -713,8 +713,8 @@ class TestPieces:
             for piece, covers, lower, upper in pieces:
                 below = {a for x in piece for a in mp.poset.lower_covers(x) if a in mp.marked}
                 above = {b for x in piece for b in mp.poset.upper_covers(x) if b in mp.marked}
-                assert lower == {a: mp.value(a) for a in below}
-                assert upper == {b: mp.value(b) for b in above}
+                assert lower == {a: mp.marking[a] for a in below}
+                assert upper == {b: mp.marking[b] for b in above}
                 # each kept in the order of the touching covers
                 assert list(lower) == list(dict.fromkeys(p for p, _ in covers if p in mp.marked))
                 assert list(upper) == list(dict.fromkeys(q for _, q in covers if q in mp.marked))
@@ -764,7 +764,7 @@ class TestAugment:
         augmented = augment_marked_order(mp)
         assert augmented.covers == all_pairs_augment(mp).covers
         assert sorted(augmented.covers) == [(p, q) for p, q in itertools.product("abcdef", repeat=2)
-                                            if mp.value(q) - mp.value(p) == 1]
+                                            if mp.marking[q] - mp.marking[p] == 1]
 
     def test_idempotent(self, figure_one):
         once = augment_marked_order(figure_one)
