@@ -6,7 +6,6 @@ from .errors import (
     ExtensionExplosion,
     MarkedPosetError,
     NonIntegralVertices,
-    PointOutsidePolytope,
     PreconditionViolated,
     UnboundedPolytope,
     VerificationFailed,

@@ -55,15 +55,18 @@ def _draw(rng: random.Random, max_unmarked: int, mark_lo: int, mark_hi: int,
         for j in range(i + 1, n)
         if rng.random() < p_edge
     ]
-    poset = Poset.from_relations(names, relations)
-
-    marked = set(poset.minimals()) | set(poset.maximals())
+    # the minimal elements have no relation into them and the maximal ones no
+    # relation out of them, so the size box is checked before the poset is built
+    sources = {a for a, _ in relations}
+    targets = {b for _, b in relations}
+    marked = {e for e in names if e not in targets or e not in sources}
     interior = [e for e in names if e not in marked]
     rng.shuffle(interior)
     while len(marked) < n_marked and interior:
         marked.add(interior.pop())
     if not min_unmarked <= n - len(marked) <= max_unmarked:
         return None
+    poset = Poset.from_relations(names, relations)
 
     marking: dict[str, int] = {}
     for a in poset.topological_order():

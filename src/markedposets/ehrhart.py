@@ -43,6 +43,7 @@ from .errors import (
 from .geometry import (
     HRepresentation,
     UnivariatePolynomial,
+    classify_inequalities,
     count_lattice_points,
     _convolve,
     _count_points,
@@ -66,25 +67,34 @@ DEFAULT_EXTENSION_CAP = 10**6
 def ehrhart_by_counting(h: HRepresentation) -> UnivariatePolynomial:
     """Interpolate L_P at n = -ceil(dim/2)..floor(dim/2), verify at floor(dim/2) + 1.
 
-    P must be a lattice polytope (NonIntegralVertices otherwise).  The values
-    at n >= 0 are closed counts of nP.  By Ehrhart-Macdonald reciprocity,
+    P must be a lattice polytope (NonIntegralVertices otherwise).  Its
+    dimension comes from ``classify_inequalities``, whose affine-hull rows
+    need no rank on a full-dimensional polytope; the counting kernel reads
+    the implicit rows off the same cached result.  The values at n >= 0 are
+    closed counts of nP.  By Ehrhart-Macdonald reciprocity,
     L_P(-m) = (-1)^dim * #(relint(mP) & Z^d), so the values at n = -m come
     from relative-interior counts of mP for m = 1..ceil(dim/2), which stay
     small.  The probe is one more closed count, at a dilation outside the
-    interpolation points.
+    interpolation points, checked in integers: the polynomial's numerators
+    over its common denominator D, evaluated there, must equal the probe
+    times D.
     """
     v = enumerate_vertices(h)
     if v.scale != 1:
         p = next(p for p in v.vertices if any(x.denominator != 1 for x in p))
         raise NonIntegralVertices(f"vertex {p} is not integral")
-    dim = v.dimension
+    dim = classify_inequalities(h)[1]
     top = dim // 2
     sign = -1 if dim % 2 else 1
     points = [(-m, sign * _count_points(h, m, 1)) for m in range(1, dim - top + 1)]
     points += [(n, count_lattice_points(h, n)) for n in range(top + 1)]
     poly = interpolate_polynomial(points)
     probe = count_lattice_points(h, top + 1)
-    if poly.evaluate(top + 1) != probe:
+    den = math.lcm(*(c.denominator for c in poly.coefficients))
+    value = 0
+    for c in reversed(poly.coefficients):
+        value = value * (top + 1) + c.numerator * (den // c.denominator)
+    if value != probe * den:
         raise VerificationFailed(
             f"interpolated polynomial disagrees with the count at dilation {top + 1}")
     return poly

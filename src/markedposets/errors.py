@@ -17,10 +17,6 @@ class DimensionTooLarge(MarkedPosetError):
     """An enumeration would exceed the configured work cap."""
 
 
-class PointOutsidePolytope(MarkedPosetError):
-    """A point handed to a face operation does not satisfy the polytope's constraints."""
-
-
 class PreconditionViolated(MarkedPosetError):
     """An operation was called outside its stated hypotheses (e.g. a non-strict marking)."""
 

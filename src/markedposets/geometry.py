@@ -14,13 +14,16 @@ double description yields directly; facet values, counting boxes and rows
 all stay in integers.  Facet classification takes the dimension from the
 affine hull's rows (the equalities and the rows tight on every vertex), so a
 full-dimensional polytope needs no rank; lattice counting takes it from the
-vertex vectors.  Rationals appear only in an inequality's right-hand side
-and in reported values (vertex coordinates, affine values, polynomials).  An
-H-representation orders its rows by sorting, not hashing.  The rows of the
-polytopes' H-representations skip normalisation: they are built normal
-(``LinearInequality._normal``), and their coordinates in id order let the
-H-representation read each row's column order off its id order, so building
-one does no ``Fraction`` arithmetic per row.
+vertex vectors.  Lattice counting builds its integer setup (rows, vertex box,
+which rows touch which column) once per H-representation and walks every
+dilation on it without recursion, under a node budget.  Rationals appear only
+in an inequality's right-hand side and in reported values (vertex
+coordinates, affine values, polynomials).  An H-representation orders its
+rows by sorting, not hashing.  The rows of the polytopes' H-representations
+skip normalisation: they are built normal (``LinearInequality._normal``), and
+their coordinates in id order let the H-representation read each row's
+column order off its id order, so building one does no ``Fraction``
+arithmetic per row.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .errors import (
 )
 
 DEFAULT_RAY_CAP = 10**7
+DEFAULT_LATTICE_NODE_CAP = 10**8
 
 Point = tuple[Fraction, ...]
 
@@ -143,6 +147,7 @@ class HRepresentation:
             [self._sign_normalized(e) for e in eqs])
         self._vertex_cache: VRepresentation | None = None
         self._classify_cache: tuple | None = None
+        self._count_cache: tuple | None = None
 
     def _dense(self, row: LinearInequality, zero=0, cell=lambda a: a) -> list:
         """The row's coefficients in declared coordinate order, each nonzero one
@@ -506,74 +511,133 @@ def _ceil_div(p: int, q: int) -> int:
 def count_lattice_points(h: HRepresentation, dilation: int) -> int:
     """Exact number of integer points in the dilated polytope.
 
-    Counts by recursing over the declared coordinate order; at each prefix the
-    next coordinate's integer range is derived from every constraint touching
-    it, relaxing still-free coordinates to their vertex box.  Every constraint
-    is enforced exactly once its last coordinate is reached, so the relaxation
-    only prunes.  The Ehrhart counting route also counts relative-interior
-    points with the same recursion (``_count_points`` with ``shrink`` 1).
+    Walks the declared coordinate order; at each prefix the next coordinate's
+    integer range is derived from every constraint touching it, relaxing
+    still-free coordinates to their vertex box.  Every constraint is enforced
+    exactly once its last coordinate is reached, so the relaxation only
+    prunes.  The Ehrhart counting route also counts relative-interior points
+    with the same walk (``_count_points`` with ``shrink`` 1).  Raises
+    DimensionTooLarge once the walk passes its node budget.
     """
     if dilation < 0:
         raise ValueError("dilation must be nonnegative")
     return _count_points(h, dilation, 0)
 
 
+def _count_kernel(h: HRepresentation) -> tuple:
+    """The integer setup that lattice counting shares across dilations, cached on ``h``.
+
+    Returns (L, least, greatest, rows, touch, last):
+
+    - L is the vertices' common denominator, and least[j] and greatest[j]
+      are the least and greatest L x_j over the vertices;
+    - rows holds (terms, p, tight) per integer row terms . x <= p n of the
+      n-th dilate, its terms from ``_int_terms`` by decreasing column.  An
+      equality is tight, and so is a row tight on every vertex (implicit,
+      from ``classify_inequalities``, which takes no rank on a
+      full-dimensional polytope): a tight row comes with its negation, and no
+      shrink lowers it;
+    - touch[j] lists (row, coefficient) for every term in column j;
+    - last holds the rows with a term in the last column, in four lists:
+      (row, |coefficient|) for the rows with no term b in the column before
+      it, bounding it from above and from below, then (row, |coefficient|,
+      b) for the others, from above and from below.
+    """
+    if h._count_cache is not None:
+        return h._count_cache
+    v, _, _, implicit = classify_inequalities(h)
+    d = len(h.coordinates)
+    rows: list[tuple[list[tuple[int, int]], int, bool]] = []
+    for ineq, tight in [(e, True) for e in h.equalities] + [(i, i in implicit) for i in h.inequalities]:
+        terms, p = _int_terms(h, ineq)
+        terms.sort(reverse=True)
+        rows.append((terms, p, tight))
+        if tight:
+            rows.append(([(j, -a) for j, a in terms], -p, True))
+    touch: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    for r, (terms, _, _) in enumerate(rows):
+        for j, a in terms:
+            touch[j].append((r, a))
+    fixed_up, fixed_low, vary_up, vary_low = last = ([], [], [], [])
+    if d:
+        before = dict(touch[d - 2]) if d > 1 else {}
+        for r, a in touch[d - 1]:
+            if b := before.get(r, 0):
+                (vary_up if a > 0 else vary_low).append((r, abs(a), b))
+            else:
+                (fixed_up if a > 0 else fixed_low).append((r, abs(a)))
+    columns = v._columns.values()
+    h._count_cache = (v.scale, [min(c) for c in columns], [max(c) for c in columns], rows, touch, last)
+    return h._count_cache
+
+
 def _count_points(h: HRepresentation, dilation: int, shrink: int) -> int:
-    """Integer points of the dilate with every non-implicit row's integer rhs lowered by ``shrink``.
+    """Integer points of the dilate with every non-tight row's integer rhs lowered by ``shrink``.
 
     Shrink 0 counts the closed dilate.  Shrink 1 counts its relative interior
     (for dilation >= 1): each row is all-integer, so a.x < b is a.x <= b - 1;
-    rows tight on the whole polytope (implicit) stay equalities, like the
-    equality rows.  Implicit rows are looked up only when the polytope is not
-    full-dimensional: a row can be tight everywhere even when the equalities
-    alone already cut the polytope's affine hull out, as y <= 0 is beside
-    y = 0.  Everything runs in integers: the rows come from ``_int_terms``,
-    and each coordinate's box is its least and greatest L x over the
-    vertices, times n / L, rounded inward.
+    rows tight on the whole polytope stay equalities, like the equality rows
+    (``_count_kernel``).  A row can be tight everywhere even when the
+    equalities alone already cut the polytope's affine hull out, as y <= 0 is
+    beside y = 0.  Everything runs in integers on the kernel, built once per
+    representation; a call builds only what depends on the dilation n and
+    the shrink: each coordinate's box (its least and greatest L x over the
+    vertices, times n / L, rounded inward), the rows' slacks, and for each
+    term the least that the row's later coordinates add inside the box.
     """
-    v = enumerate_vertices(h)
-    if dilation == 0:
-        return 1
+    scale, least, greatest, rows, touch, last = _count_kernel(h)
     d = len(h.coordinates)
-    if d == 0:
+    if dilation == 0 or d == 0:
         return 1
-
     n = dilation
-    implicit = classify_inequalities(h)[3] if shrink and v.dimension < d else []
-    # (terms, rhs) per row terms . x <= rhs; an equality is two opposite rows
-    rows: list[tuple[list[tuple[int, int]], int]] = []
-    for ineq, tight in [(e, True) for e in h.equalities] + [(i, i in implicit) for i in h.inequalities]:
-        terms, p = _int_terms(h, ineq)
-        if tight:
-            rows += [(terms, p * n), ([(j, -a) for j, a in terms], -p * n)]
-        else:
-            rows.append((terms, p * n - shrink))
-
-    box_lo = []
-    box_hi = []
-    for values in v._columns.values():
-        box_lo.append(_ceil_div(min(values) * n, v.scale))
-        box_hi.append(max(values) * n // v.scale)
-        if box_lo[-1] > box_hi[-1]:
-            return 0
-
+    box_lo = [_ceil_div(x * n, scale) for x in least]
+    box_hi = [x * n // scale for x in greatest]
+    if any(lo > hi for lo, hi in zip(box_lo, box_hi)):
+        return 0
+    slack = [p * n if tight else p * n - shrink for _, p, tight in rows]
     # Row r bounds coordinate i by its slack less the least that coordinates
     # after i can add to it inside the box (``rest``): from above when its
     # coefficient a is positive, from below when it is negative.
     upper: list[list[tuple[int, int, int]]] = [[] for _ in range(d)]
     lower: list[list[tuple[int, int, int]]] = [[] for _ in range(d)]
-    touch: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for r, (terms, _) in enumerate(rows):
+    for r, (terms, _, _) in enumerate(rows):
         rest = 0
-        for j, a in sorted(terms, reverse=True):  # by decreasing column
-            (upper if a > 0 else lower)[j].append((r, abs(a), rest))
-            touch[j].append((r, a))
-            rest += min(a * box_lo[j], a * box_hi[j])
+        for j, a in terms:
+            if a > 0:
+                upper[j].append((r, a, rest))
+                rest += a * box_lo[j]
+            else:
+                lower[j].append((r, -a, rest))
+                rest += a * box_hi[j]
+    return _lattice_walk(box_lo, box_hi, slack, upper, lower, touch, last)
 
-    slack = [b for _, b in rows]
-    last = d - 1
 
-    def rec(i: int) -> int:
+def _lattice_walk(box_lo: list[int], box_hi: list[int], slack: list[int],
+                  upper: list[list[tuple[int, int, int]]], lower: list[list[tuple[int, int, int]]],
+                  touch: list[list[tuple[int, int]]], last: tuple[list, list, list, list]) -> int:
+    """The integer points of the box that leave every slack nonnegative, walked without recursion.
+
+    Level i holds coordinate i's value and top in the flat lists ``value``
+    and ``top``; assigning it takes its terms off the slacks (``touch``), and
+    the walk backs up to the deepest level with a value left once a range is
+    spent or empty.  The last coordinate is never assigned: inside the loop
+    over the last-but-one coordinate x, each row on the last column bounds it
+    by (slack - b x) / |a|, and its range adds its length.  A row with b = 0
+    gives the same bound for every x, so it is read once per loop, and with
+    no b != 0 row the loop is one product.  Every assignment before the last
+    coordinate counts against the node budget, a whole range at a time;
+    DimensionTooLarge once they pass it.
+    """
+    cap = _work_cap(DEFAULT_LATTICE_NODE_CAP)
+    end = len(box_lo) - 1
+    fixed_up, fixed_low, vary_up, vary_low = last
+    varies = bool(vary_up or vary_low)
+    end_lo, end_hi = box_lo[end], box_hi[end]
+    value = [0] * end
+    top = [0] * end
+    total = nodes = 0
+    i = 0
+    while True:
         lo, hi = box_lo[i], box_hi[i]
         for r, a, rest in upper[i]:
             bound = (slack[r] - rest) // a
@@ -583,23 +647,57 @@ def _count_points(h: HRepresentation, dilation: int, shrink: int) -> int:
             bound = -((slack[r] - rest) // a)
             if bound > lo:
                 lo = bound
-        if lo > hi:
-            return 0
-        if i == last:
-            return hi - lo + 1
-        rows_i = touch[i]
-        for r, a in rows_i:
-            slack[r] -= a * lo
-        total = 0
-        for _ in range(lo, hi + 1):
-            total += rec(i + 1)
+        if i == end:  # one coordinate only
+            return max(hi - lo + 1, 0)
+        if lo <= hi:
+            nodes += hi - lo + 1
+            if nodes > cap:
+                raise DimensionTooLarge(f"more than {cap} lattice-walk nodes"
+                                        "; set MPP_WORK_CAP to raise it")
+            if i < end - 1:
+                for r, a in touch[i]:
+                    slack[r] -= a * lo
+                value[i], top[i] = lo, hi
+                i += 1
+                continue
+            # i is the last-but-one coordinate: count the last one for each of its values
+            fixed_lo, fixed_hi = end_lo, end_hi
+            for r, a in fixed_up:
+                bound = slack[r] // a
+                if bound < fixed_hi:
+                    fixed_hi = bound
+            for r, a in fixed_low:
+                bound = -(slack[r] // a)
+                if bound > fixed_lo:
+                    fixed_lo = bound
+            if fixed_lo <= fixed_hi and not varies:
+                total += (hi - lo + 1) * (fixed_hi - fixed_lo + 1)
+            elif fixed_lo <= fixed_hi:
+                for x in range(lo, hi + 1):
+                    y_lo, y_hi = fixed_lo, fixed_hi
+                    for r, a, b in vary_up:
+                        bound = (slack[r] - b * x) // a
+                        if bound < y_hi:
+                            y_hi = bound
+                    for r, a, b in vary_low:
+                        bound = -((slack[r] - b * x) // a)
+                        if bound > y_lo:
+                            y_lo = bound
+                    if y_lo <= y_hi:
+                        total += y_hi - y_lo + 1
+        while True:  # back up to the deepest level with a value left
+            i -= 1
+            if i < 0:
+                return total
+            rows_i = touch[i]
+            if value[i] < top[i]:
+                value[i] += 1
+                for r, a in rows_i:
+                    slack[r] -= a
+                i += 1
+                break
             for r, a in rows_i:
-                slack[r] -= a
-        for r, a in rows_i:
-            slack[r] += a * (hi + 1)
-        return total
-
-    return rec(0)
+                slack[r] += a * top[i]
 
 
 # ---------------------------------------------------------------------------
@@ -658,11 +756,10 @@ def interpolate_polynomial(points: Sequence[tuple[int | Fraction, int | Fraction
     xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate abscissae")
-    fx = [Fraction(x) for x in xs]
-    fy = [Fraction(y) for _, y in points]
-    dx = math.lcm(*(x.denominator for x in fx))
-    dy = math.lcm(*(y.denominator for y in fy))
-    xs_int = [x.numerator * (dx // x.denominator) for x in fx]
+    ys = [y for _, y in points]
+    dx = math.lcm(*(x.denominator for x in xs))
+    dy = math.lcm(*(y.denominator for y in ys))
+    xs_int = [x.numerator * (dx // x.denominator) for x in xs]
     full = [1]
     for xj in xs_int:
         full = [a - xj * b for a, b in zip([0, *full], full + [0])]
@@ -670,7 +767,7 @@ def interpolate_polynomial(points: Sequence[tuple[int | Fraction, int | Fraction
     common = math.lcm(*weights)
     size = len(xs_int)
     numerator = [0] * size
-    for xi, y, w in zip(xs_int, fy, weights):
+    for xi, y, w in zip(xs_int, ys, weights):
         scale = y.numerator * (dy // y.denominator) * (common // w)
         if not scale:
             continue

@@ -104,9 +104,6 @@ class Poset:
     def less(self, p: str, q: str) -> bool:
         return p != q and self.leq(p, q)
 
-    def comparable(self, p: str, q: str) -> bool:
-        return self.leq(p, q) or self.leq(q, p)
-
     def upper_covers(self, p: str) -> tuple[str, ...]:
         return self._up_covers[p]
 

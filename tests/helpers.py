@@ -1,11 +1,13 @@
 """Test-only constructions: exact affine images, random points and maps, partition sweeps,
-the mark-augmented poset, the ungrouped piece product, the reference extension walk.
+the mark-augmented poset, the ungrouped piece product, the reference extension walk and the
+reference lattice-point recursion.
 
 Also the oracles the package no longer carries: exact membership (``contains``),
-``Fraction`` polynomial arithmetic (``Polynomial``, ``polynomial``) and the face
-partitions of the marked order polytope (``FacePartition``,
-``face_partition_of_point``, ``is_face_partition``; Pegel, "The face structure
-and geometry of marked order polyhedra", Order 2018)."""
+comparability (``comparable``), ``Fraction`` polynomial arithmetic (``Polynomial``,
+``polynomial``) and the face partitions of the marked order polytope
+(``FacePartition``, ``face_partition_of_point``, which raises ``PointOutsidePolytope``,
+and ``is_face_partition``; Pegel, "The face structure and geometry of marked order
+polyhedra", Order 2018)."""
 
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from markedposets import (
     HRepresentation,
     LinearInequality,
     MarkedPoset,
-    PointOutsidePolytope,
+    MarkedPosetError,
     Poset,
     UnivariatePolynomial,
     VRepresentation,
@@ -31,8 +33,16 @@ from markedposets import (
     validate_marked,
 )
 from markedposets.ehrhart import _signature_sum, _tie_break_extensions
-from markedposets.geometry import _convolve
+from markedposets.geometry import _ceil_div, _convolve, _int_terms, classify_inequalities, enumerate_vertices
 from markedposets.posets import _components, _pieces, check_natural_labeling
+
+
+class PointOutsidePolytope(MarkedPosetError):
+    """A point handed to a face operation does not satisfy the polytope's constraints."""
+
+
+def comparable(poset: Poset, p: str, q: str) -> bool:
+    return poset.leq(p, q) or poset.leq(q, p)
 
 
 def contains(h: HRepresentation, point: Mapping[str, Fraction]) -> bool:
@@ -146,7 +156,7 @@ def is_face_partition(mp: MarkedPoset, fp: FacePartition) -> bool:
         raise ValueError("blocks do not cover the poset")
 
     comparable_within_blocks = [(e, f) for block in fp.blocks for e in block for f in block
-                                if e < f and poset.comparable(e, f)]
+                                if e < f and comparable(poset, e, f)]
     if len(_components(poset.elements, comparable_within_blocks)) != len(fp.blocks):
         return False
 
@@ -329,3 +339,90 @@ def reference_linear_extensions(poset: Poset, labeling: Mapping[str, int] | None
         word.append(e)
         levels.append(sorted(available[:i] + available[i + 1:] + released, key=key))
         chosen.append(0)
+
+
+def reference_count_points(h: HRepresentation, dilation: int, shrink: int) -> int:
+    """``geometry._count_points`` as it was before the counting kernel: the setup rebuilt on
+    every call and a recursion over the coordinates, with no node budget.
+
+    Integer points of the dilate with every non-implicit row's integer rhs lowered by ``shrink``.
+
+    Shrink 0 counts the closed dilate.  Shrink 1 counts its relative interior
+    (for dilation >= 1): each row is all-integer, so a.x < b is a.x <= b - 1;
+    rows tight on the whole polytope (implicit) stay equalities, like the
+    equality rows.  Implicit rows are looked up only when the polytope is not
+    full-dimensional: a row can be tight everywhere even when the equalities
+    alone already cut the polytope's affine hull out, as y <= 0 is beside
+    y = 0.  Everything runs in integers: the rows come from ``_int_terms``,
+    and each coordinate's box is its least and greatest L x over the
+    vertices, times n / L, rounded inward.
+    """
+    v = enumerate_vertices(h)
+    if dilation == 0:
+        return 1
+    d = len(h.coordinates)
+    if d == 0:
+        return 1
+
+    n = dilation
+    implicit = classify_inequalities(h)[3] if shrink and v.dimension < d else []
+    # (terms, rhs) per row terms . x <= rhs; an equality is two opposite rows
+    rows: list[tuple[list[tuple[int, int]], int]] = []
+    for ineq, tight in [(e, True) for e in h.equalities] + [(i, i in implicit) for i in h.inequalities]:
+        terms, p = _int_terms(h, ineq)
+        if tight:
+            rows += [(terms, p * n), ([(j, -a) for j, a in terms], -p * n)]
+        else:
+            rows.append((terms, p * n - shrink))
+
+    box_lo = []
+    box_hi = []
+    for values in v._columns.values():
+        box_lo.append(_ceil_div(min(values) * n, v.scale))
+        box_hi.append(max(values) * n // v.scale)
+        if box_lo[-1] > box_hi[-1]:
+            return 0
+
+    # Row r bounds coordinate i by its slack less the least that coordinates
+    # after i can add to it inside the box (``rest``): from above when its
+    # coefficient a is positive, from below when it is negative.
+    upper: list[list[tuple[int, int, int]]] = [[] for _ in range(d)]
+    lower: list[list[tuple[int, int, int]]] = [[] for _ in range(d)]
+    touch: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    for r, (terms, _) in enumerate(rows):
+        rest = 0
+        for j, a in sorted(terms, reverse=True):  # by decreasing column
+            (upper if a > 0 else lower)[j].append((r, abs(a), rest))
+            touch[j].append((r, a))
+            rest += min(a * box_lo[j], a * box_hi[j])
+
+    slack = [b for _, b in rows]
+    last = d - 1
+
+    def rec(i: int) -> int:
+        lo, hi = box_lo[i], box_hi[i]
+        for r, a, rest in upper[i]:
+            bound = (slack[r] - rest) // a
+            if bound < hi:
+                hi = bound
+        for r, a, rest in lower[i]:
+            bound = -((slack[r] - rest) // a)
+            if bound > lo:
+                lo = bound
+        if lo > hi:
+            return 0
+        if i == last:
+            return hi - lo + 1
+        rows_i = touch[i]
+        for r, a in rows_i:
+            slack[r] -= a * lo
+        total = 0
+        for _ in range(lo, hi + 1):
+            total += rec(i + 1)
+            for r, a in rows_i:
+                slack[r] -= a
+        for r, a in rows_i:
+            slack[r] += a * (hi + 1)
+        return total
+
+    return rec(0)

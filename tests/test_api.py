@@ -11,7 +11,7 @@ PUBLIC_NAMES = {
     "ChainOrderPartition", "ChainTwoLevelResult", "DimensionTooLarge", "EmptyPolytope",
     "ExtensionExplosion", "ExtensionWord", "HRepresentation",
     "LinearInequality", "MarkedPoset", "MarkedPosetError",
-    "MarkingReport", "NonIntegralVertices", "PointOutsidePolytope", "Poset",
+    "MarkingReport", "NonIntegralVertices", "Poset",
     "PreconditionViolated", "TwoLevelResult", "UnboundedPolytope", "UnivariatePolynomial",
     "VRepresentation", "VerificationFailed",
     "build_chain_hrep", "build_chain_order_hrep", "build_order_hrep",

@@ -613,6 +613,19 @@ class TestWorkCap:
         assert err == ("error: more than 1 restricted linear extensions"
                        "; set MPP_WORK_CAP to raise it\n")
 
+    def test_env_cap_limits_lattice_walk(self, capsys, monkeypatch, tmp_path):
+        # the unit 9-cube: 512 vertices stay under the ray cap, its dilates not under the node cap
+        xs = [f"x{i}" for i in range(9)]
+        doc = {"name": "cube", "elements": ["bot", *xs, "top"],
+               "covers": [["bot", x] for x in xs] + [[x, "top"] for x in xs],
+               "marked": {"bot": 0, "top": 1}}
+        monkeypatch.setenv("MPP_WORK_CAP", "1000")
+        code, out, err = run_cli(capsys, "ehrhart", write_doc(tmp_path, doc),
+                                 "--family", "order", "--method", "count")
+        assert code == 1
+        assert out == ""
+        assert err == "error: more than 1000 lattice-walk nodes; set MPP_WORK_CAP to raise it\n"
+
     def test_env_cap_reaches_corpus_extension_stream(self, capsys, monkeypatch):
         caps = []
 

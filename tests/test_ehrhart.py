@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import sys
 import tempfile
 from collections import Counter
 from fractions import Fraction
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import markedposets.ehrhart as ehrhart_module
 from markedposets import (
     ChainOrderPartition,
+    DimensionTooLarge,
     ExtensionExplosion,
     HRepresentation,
     LinearInequality,
@@ -42,10 +44,10 @@ from markedposets.cli import main
 from markedposets.corpus import corpus, random_marked_poset
 from markedposets.ehrhart import _power, _segment_factor, _signature_sum
 from markedposets.errors import VerificationFailed
-from markedposets.geometry import _convolve, _count_points, enumerate_vertices
+from markedposets.geometry import _convolve, _count_points, classify_inequalities, enumerate_vertices
 from markedposets.posets import _pieces
-from helpers import (all_chain_order_partitions, augment_marked_order, polynomial, reference_linear_extensions,
-                     ungrouped_formula)
+from helpers import (all_chain_order_partitions, augment_marked_order, polynomial, reference_count_points,
+                     reference_linear_extensions, ungrouped_formula)
 from test_geometry import fraction_lagrange
 
 ORACLE_SEEDS = (20250808, 3, 7)
@@ -134,13 +136,18 @@ def closed_dilation_route(h):
     return poly
 
 
+def hreps_of(mp):
+    """The order, the chain and every chain-order H-rep of ``mp``."""
+    yield build_order_hrep(mp)
+    yield build_chain_hrep(mp)
+    for part in all_chain_order_partitions(mp):
+        yield build_chain_order_hrep(mp, part)
+
+
 def corpus_hreps(seed):
     """The order, chain and every chain-order H-rep of ``corpus(seed, 200, max_unmarked=5)``."""
     for mp in corpus(seed, 200, max_unmarked=5):
-        yield build_order_hrep(mp)
-        yield build_chain_hrep(mp)
-        for part in all_chain_order_partitions(mp):
-            yield build_chain_order_hrep(mp, part)
+        yield from hreps_of(mp)
 
 
 # wrong interior counts, each given the true count function and the dilation
@@ -255,6 +262,90 @@ class TestCountingReach:
     def test_ladder_of_four_rungs_matches_formula(self, ladder):
         mp = ladder(4)
         assert ehrhart_by_counting(build_order_hrep(mp)) == ehrhart_formula_marked_order(mp)
+
+
+def capped_at_one(mp):
+    """``mp`` with every mark above 1 lowered to 1: tied marks pin elements, so rows are
+    tight on the whole polytope."""
+    return MarkedPoset(mp.poset, {a: min(x, 1) for a, x in mp.marking.items()})
+
+
+class TestCountingKernel:
+    """The kernel walk against the recursion it replaced (``helpers.reference_count_points``),
+    closed and interior counts at n = 0..4."""
+
+    @staticmethod
+    def check(h):
+        for n in range(5):
+            for shrink in (0, 1):
+                assert _count_points(h, n, shrink) == reference_count_points(h, n, shrink), (h, n, shrink)
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_corpus(self, seed):
+        for mp in corpus(seed, 40, max_unmarked=5):
+            for h in hreps_of(mp):
+                self.check(h)
+
+    def test_cubes_ladders_and_chains(self, ladder):
+        for mp in [*map(cube, range(1, 6)), *map(ladder, range(1, 4)), *map(chain_poset, (1, 2, 5, 8))]:
+            for h in (build_order_hrep(mp), build_chain_hrep(mp)):
+                self.check(h)
+
+    def test_thin_polytopes(self):
+        thin = 0
+        for mp in corpus(ORACLE_SEEDS[0], 40, max_unmarked=5):
+            tied = capped_at_one(mp)
+            for h in hreps_of(tied):
+                thin += bool(classify_inequalities(h)[3])
+                self.check(h)
+        assert thin
+
+    def test_walk_deeper_than_the_recursion_limit(self):
+        # the kernel walk keeps no frame per coordinate; the recursion it replaced does
+        h = build_order_hrep(chain_poset(60))
+        enumerate_vertices(h)
+        limit = sys.getrecursionlimit()
+        depth = 0
+        frame = sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        sys.setrecursionlimit(depth + 40)
+        try:
+            assert count_lattice_points(h, 1) == 61
+            with pytest.raises(RecursionError):
+                reference_count_points(h, 1, 0)
+        finally:
+            sys.setrecursionlimit(limit)
+
+
+class TestLatticeNodeBudget:
+    """Every coordinate assignment before the last one counts against ``MPP_WORK_CAP``."""
+
+    MESSAGE = "more than {} lattice-walk nodes; set MPP_WORK_CAP to raise it"
+
+    def test_boundary(self, monkeypatch):
+        # the unit 9-cube at dilation 1: 2 + 4 + ... + 2^8 = 510 assignments before the last coordinate
+        h = build_order_hrep(cube(9))
+        enumerate_vertices(h)
+        monkeypatch.setenv("MPP_WORK_CAP", "510")
+        assert count_lattice_points(h, 1) == 512
+        monkeypatch.setenv("MPP_WORK_CAP", "509")
+        with pytest.raises(DimensionTooLarge, match=re.escape(self.MESSAGE.format(509))):
+            count_lattice_points(h, 1)
+
+    def test_counting_route_refused(self, monkeypatch):
+        # the 9-cube's 512 vertices stay under the ray cap; its dilates do not stay under the node cap
+        monkeypatch.setenv("MPP_WORK_CAP", "1000")
+        with pytest.raises(DimensionTooLarge, match=re.escape(self.MESSAGE.format(1000))):
+            ehrhart_by_counting(build_order_hrep(cube(9)))
+
+    def test_interior_count_refused(self, monkeypatch):
+        h = build_order_hrep(cube(9))
+        enumerate_vertices(h)
+        monkeypatch.setenv("MPP_WORK_CAP", "1000")
+        assert _count_points(h, 3, 1) == 512  # {1, 2}^9: 2 + 4 + ... + 2^8 nodes
+        with pytest.raises(DimensionTooLarge, match=re.escape(self.MESSAGE.format(1000))):
+            _count_points(h, 4, 1)
 
 
 def two_chains():

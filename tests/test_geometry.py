@@ -48,7 +48,8 @@ from markedposets.geometry import (
     _scaled_values,
     classify_inequalities,
 )
-from helpers import affine_image, all_chain_order_partitions, contains, polynomial, random_unimodular_map
+from helpers import (affine_image, all_chain_order_partitions, contains, polynomial, random_unimodular_map,
+                     reference_count_points)
 
 
 def hrep2(rows):
@@ -1078,6 +1079,37 @@ class TestCountLatticePoints:
             except EmptyPolytope:
                 count = 0
             assert count == scan
+
+    @pytest.mark.parametrize("coupled", [False, True], ids=["last-column-alone", "last-two-columns"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_kernel_matches_reference_on_fractional_boxes(self, data, coupled):
+        # every rhs has denominator 2 or 3, so the vertices need L > 1 and the boxes round
+        # inward; every rhs is nonnegative, so the origin counts at every dilation and no
+        # count is 0.  With ``coupled`` a row has terms in both of the last two columns, so
+        # the last coordinate's range moves with the one before it; without, the only rows
+        # on the last column are its box rows, so each range there is one product.
+        d = data.draw(st.integers(2, 4))
+        coords = [f"x{j}" for j in range(d)]
+        rhs = st.builds(Fraction, st.integers(1, 8), st.sampled_from([2, 3]))
+        coefficient = st.integers(-3, 3)
+        rows = [LinearInequality({c: s}, data.draw(rhs)) for c in coords for s in (-1, 1)]
+        free = coords if coupled else coords[:-1]
+        for _ in range(data.draw(st.integers(0, 3))):
+            coeffs = {c: data.draw(coefficient) for c in free}
+            if any(coeffs.values()):
+                rows.append(LinearInequality(coeffs, data.draw(rhs)))
+        if coupled:
+            nonzero = coefficient.filter(bool)
+            rows.append(LinearInequality({coords[-2]: data.draw(nonzero), coords[-1]: data.draw(nonzero)},
+                                         data.draw(rhs)))
+        h = HRepresentation(coords, rows)
+        assume(enumerate_vertices(h).scale > 1)
+        for n in range(5):
+            for shrink in (0, 1):
+                count = _count_points(h, n, shrink)
+                assert count == reference_count_points(h, n, shrink)
+                assert count or shrink
 
     def test_negative_dilation_rejected(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from markedposets import (
     HRepresentation,
     LinearInequality,
     MarkedPoset,
-    PointOutsidePolytope,
     Poset,
     build_chain_hrep,
     build_chain_order_hrep,
@@ -35,8 +34,8 @@ from markedposets.corpus import _draw, corpus, random_marked_poset
 from markedposets.ehrhart import pm_family
 from markedposets.posets import (_components, _members, _saturated_chains, _topological_order,
                                  _up_sets, validate_marked)
-from helpers import (FacePartition, all_chain_order_partitions, contains, face_partition_of_point,
-                     is_face_partition, random_convex_points)
+from helpers import (FacePartition, PointOutsidePolytope, all_chain_order_partitions, comparable, contains,
+                     face_partition_of_point, is_face_partition, random_convex_points)
 
 
 def ineq(coeffs, rhs):
@@ -333,7 +332,7 @@ def face_partition_by_block_graph(mp, fp):
     block_of = {e: i for i, block in enumerate(fp.blocks) for e in block}
     poset = mp.poset
     inside = [(e, f) for block in fp.blocks for e in block for f in block
-              if e < f and poset.comparable(e, f)]
+              if e < f and comparable(poset, e, f)]
     if len(_components(poset.elements, inside)) != len(fp.blocks):
         return False
     k = len(fp.blocks)
